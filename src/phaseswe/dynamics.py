@@ -140,9 +140,10 @@ def apply_nonlinear(state: State, params: PhysicsParams) -> State:
     """Tendency N(U): momentum advection and flux-form continuity.
 
     Products are formed in physical space; inputs are truncated to the 2/3
-    band first (a no-op on band-limited states) and the result is dealiased,
-    so for band-limited inputs this is the exact truncated convolution.  The
-    mean eta tendency is exactly zero because both continuity terms are
+    band |wrap| < n/3 first (a no-op on band-limited states) and the result is
+    dealiased.  On that band no product of two retained modes aliases back
+    into it, so for band-limited inputs this equals the truncated convolution.
+    The mean eta tendency is exactly zero because both continuity terms are
     divergences.
     """
     _check_b(state, params)

@@ -99,8 +99,10 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> SpectralGrid:
     wy = _wrap_indices(ny)
     kx = 2.0 * np.pi * wx / Lx
     ky = 2.0 * np.pi * wy / Ly
-    # 2/3 rule: keep |wrap| <= n/3, exact in integer arithmetic
-    mask = (3 * np.abs(wx)[:, None] <= nx) & (3 * np.abs(wy)[None, :] <= ny)
+    # 2/3 rule: keep |wrap| < n/3, exact in integer arithmetic.  Two kept
+    # modes then sum to |wrap| < 2n/3, so their product's wrap-around image
+    # lands outside the band; keeping |wrap| = n/3 would let it alias back in.
+    mask = (3 * np.abs(wx)[:, None] < nx) & (3 * np.abs(wy)[None, :] < ny)
     for arr in (kx, ky, mask):
         arr.setflags(write=False)
     return SpectralGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly),
@@ -152,7 +154,8 @@ def to_physical(grid: SpectralGrid, coeffs: np.ndarray,
     ValueError
         If coeffs do not satisfy c(-k) = conj(c(k)) to within
         ``HERMITIAN_RTOL`` relative to max(largest coefficient, scale); the
-        message names the most offending mode.
+        message names the most offending mode.  Also if the inverse transform
+        leaves an imaginary part above round-off of the real field.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     _check_shape(grid, coeffs, "spectral field")
@@ -175,8 +178,9 @@ def to_physical(grid: SpectralGrid, coeffs: np.ndarray,
     amp = max(float(np.max(np.abs(real))), ref / (grid.nx * grid.ny))
     if amp > 0.0:
         imag = float(np.max(np.abs(phys.imag)))
-        assert imag <= 1e-12 * amp + 1e-300, (
-            f"imaginary residual {imag:.3e} exceeds tolerance")
+        if imag > 1e-12 * amp + 1e-300:
+            raise ValueError(f"imaginary residual {imag:.3e} exceeds tolerance "
+                             f"(relative {imag / amp:.3e})")
     return real
 
 

@@ -13,14 +13,11 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
-from .averaging import default_node_count
 from .config import ConfigError, RunConfig, default_config, format_config, load_config
 from .diagnostics import make_error_report
-from .dynamics import PhysicsParams, State, max_frequency
+from .dynamics import PhysicsParams, State
 from .grid import make_grid
-from .integrator import Trajectory, make_step_config, run
+from .integrator import StepConfig, Trajectory, make_step_config, run
 from .io import (read_snapshot_state, write_diagnostics, write_error_report,
                  write_snapshot)
 from .testcase import CaseParams, balanced_jet, physics_params
@@ -62,21 +59,21 @@ def _load_reference(path: str, final: State) -> State:
 
 
 def _execute(cfg: RunConfig, outdir: str, dt: float, T: float, M: int | None,
-             propagator: str) -> tuple[Trajectory, State]:
+             propagator: str) -> tuple[Trajectory, PhysicsParams, StepConfig]:
     grid, _case, params, state0 = build_problem(cfg)
     step_cfg = make_step_config(grid, params, dt=dt, T=T, M=M,
                                 propagator=propagator, tol=cfg.tol)
     traj = run(state0, step_cfg, params, cfg.t_end,
                snapshot_every=cfg.snapshot_every, workers=cfg.workers)
     _write_run_outputs(outdir, cfg, traj)
-    return traj, params
+    return traj, params, step_cfg
 
 
 def cmd_run(cfg: RunConfig) -> int:
     """Phase-averaged run; writes snapshots, diagnostics, and (against a
     reference, if configured) an error report."""
-    traj, params = _execute(cfg, cfg.output_dir, cfg.dt, cfg.T, cfg.M,
-                            cfg.propagator)
+    traj, params, _step_cfg = _execute(cfg, cfg.output_dir, cfg.dt, cfg.T,
+                                       cfg.M, cfg.propagator)
     final = traj.states[-1]
     print(f"run: {traj.steps[-1]} steps to t = {final.t:g} s, "
           f"{len(traj.states)} snapshots -> {cfg.output_dir}")
@@ -92,23 +89,20 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_reference(cfg: RunConfig) -> int:
     """Unaveraged fine-step reference run (T = 0, exact propagator, dt = ref_dt)."""
     ref_cfg = replace(cfg, dt=cfg.ref_dt, T=0.0, M=0, propagator="exact")
-    traj, _params = _execute(ref_cfg, cfg.output_dir, cfg.ref_dt, 0.0, 0, "exact")
+    traj, _params, _step_cfg = _execute(ref_cfg, cfg.output_dir, cfg.ref_dt,
+                                        0.0, 0, "exact")
     drift = abs(traj.energy[-1] - traj.energy[0]) / max(abs(traj.energy[0]), 1e-300)
     print(f"reference: {traj.steps[-1]} steps to t = {traj.times[-1]:g} s, "
           f"energy drift {drift:.3e} -> {cfg.output_dir}")
     return 0
 
 
-def _sweep_node_count(cfg: RunConfig, T: float) -> int:
-    if cfg.M is not None:
-        return cfg.M if T > 0 else 0
-    grid = make_grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    params = PhysicsParams(f=cfg.f, g=cfg.g, H=cfg.H, b=np.zeros((cfg.nx, cfg.ny)))
-    return default_node_count(T, max_frequency(grid, params))
-
-
 def cmd_sweep(cfg: RunConfig, t_list: list[float]) -> int:
-    """Run the window sweep against the configured reference; one CSV row per T."""
+    """Run the window sweep against the configured reference; one CSV row per T.
+
+    M is the node count each window's step configuration resolved; it is
+    blank for a window that failed before its run finished.
+    """
     if not cfg.reference_path:
         raise ConfigError("sweep needs reference_path pointing at a reference run")
     if not t_list:
@@ -122,23 +116,24 @@ def cmd_sweep(cfg: RunConfig, t_list: list[float]) -> int:
         M = None if cfg.M is None else (cfg.M if T > 0 else 0)
         run_cfg = replace(cfg, T=T, M=M, output_dir=subdir)
         started = time.perf_counter()
+        resolved_M = ""
         try:
-            traj, params = _execute(run_cfg, subdir, cfg.dt, T, M, cfg.propagator)
+            traj, params, step_cfg = _execute(run_cfg, subdir, cfg.dt, T, M,
+                                              cfg.propagator)
+            resolved_M = step_cfg.quadrature.M
             final = traj.states[-1]
             if ref is None:
                 ref = _load_reference(cfg.reference_path, final)
             report = make_error_report(final, ref, params, traj.states[0])
             write_error_report(os.path.join(subdir, "error_report.txt"), report)
             elapsed = time.perf_counter() - started
-            rows.append((T, _sweep_node_count(cfg, T), report.l2_eta,
-                         report.l2_u, elapsed))
+            rows.append((T, resolved_M, report.l2_eta, report.l2_u, elapsed))
             print(f"T = {T:g} s: l2_eta = {report.l2_eta:.6g}, "
                   f"l2_u = {report.l2_u:.6g} ({elapsed:.1f} s)")
         except Exception as exc:
             elapsed = time.perf_counter() - started
             failures += 1
-            rows.append((T, _sweep_node_count(cfg, T), float("nan"),
-                         float("nan"), elapsed))
+            rows.append((T, resolved_M, float("nan"), float("nan"), elapsed))
             print(f"T = {T:g} s: FAILED: {exc}", file=sys.stderr)
     with open(os.path.join(cfg.output_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("T_seconds,M,l2_eta,l2_u,wall_time_s\n")

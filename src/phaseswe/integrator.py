@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import Quadrature, averaged_tendency, default_node_count, kernel_weights, Kernel, BUMP_KERNEL
-from .diagnostics import energy_mass
+from .diagnostics import energy_mass, physical_fields
 from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
-from .grid import SpectralGrid, to_physical
-from .propagator import PropagatorSpec, choose_npoly, propagate
+# to_physical stays a module attribute: perfbench/tracing.py patches it here
+from .grid import SpectralGrid, to_physical  # noqa: F401
+from .propagator import PropagatorSpec, propagate
 
 __all__ = [
     "StepConfig",
@@ -68,7 +69,7 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
         spec = PropagatorSpec.exact()
     elif propagator == "chebyshev":
         lam = max_frequency(grid, params) * max(dt, T + dt)
-        spec = PropagatorSpec.chebyshev(lam, tol=tol, n_poly=choose_npoly(lam, tol))
+        spec = PropagatorSpec.chebyshev(lam, tol=tol)
     else:
         raise ValueError(f"unknown propagator {propagator!r}")
     return StepConfig(dt=float(dt), quadrature=quad, propagator_spec=spec)
@@ -123,10 +124,8 @@ class Trajectory:
 
     def record(self, step: int, state: State, params: PhysicsParams) -> None:
         en, ms = energy_mass(state, params)
-        g = state.grid
-        vel_scale = max(float(np.max(np.abs(state.u))), float(np.max(np.abs(state.v))))
-        speed = np.hypot(to_physical(g, state.u, vel_scale),
-                         to_physical(g, state.v, vel_scale))
+        u, v, _eta = physical_fields(state)
+        speed = np.hypot(u, v)
         self.times.append(state.t)
         self.steps.append(step)
         self.states.append(state)

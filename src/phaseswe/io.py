@@ -13,9 +13,10 @@ import os
 
 import numpy as np
 
-from .diagnostics import ErrorReport
+from .diagnostics import ErrorReport, physical_fields
 from .dynamics import State
-from .grid import SpectralGrid, make_grid, to_physical, to_spectral
+# to_physical stays a module attribute: perfbench/tracing.py patches it here
+from .grid import make_grid, to_physical, to_spectral  # noqa: F401
 
 __all__ = [
     "snapshot_prefix",
@@ -38,12 +39,7 @@ def write_snapshot(outdir: str, step: int, state: State) -> None:
     """Write u, v, eta physical fields for one snapshot plus sidecars."""
     g = state.grid
     prefix = snapshot_prefix(step)
-    vel_scale = max(float(np.max(np.abs(state.u))), float(np.max(np.abs(state.v))))
-    phys = {
-        "u": to_physical(g, state.u, vel_scale),
-        "v": to_physical(g, state.v, vel_scale),
-        "eta": to_physical(g, state.eta),
-    }
+    phys = dict(zip(_FIELDS, physical_fields(state)))
     for name in _FIELDS:
         data = np.ascontiguousarray(phys[name], dtype="<f8")
         base = os.path.join(outdir, f"{prefix}_{name}")

@@ -124,7 +124,8 @@ def _cheb_coeffs_cached(Lambda: float, n_poly: int) -> ChebCoeffs:
     a = rot * b[:n_poly + 1]
     imag = float(np.max(np.abs(a.imag)))
     scale = max(float(np.max(np.abs(a))), 1.0)
-    assert imag <= 1e-12 * scale, f"non-real Chebyshev coefficient residual {imag:.3e}"
+    if imag > 1e-12 * scale:
+        raise RuntimeError(f"non-real Chebyshev coefficient residual {imag:.3e}")
     a = np.ascontiguousarray(a.real)
     a.setflags(write=False)
     return ChebCoeffs(Lambda=Lambda, n_poly=n_poly, a=a)

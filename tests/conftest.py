@@ -1,16 +1,9 @@
-"""Shared fixtures and independent oracle helpers for the test suite.
-
-The oracle helpers deliberately avoid the package's own fast paths: the
-truncated convolution is a direct O(n^4) sum over integer wavenumbers and the
-per-mode linear action is a dense 3x3 matrix product.  They are slow and
-simple on purpose.
-"""
+"""Shared fixtures for the test suite; the oracles live in phaseswe.oracles."""
 
 import numpy as np
 import pytest
 
-from phaseswe.dynamics import State
-from phaseswe.grid import SpectralGrid, dealias, make_grid, to_spectral
+from phaseswe.grid import make_grid
 
 
 @pytest.fixture()
@@ -31,59 +24,3 @@ def grid32():
 @pytest.fixture(scope="session")
 def grid64():
     return make_grid(64, 64, 4.0e7, 4.0e7)
-
-
-def band_limited_state(grid: SpectralGrid, rng, vel_scale: float = 1.0,
-                       eta_scale: float = 50.0, t: float = 0.0) -> State:
-    """Random Hermitian-symmetric state supported on the 2/3 band."""
-    def field(scale):
-        phys = scale * rng.standard_normal((grid.nx, grid.ny))
-        return dealias(grid, to_spectral(grid, phys))
-
-    return State(grid=grid, u=field(vel_scale), v=field(vel_scale),
-                 eta=field(eta_scale), t=t)
-
-
-def wrap_indices(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n).astype(int)
-
-
-def truncated_convolution(grid: SpectralGrid, ca: np.ndarray,
-                          cb: np.ndarray) -> np.ndarray:
-    """Direct truncated-convolution oracle for the pseudo-spectral product.
-
-    out(k) = (1/(nx ny)) sum_{p + q = k} ca(p) cb(q) over band-limited p, q,
-    restricted to band-limited k.  Wavevector addition is exact (no wrap
-    terms survive the 2/3 truncation), so this equals multiply-in-physical-
-    space-then-dealias for band-limited inputs.
-    """
-    nx, ny = grid.nx, grid.ny
-    wx = wrap_indices(nx)
-    wy = wrap_indices(ny)
-    keep_x = [i for i in range(nx) if 3 * abs(wx[i]) <= nx]
-    keep_y = [j for j in range(ny) if 3 * abs(wy[j]) <= ny]
-    index_x = {int(wx[i]): i for i in range(nx)}
-    index_y = {int(wy[j]): j for j in range(ny)}
-
-    out = np.zeros((nx, ny), dtype=np.complex128)
-    for i in keep_x:
-        for j in keep_y:
-            for p in keep_x:
-                for q in keep_y:
-                    rx = int(wx[i]) - int(wx[p])
-                    ry = int(wy[j]) - int(wy[q])
-                    if rx in index_x and ry in index_y:
-                        r, s = index_x[rx], index_y[ry]
-                        if 3 * abs(rx) <= nx and 3 * abs(ry) <= ny:
-                            out[i, j] += ca[p, q] * cb[r, s]
-    return out / (nx * ny)
-
-
-def linear_mode_matrix(kx: float, ky: float, f: float, g: float,
-                       H: float) -> np.ndarray:
-    """Dense per-mode generator acting on the coefficient vector (u, v, eta)."""
-    return np.array([
-        [0.0, f, -1j * g * kx],
-        [-f, 0.0, -1j * g * ky],
-        [-1j * H * kx, -1j * H * ky, 0.0],
-    ])

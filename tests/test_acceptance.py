@@ -2,9 +2,11 @@
 
 Each test checks one guarantee end to end and prints a single PASS/FAIL line
 with the measured numbers (shown with pytest -s, or in captured output on
-failure).  The averaging-window experiment and its determinism check share
-one pair of command-line sweep runs built once per session; those two take a
-few minutes of wall time, everything else is seconds.
+failure).  Where `phaseswe validate` checks the same guarantee, the test runs
+that shared check from phaseswe.validation and asserts on its result, adding
+only a wall-time limit.  The averaging-window experiment and its determinism
+check share one pair of command-line sweep runs built once per session; those
+two take a few minutes of wall time, everything else is seconds.
 """
 
 import csv
@@ -13,39 +15,33 @@ import time
 
 import numpy as np
 import pytest
-import scipy.special
 
 import phaseswe.harness as harness
-from conftest import (band_limited_state, linear_mode_matrix,
-                      truncated_convolution)
-from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
-                               apply_nonlinear, energy_norm, max_frequency)
-from phaseswe.grid import dealias, make_grid, to_physical, to_spectral
-from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
-from phaseswe.propagator import PropagatorSpec, cheb_coeffs, cheb_exp, exact_exp
+from phaseswe.grid import make_grid, to_physical
+from phaseswe.integrator import make_step_config, step_averaged_ssprk3
 from phaseswe.testcase import balanced_jet, default_case, physics_params
+from phaseswe.validation import (WINDOW_HOURS, check_cheb_vs_exact,
+                                 check_convergence, check_exact_exp_group,
+                                 check_interior_optimum, check_linear_step,
+                                 check_small_grid_oracles, check_steady_jet)
 
 
 def report(label: str, ok: bool, detail: str) -> None:
+    assert type(ok) is bool, f"{label}: ok is {type(ok)!r}, not a plain bool"
     print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
     assert ok, f"{label}: {detail}"
 
 
-def zero_tendency(state, params):
-    z = np.zeros_like(state.u)
-    return State(grid=state.grid, u=z, v=z.copy(), eta=z.copy(), t=state.t)
+def run_check(check, *args, limit_s: float = math.inf) -> None:
+    """Run a shared validation check and report it, failing past limit_s."""
+    started = time.perf_counter()
+    result = check(*args)
+    elapsed = time.perf_counter() - started
+    report(result.name, result.ok if elapsed < limit_s else False,
+           f"{result.detail}, {elapsed:.2f} s")
 
 
-@pytest.fixture(scope="module")
-def problem64():
-    grid = make_grid(64, 64, 4.0e7, 4.0e7)
-    case = default_case()
-    flat = physics_params(case, grid, with_mountain=False)
-    rough = physics_params(case, grid, with_mountain=True)
-    return grid, case, flat, rough
-
-
-TLIST = [0.0, 1800.0, 3600.0, 7200.0, 14400.0, 28800.0]
+TLIST = [h * 3600.0 for h in WINDOW_HOURS]
 
 
 @pytest.fixture(scope="session")
@@ -69,115 +65,24 @@ def sweep_trees(tmp_path_factory):
     return root
 
 
-def test_chebyshev_propagator_matches_exact_oracle(problem64):
-    grid, _case, flat, _rough = problem64
-    started = time.perf_counter()
-    lam = max_frequency(grid, flat)
-    spec = PropagatorSpec.chebyshev(lam * 3600.0, tol=1e-12)
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(10):
-        state = band_limited_state(grid, rng)
-        want = exact_exp(3600.0, state, flat)
-        got = cheb_exp(3600.0, state, flat, spec)
-        rel = energy_norm(got - want, flat) / energy_norm(state, flat)
-        worst = max(worst, rel)
-    elapsed = time.perf_counter() - started
-    report("Chebyshev propagator vs exact oracle",
-           worst <= 1e-10 and elapsed < 10.0,
-           f"max rel energy-norm error {worst:.3e} over 10 states, "
-           f"degree {spec.n_poly}, {elapsed:.2f} s")
+def test_chebyshev_propagator_matches_exact_oracle():
+    run_check(check_cheb_vs_exact, np.random.default_rng(7), limit_s=10.0)
 
 
-def test_exponential_group_and_isometry(problem64):
-    grid, _case, flat, _rough = problem64
-    started = time.perf_counter()
-    rng = np.random.default_rng(11)
-    state = band_limited_state(grid, rng)
-    norm = energy_norm(state, flat)
-    t1, t2 = 1800.0, 4500.0
-
-    ident = energy_norm(exact_exp(0.0, state, flat) - state, flat) / norm
-    group = energy_norm(
-        exact_exp(t1 + t2, state, flat)
-        - exact_exp(t2, exact_exp(t1, state, flat), flat), flat) / norm
-    inverse = energy_norm(
-        exact_exp(-t1, exact_exp(t1, state, flat), flat) - state, flat) / norm
-    isometry = abs(energy_norm(exact_exp(86400.0, state, flat), flat)
-                   - norm) / norm
-    worst = max(ident, group, inverse, isometry)
-    elapsed = time.perf_counter() - started
-    report("exponential identity/group/inverse/isometry",
-           worst <= 1e-12 and elapsed < 5.0,
-           f"identity {ident:.2e}, group {group:.2e}, inverse {inverse:.2e}, "
-           f"isometry {isometry:.2e}, {elapsed:.2f} s")
+def test_exponential_group_and_isometry():
+    run_check(check_exact_exp_group, np.random.default_rng(11), limit_s=5.0)
 
 
-def test_pure_linear_step_reduces_to_exponential(problem64):
-    grid, _case, flat, _rough = problem64
-    rng = np.random.default_rng(13)
-    state = band_limited_state(grid, rng)
-    dt = 3600.0
-    want = exact_exp(dt, state, flat)
-    norm = energy_norm(state, flat)
-
-    exact_cfg = make_step_config(grid, flat, dt=dt, T=dt)
-    got = step_averaged_ssprk3(state, exact_cfg, flat, nonlinear=zero_tendency)
-    err_exact = energy_norm(got - want, flat) / norm
-
-    cheb_cfg = make_step_config(grid, flat, dt=dt, T=dt,
-                                propagator="chebyshev", tol=1e-10)
-    got = step_averaged_ssprk3(state, cheb_cfg, flat, nonlinear=zero_tendency)
-    err_cheb = energy_norm(got - want, flat) / norm
-
-    report("pure-linear step equals exact exponential",
-           err_exact <= 1e-12 and err_cheb <= 1e-9,
-           f"exact route {err_exact:.3e} (tol 1e-12), "
-           f"Chebyshev route {err_cheb:.3e} (tol 1e-9)")
+def test_pure_linear_step_reduces_to_exponential():
+    run_check(check_linear_step, np.random.default_rng(13))
 
 
 def test_third_order_convergence():
-    started = time.perf_counter()
-    grid = make_grid(32, 32, 4.0e7, 4.0e7)
-    case = default_case()
-    params = physics_params(case, grid, with_mountain=True)
-    jet = balanced_jet(case, grid)
-    t_end = 21600.0  # 6 hours
-
-    ref = run(jet, make_step_config(grid, params, dt=30.0), params,
-              t_end).states[-1]
-    ref_eta = to_physical(grid, ref.eta)
-    errs = []
-    for dt in (900.0, 450.0, 225.0):
-        final = run(jet, make_step_config(grid, params, dt=dt), params,
-                    t_end).states[-1]
-        diff = to_physical(grid, final.eta) - ref_eta
-        errs.append(float(np.sqrt(np.sum(diff**2) / np.sum(ref_eta**2))))
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    elapsed = time.perf_counter() - started
-    report("third-order time convergence",
-           min(orders) >= 2.7 and elapsed < 120.0,
-           f"eta errors {errs[0]:.3e}/{errs[1]:.3e}/{errs[2]:.3e}, "
-           f"orders {orders[0]:.2f}, {orders[1]:.2f}, {elapsed:.1f} s")
+    run_check(check_convergence, limit_s=120.0)
 
 
-def test_balanced_jet_is_preserved(problem64):
-    grid, case, flat, _rough = problem64
-    started = time.perf_counter()
-    jet = balanced_jet(case, grid)
-    eta0 = to_physical(grid, jet.eta)
-    drifts = {}
-    for T in (0.0, 3600.0):
-        cfg = make_step_config(grid, flat, dt=3600.0, T=T)
-        final = run(jet, cfg, flat, t_end=100 * 3600.0).states[-1]
-        diff = to_physical(grid, final.eta) - eta0
-        drifts[T] = float(np.sqrt(np.sum(diff**2) / np.sum(eta0**2)))
-    elapsed = time.perf_counter() - started
-    worst = max(drifts.values())
-    report("balanced jet steady over 100 steps",
-           worst <= 1e-10 and elapsed < 60.0,
-           f"eta drift {drifts[0.0]:.3e} (T = 0), {drifts[3600.0]:.3e} "
-           f"(T = 1 h), {elapsed:.1f} s")
+def test_balanced_jet_is_preserved():
+    run_check(check_steady_jet, limit_s=60.0)
 
 
 def _read_sweep_errors(tree):
@@ -191,18 +96,8 @@ def _read_sweep_errors(tree):
 
 def test_averaging_window_has_interior_optimum(sweep_trees):
     eta, vel = _read_sweep_errors(sweep_trees / "sweep_w8")
-    curves = {"eta": eta, "velocity": vel}
-    ok = True
-    details = []
-    for name, errs in curves.items():
-        imin = int(np.argmin(errs))
-        interior = 0 < imin < len(errs) - 1
-        below = errs[imin] < errs[0] and errs[imin] < errs[-1]
-        ok = ok and interior and below
-        details.append(f"{name} min {errs[imin]:.4f} at T = {TLIST[imin] / 3600:g} h "
-                       f"(ends {errs[0]:.4f}, {errs[-1]:.4f})")
-    report("averaging window sweep has an interior optimum", ok,
-           "; ".join(details))
+    result = check_interior_optimum(TLIST, eta, vel)
+    report(result.name, result.ok, result.detail)
 
 
 def test_sweep_is_bitwise_deterministic_across_workers(sweep_trees):
@@ -236,8 +131,10 @@ def test_sweep_is_bitwise_deterministic_across_workers(sweep_trees):
            f"{len(files_a)} files compared, mismatches: {mismatched or 'none'}")
 
 
-def test_mean_elevation_is_conserved_per_step(problem64):
-    grid, case, _flat, rough = problem64
+def test_mean_elevation_is_conserved_per_step():
+    grid = make_grid(64, 64, 4.0e7, 4.0e7)
+    case = default_case()
+    rough = physics_params(case, grid, with_mountain=True)
     jet = balanced_jet(case, grid)
     scale = float(np.sqrt(np.mean(to_physical(grid, jet.eta) ** 2)))
     cfg = make_step_config(grid, rough, dt=3600.0, T=3600.0)
@@ -254,45 +151,4 @@ def test_mean_elevation_is_conserved_per_step(problem64):
 
 
 def test_small_grid_oracle_equivalences():
-    grid = make_grid(8, 8, 1.0e6, 1.0e6)
-    rng = np.random.default_rng(17)
-    f0, g0, h0 = 1.0e-4, 9.8, 5960.0
-    b = dealias(grid, to_spectral(grid, 30.0 * rng.standard_normal((8, 8))))
-    params = PhysicsParams(f=f0, g=g0, H=h0, b=b)
-    state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
-
-    # nonlinear tendency against the direct truncated-convolution sum
-    out = apply_nonlinear(state, params)
-    kx2 = grid.kx[:, None]
-    ky2 = grid.ky[None, :]
-    conv = lambda a, c: truncated_convolution(grid, a, c)
-    cu, cv, depth = state.u, state.v, state.eta - b
-    want_u = -(conv(cu, 1j * kx2 * cu) + conv(cv, 1j * ky2 * cu))
-    want_v = -(conv(cu, 1j * kx2 * cv) + conv(cv, 1j * ky2 * cv))
-    want_eta = -(1j * kx2 * conv(cu, depth) + 1j * ky2 * conv(cv, depth))
-    err_nonlin = max(
-        float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
-        for got, want in ((out.u, want_u), (out.v, want_v), (out.eta, want_eta)))
-
-    # linear tendency against the dense per-mode matrix
-    lin = apply_linear(state, params)
-    worst = 0.0
-    scale = max(float(np.max(np.abs(c))) for c in (lin.u, lin.v, lin.eta))
-    for i in range(8):
-        for j in range(8):
-            mat = linear_mode_matrix(grid.kx[i], grid.ky[j], f0, g0, h0)
-            want = mat @ np.array([state.u[i, j], state.v[i, j], state.eta[i, j]])
-            got = np.array([lin.u[i, j], lin.v[i, j], lin.eta[i, j]])
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    err_linear = worst / scale
-
-    # expansion coefficients against the Bessel-function identity
-    lam = 6.2
-    k = np.arange(25)
-    bessel = np.where(k == 0, 1.0, 2.0) * scipy.special.jv(k, lam)
-    err_cheb = float(np.max(np.abs(cheb_coeffs(lam, 24).a - bessel)))
-
-    report("small-grid oracle equivalences",
-           err_nonlin <= 1e-12 and err_linear <= 1e-13 and err_cheb <= 1e-12,
-           f"nonlinear vs convolution {err_nonlin:.2e}, linear vs 3x3 "
-           f"{err_linear:.2e}, coefficients vs Bessel {err_cheb:.2e}")
+    run_check(check_small_grid_oracles, np.random.default_rng(17))

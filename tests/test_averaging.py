@@ -5,12 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import band_limited_state
 from phaseswe.averaging import (BUMP_KERNEL, UNIFORM_KERNEL, Quadrature,
                                 averaged_tendency, default_node_count,
                                 kernel_weights)
 from phaseswe.dynamics import (PhysicsParams, apply_nonlinear, energy_norm,
                                max_frequency)
+from phaseswe.oracles import band_limited_state
 from phaseswe.propagator import PropagatorSpec, propagate
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import phaseswe.harness as harness
+import phaseswe.validation as validation
 from phaseswe.config import parse_config
 from phaseswe.io import list_snapshot_steps, read_snapshot_state
 from phaseswe.validation import CheckResult
@@ -161,6 +162,29 @@ def test_validate_reports_failures(monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_validation", rigged)
     assert harness.main(["validate"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_validate_full_checks_the_configured_case(monkeypatch):
+    cfg = parse_config("nx = 16\nny = 16\nb0 = 0\nf = 1.2e-4\nH = 4000\n"
+                       "propagator = chebyshev\ndt = 600\nt_end = 1200\n"
+                       "ref_dt = 300\n")
+    seen = []
+    real_run = validation.run
+
+    def spy(state, config, params, t_end, **kwargs):
+        seen.append((config.propagator_spec.kind, params))
+        return real_run(state, config, params, t_end, **kwargs)
+
+    monkeypatch.setattr(validation, "run", spy)
+    result = validation.check_window_sweep(cfg, workers=1)
+    assert result.name == "averaging window has an interior optimum"
+    # the fine reference is exact, as in `phaseswe reference`; every window
+    # uses the configured propagator
+    kinds = [kind for kind, _params in seen]
+    assert kinds == ["exact"] + ["chebyshev"] * len(validation.WINDOW_HOURS)
+    for _kind, params in seen:
+        assert (params.f, params.H) == (1.2e-4, 4000.0)
+        assert not np.any(params.b)  # b0 = 0: no mountain
 
 
 def test_build_problem_respects_flat_bottom():

@@ -1,19 +1,16 @@
 """Time stepper: stage formula, plain-SSPRK3 equivalence, convergence, runs."""
 
-import math
-
 import numpy as np
 import pytest
 
-from conftest import band_limited_state
 from phaseswe.averaging import averaged_tendency, kernel_weights
-from phaseswe.diagnostics import l2_error_normalized
-from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear,
-                               energy_norm, max_frequency)
+from phaseswe.dynamics import (PhysicsParams, apply_nonlinear, energy_norm,
+                               max_frequency)
 from phaseswe.integrator import (StepConfig, make_step_config, run,
                                  step_averaged_ssprk3, step_reference)
 from phaseswe.propagator import PropagatorSpec, choose_npoly, exact_exp
 from phaseswe.testcase import balanced_jet, default_case, physics_params
+from phaseswe.validation import check_convergence, check_linear_step
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
@@ -21,11 +18,6 @@ F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 def flat(grid):
     return PhysicsParams(f=F0, g=G0, H=H0,
                          b=np.zeros((grid.nx, grid.ny), dtype=complex))
-
-
-def zero_tendency(state, params):
-    z = np.zeros_like(state.u)
-    return State(grid=state.grid, u=z, v=z.copy(), eta=z.copy(), t=state.t)
 
 
 @pytest.fixture(scope="module")
@@ -79,35 +71,14 @@ def test_zero_window_step_is_ssprk3_on_transformed_variable(problem32):
     assert rel <= 1e-13
 
 
-def test_pure_linear_step_equals_exponential(grid32, rng):
-    params = flat(grid32)
-    state = band_limited_state(grid32, rng)
-    dt = 3600.0
-    want = exact_exp(dt, state, params)
-    norm = energy_norm(state, params)
-
-    exact_cfg = make_step_config(grid32, params, dt=dt, T=dt)
-    got = step_averaged_ssprk3(state, exact_cfg, params, nonlinear=zero_tendency)
-    assert energy_norm(got - want, params) <= 1e-12 * norm
-
-    cheb_cfg = make_step_config(grid32, params, dt=dt, T=dt,
-                                propagator="chebyshev", tol=1e-10)
-    got = step_averaged_ssprk3(state, cheb_cfg, params, nonlinear=zero_tendency)
-    assert energy_norm(got - want, params) <= 1e-9 * norm
+def test_pure_linear_step_equals_exponential(rng):
+    result = check_linear_step(rng)
+    assert result.ok, result.detail
 
 
-def test_third_order_convergence_short_horizon(problem32):
-    grid, params, state = problem32
-    t_end = 3600.0
-    ref_cfg = make_step_config(grid, params, dt=30.0)
-    ref = run(state, ref_cfg, params, t_end).states[-1]
-    errs = []
-    for dt in (900.0, 450.0, 225.0):
-        cfg = make_step_config(grid, params, dt=dt)
-        final = run(state, cfg, params, t_end).states[-1]
-        errs.append(l2_error_normalized(final, ref)[0])
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(orders) >= 2.5, f"errors {errs}, orders {orders}"
+def test_third_order_convergence_short_horizon():
+    result = check_convergence()
+    assert result.ok, result.detail
 
 
 def test_make_step_config_resolution(grid64):

@@ -5,12 +5,12 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import band_limited_state
 from phaseswe.diagnostics import ErrorReport
 from phaseswe.grid import to_physical
 from phaseswe.io import (list_snapshot_steps, read_snapshot_field,
                          read_snapshot_state, snapshot_prefix, write_snapshot,
                          write_diagnostics, write_error_report)
+from phaseswe.oracles import band_limited_state
 
 
 def test_snapshot_prefix_is_zero_padded():

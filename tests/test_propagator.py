@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.special
 
-from conftest import band_limited_state, linear_mode_matrix
 from phaseswe.dynamics import PhysicsParams, energy_norm, max_frequency
+from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (ChebCoeffs, PropagatorSpec, cheb_coeffs,
                                  cheb_exp, choose_npoly, exact_exp, propagate)
+from phaseswe.validation import check_cheb_vs_exact, check_exact_exp_group
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
@@ -18,51 +17,21 @@ def flat(grid):
                          b=np.zeros((grid.nx, grid.ny), dtype=complex))
 
 
-def dense_exp(grid, params, t, state):
-    """Oracle: apply expm of the per-mode 3x3 generator mode by mode."""
-    u = np.empty_like(state.u)
-    v = np.empty_like(state.v)
-    eta = np.empty_like(state.eta)
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            mat = linear_mode_matrix(grid.kx[i], grid.ky[j],
-                                     params.f, params.g, params.H)
-            vec = scipy.linalg.expm(t * mat) @ np.array(
-                [state.u[i, j], state.v[i, j], state.eta[i, j]])
-            u[i, j], v[i, j], eta[i, j] = vec
-    return u, v, eta
-
-
 def test_exact_exp_matches_dense_matrix_exponential(grid8, rng):
     params = flat(grid8)
     state = band_limited_state(grid8, rng)
     for t in (500.0, -250.0):
         got = exact_exp(t, state, params)
-        u, v, eta = dense_exp(grid8, params, t, state)
-        scale = max(np.max(np.abs(c)) for c in (u, v, eta))
-        for a, b in ((got.u, u), (got.v, v), (got.eta, eta)):
+        want = dense_exp(t, state, params)
+        scale = max(np.max(np.abs(c)) for c in (want.u, want.v, want.eta))
+        for a, b in ((got.u, want.u), (got.v, want.v), (got.eta, want.eta)):
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
         assert got.t == state.t + t
 
 
-def test_exact_exp_identity_group_inverse_isometry(grid32, rng):
-    params = flat(grid32)
-    state = band_limited_state(grid32, rng)
-    norm = energy_norm(state, params)
-
-    ident = exact_exp(0.0, state, params)
-    assert energy_norm(ident - state, params) <= 1e-13 * norm
-
-    t1, t2 = 1800.0, 2700.0
-    combined = exact_exp(t1 + t2, state, params)
-    chained = exact_exp(t2, exact_exp(t1, state, params), params)
-    assert energy_norm(combined - chained, params) <= 1e-12 * norm
-
-    back = exact_exp(-t1, exact_exp(t1, state, params), params)
-    assert energy_norm(back - state, params) <= 1e-12 * norm
-
-    moved = exact_exp(12345.0, state, params)
-    assert abs(energy_norm(moved, params) - norm) <= 1e-12 * norm
+def test_exact_exp_identity_group_inverse_isometry(rng):
+    result = check_exact_exp_group(rng)
+    assert result.ok, result.detail
 
 
 def test_mean_mode_rotates_at_inertial_frequency(grid32):
@@ -83,9 +52,7 @@ def test_mean_mode_rotates_at_inertial_frequency(grid32):
 def test_cheb_coeffs_match_bessel_identity():
     lam = 5.0
     coeffs = cheb_coeffs(lam, 30)
-    k = np.arange(31)
-    want = np.where(k == 0, 1.0, 2.0) * scipy.special.jv(k, lam)
-    assert np.max(np.abs(coeffs.a - want)) <= 1e-12
+    assert np.max(np.abs(coeffs.a - bessel_cheb_coeffs(lam, 30))) <= 1e-12
 
 
 def test_cheb_coeffs_are_real_frozen_and_cached():
@@ -114,16 +81,9 @@ def test_choose_npoly_degree_bound_and_monotonicity():
         choose_npoly(5.0, 0.0)
 
 
-def test_cheb_matches_exact_on_default_grid(grid64, rng):
-    params = flat(grid64)
-    lam_max = max_frequency(grid64, params)
-    spec = PropagatorSpec.chebyshev(lam_max * 3600.0, tol=1e-12)
-    state = band_limited_state(grid64, rng)
-    norm = energy_norm(state, params)
-    for t in (3600.0, -1800.0):
-        want = exact_exp(t, state, params)
-        got = cheb_exp(t, state, params, spec)
-        assert energy_norm(got - want, params) <= 1e-10 * norm
+def test_cheb_matches_exact_on_default_grid(rng):
+    result = check_cheb_vs_exact(rng)
+    assert result.ok, result.detail
 
 
 def test_cheb_respects_requested_tolerance(grid32, rng):
