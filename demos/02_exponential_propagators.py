@@ -62,7 +62,7 @@ for tol in (1e-6, 1e-10, 1e-12):
         - fwd, params) / norm
     print("  tol %g -> degree %2d, error vs exact %.2e" % (tol, n, err))
 
-a = cheb_coeffs(Lambda, choose_npoly(Lambda, 1e-12)).a
+a = cheb_coeffs(Lambda, choose_npoly(Lambda, 1e-12))
 print("  coefficient magnitudes:")
 for k in range(0, len(a), 4):
     print("    a[%2d] = %+.3e" % (k, a[k]))

@@ -7,36 +7,35 @@ transformed SSPRK3 stepper.
 """
 
 from .grid import (SpectralGrid, make_grid, to_spectral, to_physical, dealias,
-                   hermitian_residual, hermitianize, integrate_product)
+                   hermitian_residual, integrate_product)
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
                        dispersion_omega, max_frequency, energy_inner,
                        energy_norm, flat_bottom)
-from .propagator import (PropagatorSpec, ChebCoeffs, exact_exp, cheb_coeffs,
-                         choose_npoly, cheb_exp, propagate)
-from .averaging import (Kernel, BUMP_KERNEL, UNIFORM_KERNEL, Quadrature,
-                        kernel_weights, default_node_count, averaged_tendency)
+from .propagator import (PropagatorSpec, exact_exp, cheb_coeffs, choose_npoly,
+                         cheb_exp, propagate)
+from .averaging import (Quadrature, kernel_weights, default_node_count,
+                        averaged_tendency)
 from .integrator import (StepConfig, make_step_config, step_averaged_ssprk3,
-                         step_reference, Trajectory, run)
+                         Trajectory, run)
 from .diagnostics import (l2_error_normalized, linf_error_eta, energy_mass,
                           ErrorReport, make_error_report)
-from .testcase import (CaseParams, default_case, mountain, balanced_jet,
-                       physics_params)
+from .testcase import (CaseParams, case_params, default_case, mountain,
+                       balanced_jet, physics_params)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SpectralGrid", "make_grid", "to_spectral", "to_physical", "dealias",
-    "hermitian_residual", "hermitianize", "integrate_product",
+    "hermitian_residual", "integrate_product",
     "PhysicsParams", "State", "apply_linear", "apply_nonlinear",
     "dispersion_omega", "max_frequency", "energy_inner", "energy_norm",
     "flat_bottom",
-    "PropagatorSpec", "ChebCoeffs", "exact_exp", "cheb_coeffs",
-    "choose_npoly", "cheb_exp", "propagate",
-    "Kernel", "BUMP_KERNEL", "UNIFORM_KERNEL", "Quadrature",
-    "kernel_weights", "default_node_count", "averaged_tendency",
-    "StepConfig", "make_step_config", "step_averaged_ssprk3",
-    "step_reference", "Trajectory", "run",
+    "PropagatorSpec", "exact_exp", "cheb_coeffs", "choose_npoly", "cheb_exp",
+    "propagate",
+    "Quadrature", "kernel_weights", "default_node_count", "averaged_tendency",
+    "StepConfig", "make_step_config", "step_averaged_ssprk3", "Trajectory", "run",
     "l2_error_normalized", "linf_error_eta", "energy_mass", "ErrorReport",
     "make_error_report",
-    "CaseParams", "default_case", "mountain", "balanced_jet", "physics_params",
+    "CaseParams", "case_params", "default_case", "mountain", "balanced_jet",
+    "physics_params",
 ]

@@ -4,10 +4,11 @@ The averaged tendency is the weighted quadrature
 
     <N>_T (U) = sum_{k=-M..M} w_k e^{-L s_k} N(e^{L s_k} U),   s_k = k T / M
 
-with weights w_k proportional to a smooth even kernel rho(s_k / T) and
-normalised to sum exactly to one.  The default kernel is the compactly
-supported bump exp(-1/(1 - x^2)), which vanishes with all derivatives at the
-window edges.  Node evaluations are independent and may run concurrently; the
+with weights w_k proportional to the one kernel, the compactly supported bump
+rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
+2019), normalised to sum exactly to one.  The bump vanishes with all
+derivatives at the window edges, so the endpoint nodes carry zero weight.
+Node evaluations are independent and may run concurrently; the
 weighted reduction always runs in ascending node order on the calling thread,
 so results are bitwise identical for any worker count.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -24,36 +24,11 @@ from .dynamics import PhysicsParams, State, apply_nonlinear
 from .propagator import PropagatorSpec, propagate
 
 __all__ = [
-    "Kernel",
-    "BUMP_KERNEL",
-    "UNIFORM_KERNEL",
     "Quadrature",
     "kernel_weights",
     "default_node_count",
     "averaged_tendency",
 ]
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Even nonnegative weight profile on [-1, 1]."""
-
-    name: str
-    rho: Callable[[np.ndarray], np.ndarray]
-
-
-def _bump(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    return out
-
-
-BUMP_KERNEL = Kernel(name="bump", rho=_bump)
-UNIFORM_KERNEL = Kernel(name="uniform",
-                        rho=lambda x: np.where(np.abs(np.asarray(x)) <= 1.0, 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -77,8 +52,8 @@ class Quadrature:
             raise ValueError("quadrature weights must be symmetric")
 
 
-def kernel_weights(T: float, M: int, kernel: Kernel = BUMP_KERNEL) -> Quadrature:
-    """Build the quadrature for window half-width T with 2M + 1 nodes.
+def kernel_weights(T: float, M: int) -> Quadrature:
+    """Build the bump-kernel quadrature for window half-width T with 2M + 1 nodes.
 
     T = 0 requires M = 0 and yields the single node s = 0 with weight 1
     (the averaged tendency then reduces to the plain nonlinearity).  T > 0
@@ -94,11 +69,11 @@ def kernel_weights(T: float, M: int, kernel: Kernel = BUMP_KERNEL) -> Quadrature
         return Quadrature(T=float(T), M=0, s=np.zeros(1), w=np.ones(1))
     k = np.arange(-M, M + 1)
     s = k * (T / M)
-    rho = kernel.rho(s / T)
-    total = float(rho.sum())
-    if not total > 0:
-        raise ValueError(f"kernel {kernel.name!r} vanishes on all nodes")
-    w = rho / total
+    x = s / T
+    rho = np.zeros_like(x)
+    inside = np.abs(x) < 1.0  # the bump vanishes on and beyond the window edges
+    rho[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+    w = rho / float(rho.sum())
     # renormalise the round-off so the sum is exactly 1.0
     w = w / float(w.sum())
     for arr in (s, w):

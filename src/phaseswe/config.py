@@ -4,7 +4,9 @@ The file format is one `key = value` per line, with blank lines and `#`
 comments ignored.  Every key has a default; unknown keys, malformed lines,
 and duplicates are errors that name the line.  The resolved configuration is
 echoed to `config.resolved` in the output directory in a form that parses
-back to the identical RunConfig.
+back to the identical RunConfig.  RunConfig is the one home of a run's
+settings: the fine reference and each sweep window are derived from it by
+reference_config and window_config.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
-           "format_config", "default_config"]
+           "format_config", "default_config", "reference_config", "window_config"]
 
 
 class ConfigError(ValueError):
@@ -50,25 +52,22 @@ class RunConfig:
     reference_path: str = ""
 
 
-_INT_KEYS = {"nx", "ny", "workers", "seed"}
-_FLOAT_KEYS = {"Lx", "Ly", "f", "g", "H", "u0", "jet_width", "b0", "r0",
-               "xc", "yc", "dt", "T", "tol", "t_end", "snapshot_every", "ref_dt"}
-_STR_KEYS = {"propagator", "output_dir", "reference_path"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"M"}
+_DEFAULTS = {fld.name: fld.default for fld in fields(RunConfig)}
 
 
 def _convert(key: str, raw: str, where: str):
+    """Parse raw as the type of the key's default; M (default auto) is an int."""
+    default = _DEFAULTS[key]
+    if isinstance(default, str):
+        return raw
+    if key == "M" and raw == "auto":
+        return None
+    kind = float if isinstance(default, float) else int
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "M":
-            return None if raw == "auto" else int(raw)
+        return kind(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS or key == "M" else "a number"
-        raise ConfigError(f"{where}: key {key!r} needs {kind}, got {raw!r}") from None
-    return raw
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where}: key {key!r} needs {noun}, got {raw!r}") from None
 
 
 def _is_multiple(value: float, dt: float) -> bool:
@@ -136,7 +135,7 @@ def parse_config(text: str, where: str = "config") -> RunConfig:
             raise ConfigError(f"{where} line {lineno}: expected key = value, "
                               f"got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{where} line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{where} line {lineno}: duplicate key {key!r}")
@@ -157,6 +156,18 @@ def load_config(path: str) -> RunConfig:
 def default_config() -> RunConfig:
     """The all-defaults configuration, fully resolved."""
     return _validate(RunConfig())
+
+
+def reference_config(cfg: RunConfig) -> RunConfig:
+    """The unaveraged fine-step reference: T = 0, M = 0, exact, dt = ref_dt."""
+    return replace(cfg, dt=cfg.ref_dt, T=0.0, M=0, propagator="exact")
+
+
+def window_config(cfg: RunConfig, T: float) -> RunConfig:
+    """The run at window half-width T: a fixed M applies to T > 0 only (T = 0
+    admits just M = 0), and M = auto stays auto."""
+    M = cfg.M if cfg.M is None or T > 0 else 0
+    return replace(cfg, T=T, M=M)
 
 
 def format_config(cfg: RunConfig) -> str:

@@ -21,7 +21,6 @@ __all__ = [
     "to_physical",
     "dealias",
     "hermitian_residual",
-    "hermitianize",
     "integrate_product",
 ]
 
@@ -132,11 +131,6 @@ def _reflect(c: np.ndarray) -> np.ndarray:
 def hermitian_residual(c: np.ndarray) -> float:
     """Max absolute deviation of c from Hermitian symmetry c(-k) = conj(c(k))."""
     return float(np.max(np.abs(c - np.conj(_reflect(c)))))
-
-
-def hermitianize(c: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian-symmetric part (real physical field)."""
-    return 0.5 * (c + np.conj(_reflect(c)))
 
 
 def to_physical(grid: SpectralGrid, coeffs: np.ndarray,

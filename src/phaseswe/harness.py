@@ -13,28 +13,33 @@ import sys
 import time
 from dataclasses import replace
 
-from .config import ConfigError, RunConfig, default_config, format_config, load_config
+from .config import (ConfigError, RunConfig, default_config, format_config,
+                     load_config, reference_config, window_config)
 from .diagnostics import make_error_report
 from .dynamics import PhysicsParams, State
-from .grid import make_grid
+from .grid import SpectralGrid, make_grid
 from .integrator import StepConfig, Trajectory, make_step_config, run
 from .io import (read_snapshot_state, write_diagnostics, write_error_report,
                  write_snapshot)
-from .testcase import CaseParams, balanced_jet, physics_params
+from .testcase import balanced_jet, case_params, physics_params
 from .validation import run_validation
 
-__all__ = ["build_problem", "cmd_run", "cmd_reference", "cmd_sweep",
+__all__ = ["build_problem", "step_config", "cmd_run", "cmd_reference", "cmd_sweep",
            "cmd_validate", "main"]
 
 
 def build_problem(cfg: RunConfig):
     """Grid, physics, and initial state for the configured jet + mountain case."""
     grid = make_grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    case = CaseParams(f=cfg.f, g=cfg.g, H=cfg.H, u0=cfg.u0,
-                      jet_width=cfg.jet_width, b0=cfg.b0, r0=cfg.r0,
-                      xc=cfg.xc, yc=cfg.yc)
+    case = case_params(cfg)
     params = physics_params(case, grid, with_mountain=cfg.b0 > 0)
     return grid, case, params, balanced_jet(case, grid)
+
+
+def step_config(cfg: RunConfig, grid: SpectralGrid, params: PhysicsParams) -> StepConfig:
+    """The configured stepper: dt, window T and M, propagator and tol."""
+    return make_step_config(grid, params, dt=cfg.dt, T=cfg.T, M=cfg.M,
+                            propagator=cfg.propagator, tol=cfg.tol)
 
 
 def _write_run_outputs(outdir: str, cfg: RunConfig, traj: Trajectory) -> None:
@@ -58,22 +63,19 @@ def _load_reference(path: str, final: State) -> State:
     return ref
 
 
-def _execute(cfg: RunConfig, outdir: str, dt: float, T: float, M: int | None,
-             propagator: str) -> tuple[Trajectory, PhysicsParams, StepConfig]:
+def _execute(cfg: RunConfig) -> tuple[Trajectory, PhysicsParams, StepConfig]:
     grid, _case, params, state0 = build_problem(cfg)
-    step_cfg = make_step_config(grid, params, dt=dt, T=T, M=M,
-                                propagator=propagator, tol=cfg.tol)
+    step_cfg = step_config(cfg, grid, params)
     traj = run(state0, step_cfg, params, cfg.t_end,
                snapshot_every=cfg.snapshot_every, workers=cfg.workers)
-    _write_run_outputs(outdir, cfg, traj)
+    _write_run_outputs(cfg.output_dir, cfg, traj)
     return traj, params, step_cfg
 
 
 def cmd_run(cfg: RunConfig) -> int:
     """Phase-averaged run; writes snapshots, diagnostics, and (against a
     reference, if configured) an error report."""
-    traj, params, _step_cfg = _execute(cfg, cfg.output_dir, cfg.dt, cfg.T,
-                                       cfg.M, cfg.propagator)
+    traj, params, _step_cfg = _execute(cfg)
     final = traj.states[-1]
     print(f"run: {traj.steps[-1]} steps to t = {final.t:g} s, "
           f"{len(traj.states)} snapshots -> {cfg.output_dir}")
@@ -87,10 +89,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_reference(cfg: RunConfig) -> int:
-    """Unaveraged fine-step reference run (T = 0, exact propagator, dt = ref_dt)."""
-    ref_cfg = replace(cfg, dt=cfg.ref_dt, T=0.0, M=0, propagator="exact")
-    traj, _params, _step_cfg = _execute(ref_cfg, cfg.output_dir, cfg.ref_dt,
-                                        0.0, 0, "exact")
+    """Unaveraged fine-step reference run, set up by config.reference_config."""
+    traj, _params, _step_cfg = _execute(reference_config(cfg))
     drift = abs(traj.energy[-1] - traj.energy[0]) / max(abs(traj.energy[0]), 1e-300)
     print(f"reference: {traj.steps[-1]} steps to t = {traj.times[-1]:g} s, "
           f"energy drift {drift:.3e} -> {cfg.output_dir}")
@@ -113,13 +113,11 @@ def cmd_sweep(cfg: RunConfig, t_list: list[float]) -> int:
     ref = None
     for T in t_list:
         subdir = os.path.join(cfg.output_dir, f"T_{T:g}s")
-        M = None if cfg.M is None else (cfg.M if T > 0 else 0)
-        run_cfg = replace(cfg, T=T, M=M, output_dir=subdir)
+        run_cfg = replace(window_config(cfg, T), output_dir=subdir)
         started = time.perf_counter()
         resolved_M = ""
         try:
-            traj, params, step_cfg = _execute(run_cfg, subdir, cfg.dt, T, M,
-                                              cfg.propagator)
+            traj, params, step_cfg = _execute(run_cfg)
             resolved_M = step_cfg.quadrature.M
             final = traj.states[-1]
             if ref is None:

@@ -10,9 +10,9 @@ A(U) = <e^{-Ls} N(e^{Ls} U)>_s the averaged tendency,
     U^{n+1} = 1/3 e^{L dt} U^n  +  2/3 e^{L dt/2} [U2 + dt A(U2)]
 
 The linear part is treated exactly: with N = 0 a step reduces to e^{L dt} up
-to the group-law round-off of the propagator.  The reference configuration is
+to the group-law round-off of the propagator.  The unaveraged reference is
 the same scheme with a zero-width window (T = 0, M = 0), the exact
-propagator, and a fine step.
+propagator, and a fine step (config.reference_config).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import Quadrature, averaged_tendency, default_node_count, kernel_weights, Kernel, BUMP_KERNEL
+from .averaging import Quadrature, averaged_tendency, default_node_count, kernel_weights
 from .diagnostics import energy_mass, physical_fields
 from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
 # to_physical stays a module attribute: perfbench/tracing.py patches it here
@@ -33,7 +33,6 @@ __all__ = [
     "StepConfig",
     "make_step_config",
     "step_averaged_ssprk3",
-    "step_reference",
     "Trajectory",
     "run",
 ]
@@ -54,8 +53,7 @@ class StepConfig:
 
 def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
                      T: float = 0.0, M: int | None = None,
-                     propagator: str = "exact", tol: float = 1e-10,
-                     kernel: Kernel = BUMP_KERNEL) -> StepConfig:
+                     propagator: str = "exact", tol: float = 1e-10) -> StepConfig:
     """Resolve a stepper configuration for the given grid and physics.
 
     M = None picks the default node count from the fastest mode.  For the
@@ -64,7 +62,7 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
     """
     if M is None:
         M = default_node_count(T, max_frequency(grid, params))
-    quad = kernel_weights(T, M, kernel)
+    quad = kernel_weights(T, M)
     if propagator == "exact":
         spec = PropagatorSpec.exact()
     elif propagator == "chebyshev":
@@ -102,13 +100,6 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
     out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2))
     _require_finite(out, 3)
     return out.with_time(state.t + dt)
-
-
-def step_reference(state: State, dt_fine: float, params: PhysicsParams) -> State:
-    """One unaveraged step: T = 0, M = 0, exact propagator, step dt_fine."""
-    config = StepConfig(dt=dt_fine, quadrature=kernel_weights(0.0, 0),
-                        propagator_spec=PropagatorSpec.exact())
-    return step_averaged_ssprk3(state, config, params)
 
 
 @dataclass

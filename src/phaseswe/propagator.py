@@ -24,7 +24,7 @@ All recurrence intermediates stay Hermitian-symmetric for real input states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,6 @@ from .dynamics import PhysicsParams, State, apply_linear, dispersion_omega, max_
 
 __all__ = [
     "PropagatorSpec",
-    "ChebCoeffs",
     "exact_exp",
     "cheb_coeffs",
     "choose_npoly",
@@ -56,7 +55,6 @@ class PropagatorSpec:
     kind: str
     Lambda: float = 0.0
     n_poly: int = 1
-    tol: float = DEFAULT_CHEB_TOL
 
     def __post_init__(self):
         if self.kind not in ("exact", "chebyshev"):
@@ -65,32 +63,16 @@ class PropagatorSpec:
             raise ValueError(f"Lambda must be nonnegative, got {self.Lambda}")
         if self.n_poly < 1:
             raise ValueError(f"n_poly must be at least 1, got {self.n_poly}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
     @classmethod
     def exact(cls) -> "PropagatorSpec":
         return cls(kind="exact")
 
     @classmethod
-    def chebyshev(cls, Lambda: float, tol: float = DEFAULT_CHEB_TOL,
-                  n_poly: int | None = None) -> "PropagatorSpec":
-        if n_poly is None:
-            n_poly = choose_npoly(Lambda, tol)
-        return cls(kind="chebyshev", Lambda=float(Lambda), n_poly=n_poly, tol=tol)
-
-
-@dataclass(frozen=True)
-class ChebCoeffs:
-    """Real expansion coefficients a_0 .. a_{n_poly} for e^{l} on i[-Lambda, Lambda]."""
-
-    Lambda: float
-    n_poly: int
-    a: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.a.shape != (self.n_poly + 1,):
-            raise ValueError("coefficient array length must be n_poly + 1")
+    def chebyshev(cls, Lambda: float, tol: float = DEFAULT_CHEB_TOL) -> "PropagatorSpec":
+        """The Chebyshev route on i[-Lambda, Lambda], degree chosen from tol."""
+        return cls(kind="chebyshev", Lambda=float(Lambda),
+                   n_poly=choose_npoly(Lambda, tol))
 
 
 def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
@@ -111,7 +93,13 @@ def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
 
 
 @lru_cache(maxsize=64)
-def _cheb_coeffs_cached(Lambda: float, n_poly: int) -> ChebCoeffs:
+def cheb_coeffs(Lambda: float, n_poly: int) -> np.ndarray:
+    """Real, read-only expansion coefficients a_0 .. a_{n_poly} for e^{l},
+    l in i[-Lambda, Lambda]; cached per (Lambda, n_poly)."""
+    if Lambda < 0:
+        raise ValueError(f"Lambda must be nonnegative, got {Lambda}")
+    if n_poly < 1:
+        raise ValueError(f"n_poly must be at least 1, got {n_poly}")
     # Chebyshev coefficients b_k of h(x) = e^{i Lambda x} on [-1, 1] via a
     # type-II DCT at the Chebyshev roots, then rotated by (-i)^k so that the
     # coefficients of the Q_k basis come out real.
@@ -128,16 +116,7 @@ def _cheb_coeffs_cached(Lambda: float, n_poly: int) -> ChebCoeffs:
         raise RuntimeError(f"non-real Chebyshev coefficient residual {imag:.3e}")
     a = np.ascontiguousarray(a.real)
     a.setflags(write=False)
-    return ChebCoeffs(Lambda=Lambda, n_poly=n_poly, a=a)
-
-
-def cheb_coeffs(Lambda: float, n_poly: int) -> ChebCoeffs:
-    """Expansion coefficients for e^{l}, l in i[-Lambda, Lambda], degree n_poly."""
-    if Lambda < 0:
-        raise ValueError(f"Lambda must be nonnegative, got {Lambda}")
-    if n_poly < 1:
-        raise ValueError(f"n_poly must be at least 1, got {n_poly}")
-    return _cheb_coeffs_cached(float(Lambda), int(n_poly))
+    return a
 
 
 def choose_npoly(Lambda: float, tol: float = DEFAULT_CHEB_TOL) -> int:
@@ -151,7 +130,7 @@ def choose_npoly(Lambda: float, tol: float = DEFAULT_CHEB_TOL) -> int:
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     generous = int(np.ceil(Lambda + 2.0 * Lambda ** (1.0 / 3.0))) + 60
-    a = cheb_coeffs(Lambda, generous).a
+    a = cheb_coeffs(Lambda, generous)
     below = np.abs(a) < tol
     n = generous
     while n >= 1 and below[n]:
@@ -176,7 +155,7 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
             f"|t| * max_frequency = {lam_needed:.6g} exceeds Lambda = "
             f"{spec.Lambda:.6g}; enlarge Lambda or shorten t")
 
-    a = cheb_coeffs(spec.Lambda, spec.n_poly).a
+    a = cheb_coeffs(spec.Lambda, spec.n_poly)
     scale = t / spec.Lambda
     q_prev = state
     acc = a[0] * state

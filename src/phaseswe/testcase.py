@@ -9,14 +9,16 @@ nonlinear evolution used in convergence and averaging-window studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import PhysicsParams, State
+from .config import RunConfig, default_config
+from .dynamics import PhysicsParams, State, flat_bottom
 from .grid import SpectralGrid, dealias, to_spectral
 
-__all__ = ["CaseParams", "default_case", "mountain", "balanced_jet", "physics_params"]
+__all__ = ["CaseParams", "case_params", "default_case", "mountain", "balanced_jet",
+           "physics_params"]
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,16 @@ class CaseParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def default_case(Lx: float = 4.0e7, Ly: float = 4.0e7) -> CaseParams:
-    """Defaults: 20 m/s jets of width Ly/16 at Ly/4 and 3Ly/4, a 2000 m
-    mountain of radius Ly/9 centred on the eastward jet, f-plane midlatitude
-    constants (f = 1e-4 1/s, g = 9.8 m/s^2, H = 5960 m)."""
-    return CaseParams(f=1.0e-4, g=9.8, H=5960.0, u0=20.0,
-                      jet_width=Ly / 16.0, b0=2000.0, r0=Ly / 9.0,
-                      xc=0.5 * Lx, yc=0.25 * Ly)
+def case_params(cfg: RunConfig) -> CaseParams:
+    """The case settings of a resolved run configuration."""
+    return CaseParams(**{fld.name: getattr(cfg, fld.name) for fld in fields(CaseParams)})
+
+
+def default_case() -> CaseParams:
+    """The case of the default configuration: opposing 20 m/s jets and a
+    2000 m mountain centred on the eastward jet, with f-plane midlatitude
+    constants; RunConfig holds the values and the domain-derived sizes."""
+    return case_params(default_config())
 
 
 def mountain(case: CaseParams, grid: SpectralGrid) -> np.ndarray:
@@ -97,8 +102,6 @@ def balanced_jet(case: CaseParams, grid: SpectralGrid) -> State:
 def physics_params(case: CaseParams, grid: SpectralGrid,
                    with_mountain: bool = True) -> PhysicsParams:
     """PhysicsParams for the case, with the cone topography or a flat bottom."""
-    if with_mountain:
-        b = mountain(case, grid)
-    else:
-        b = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
-    return PhysicsParams(f=case.f, g=case.g, H=case.H, b=b)
+    if not with_mountain:
+        return flat_bottom(grid, case.f, case.g, case.H)
+    return PhysicsParams(f=case.f, g=case.g, H=case.H, b=mountain(case, grid))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, default_config
+from .config import RunConfig, default_config, reference_config, window_config
 from .diagnostics import l2_error_normalized
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
                        energy_norm, max_frequency)
@@ -111,7 +111,7 @@ def check_small_grid_oracles(rng) -> CheckResult:
             linear = max(linear, *(_max_rel(getattr(got, k), getattr(want, k), scale)
                                    for k in ("u", "v", "eta")))
 
-    bessel = max(float(np.max(np.abs(cheb_coeffs(lam, n).a - bessel_cheb_coeffs(lam, n))))
+    bessel = max(float(np.max(np.abs(cheb_coeffs(lam, n) - bessel_cheb_coeffs(lam, n))))
                  for lam, n in ((5.0, 30), (6.2, 24)))
     ok = product <= 1e-12 and nonlinear <= 1e-12 and linear <= 1e-13 and bessel <= 1e-12
     return CheckResult("small-grid oracle equivalences", ok,
@@ -245,17 +245,17 @@ def check_interior_optimum(T_list, errs_eta, errs_u) -> CheckResult:
 
 
 def check_window_sweep(cfg: RunConfig, workers: int) -> CheckResult:
-    """The window experiment on the configured case against its fine reference."""
-    from .harness import build_problem  # harness imports this module
+    """The window experiment on the configured case against its fine
+    reference, each run set up as `phaseswe reference` and `sweep` set it up."""
+    from .harness import build_problem, step_config  # harness imports this module
 
     grid, _case, params, jet = build_problem(cfg)
-    ref = run(jet, make_step_config(grid, params, dt=cfg.ref_dt), params,
+    ref = run(jet, step_config(reference_config(cfg), grid, params), params,
               cfg.t_end).states[-1]
     T_list = [h * 3600.0 for h in WINDOW_HOURS]
     errs = []
     for T in T_list:
-        step_cfg = make_step_config(grid, params, dt=cfg.dt, T=T,
-                                    propagator=cfg.propagator, tol=cfg.tol)
+        step_cfg = step_config(window_config(cfg, T), grid, params)
         final = run(jet, step_cfg, params, cfg.t_end, workers=workers).states[-1]
         errs.append(l2_error_normalized(final, ref))
     errs_eta, errs_u = zip(*errs)

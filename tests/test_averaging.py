@@ -5,10 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from phaseswe.averaging import (BUMP_KERNEL, UNIFORM_KERNEL, Quadrature,
-                                averaged_tendency, default_node_count,
-                                kernel_weights)
-from phaseswe.dynamics import (PhysicsParams, apply_nonlinear, energy_norm,
+from phaseswe.averaging import (Quadrature, averaged_tendency,
+                                default_node_count, kernel_weights)
+from phaseswe.dynamics import (apply_nonlinear, energy_norm, flat_bottom,
                                max_frequency)
 from phaseswe.oracles import band_limited_state
 from phaseswe.propagator import PropagatorSpec, propagate
@@ -17,8 +16,7 @@ F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
 
 def flat(grid):
-    return PhysicsParams(f=F0, g=G0, H=H0,
-                         b=np.zeros((grid.nx, grid.ny), dtype=complex))
+    return flat_bottom(grid, F0, G0, H0)
 
 
 def test_weights_sum_to_one_and_are_symmetric():
@@ -38,11 +36,6 @@ def test_bump_kernel_vanishes_at_window_edges():
     # interior weights decay towards the edges
     assert quad.w[8] == max(quad.w)
     assert quad.w[1] < quad.w[4] < quad.w[8]
-
-
-def test_uniform_kernel_weights_are_equal():
-    quad = kernel_weights(100.0, 3, UNIFORM_KERNEL)
-    assert np.max(np.abs(quad.w - 1.0 / 7.0)) <= 1e-15
 
 
 def test_degenerate_and_invalid_windows():
@@ -175,8 +168,9 @@ def test_node_failure_reports_node_index(grid32, rng):
 
 
 def test_bump_kernel_profile_values():
-    x = np.array([-1.5, -1.0, 0.0, 0.5, 1.0, 2.0])
-    rho = BUMP_KERNEL.rho(x)
-    assert rho[0] == 0.0 and rho[2] == np.exp(-1.0)
-    assert rho[3] == pytest.approx(np.exp(-1.0 / 0.75), rel=1e-15)
-    assert rho[4] == 0.0 and rho[5] == 0.0
+    # nodes at x = s / T = -1, -1/2, 0, 1/2, 1 sample rho(x) = exp(-1/(1 - x^2))
+    w = kernel_weights(3600.0, 2).w
+    rho = np.array([0.0, np.exp(-1.0 / 0.75), np.exp(-1.0), np.exp(-1.0 / 0.75), 0.0])
+    assert w[0] == 0.0 and w[4] == 0.0
+    assert w[1] / w[2] == pytest.approx(np.exp(-1.0 / 3.0), rel=1e-15)
+    assert np.allclose(w, rho / rho.sum(), rtol=1e-15, atol=0.0)

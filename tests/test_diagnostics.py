@@ -5,7 +5,7 @@ import pytest
 
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
                                   linf_error_eta, make_error_report)
-from phaseswe.dynamics import PhysicsParams, State
+from phaseswe.dynamics import PhysicsParams, State, flat_bottom
 from phaseswe.grid import dealias, to_spectral
 from phaseswe.testcase import default_case, mountain
 
@@ -13,8 +13,7 @@ F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
 
 def flat(grid):
-    return PhysicsParams(f=F0, g=G0, H=H0,
-                         b=np.zeros((grid.nx, grid.ny), dtype=complex))
+    return flat_bottom(grid, F0, G0, H0)
 
 
 def state_from_physical(grid, u, v, eta, t=0.0):

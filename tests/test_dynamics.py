@@ -7,7 +7,7 @@ import pytest
 
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
-                               energy_norm, max_frequency)
+                               energy_norm, flat_bottom, max_frequency)
 from phaseswe.grid import dealias, make_grid, to_physical, to_spectral
 from phaseswe.oracles import (band_limited_state, linear_tendency,
                               nonlinear_tendency, wrap_indices)
@@ -18,8 +18,7 @@ F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
 
 def flat(grid):
-    return PhysicsParams(f=F0, g=G0, H=H0,
-                         b=np.zeros((grid.nx, grid.ny), dtype=complex))
+    return flat_bottom(grid, F0, G0, H0)
 
 
 def test_linear_matches_per_mode_matrix(grid8, rng):

@@ -129,10 +129,10 @@ def test_sweep_continues_after_a_failed_window(tmp_path, small_cfg, capsys,
 
     real_execute = harness._execute
 
-    def flaky(run_cfg, outdir, dt, T, M, propagator):
-        if T == 600.0:
+    def flaky(run_cfg):
+        if run_cfg.T == 600.0:
             raise RuntimeError("synthetic failure")
-        return real_execute(run_cfg, outdir, dt, T, M, propagator)
+        return real_execute(run_cfg)
 
     monkeypatch.setattr(harness, "_execute", flaky)
     out = tmp_path / "sweep"
@@ -167,22 +167,30 @@ def test_validate_reports_failures(monkeypatch, capsys):
 def test_validate_full_checks_the_configured_case(monkeypatch):
     cfg = parse_config("nx = 16\nny = 16\nb0 = 0\nf = 1.2e-4\nH = 4000\n"
                        "propagator = chebyshev\ndt = 600\nt_end = 1200\n"
-                       "ref_dt = 300\n")
+                       "ref_dt = 300\nM = 2\n")
     seen = []
     real_run = validation.run
 
     def spy(state, config, params, t_end, **kwargs):
-        seen.append((config.propagator_spec.kind, params))
+        seen.append((config, params))
         return real_run(state, config, params, t_end, **kwargs)
 
     monkeypatch.setattr(validation, "run", spy)
     result = validation.check_window_sweep(cfg, workers=1)
     assert result.name == "averaging window has an interior optimum"
-    # the fine reference is exact, as in `phaseswe reference`; every window
-    # uses the configured propagator
-    kinds = [kind for kind, _params in seen]
-    assert kinds == ["exact"] + ["chebyshev"] * len(validation.WINDOW_HOURS)
-    for _kind, params in seen:
+    # the fine reference is set up as `phaseswe reference` sets it up (exact,
+    # ref_dt, M = 0); every window uses the configured propagator and resolves
+    # M as `phaseswe sweep` does: 0 at T = 0, the configured 2 elsewhere
+    ref_config = seen[0][0]
+    assert (ref_config.propagator_spec.kind, ref_config.dt,
+            ref_config.quadrature.M) == ("exact", 300.0, 0)
+    windows = [config for config, _params in seen[1:]]
+    assert [c.propagator_spec.kind for c in windows] == \
+        ["chebyshev"] * len(validation.WINDOW_HOURS)
+    assert [c.quadrature.M for c in windows] == \
+        [0] + [2] * (len(validation.WINDOW_HOURS) - 1)
+    assert {c.dt for c in windows} == {600.0}
+    for _config, params in seen:
         assert (params.f, params.H) == (1.2e-4, 4000.0)
         assert not np.any(params.b)  # b0 = 0: no mountain
 

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from phaseswe.averaging import averaged_tendency, kernel_weights
-from phaseswe.dynamics import (PhysicsParams, apply_nonlinear, energy_norm,
+from phaseswe.dynamics import (apply_nonlinear, energy_norm, flat_bottom,
                                max_frequency)
 from phaseswe.integrator import (StepConfig, make_step_config, run,
-                                 step_averaged_ssprk3, step_reference)
+                                 step_averaged_ssprk3)
 from phaseswe.propagator import PropagatorSpec, choose_npoly, exact_exp
 from phaseswe.testcase import balanced_jet, default_case, physics_params
-from phaseswe.validation import check_convergence, check_linear_step
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
 
 def flat(grid):
-    return PhysicsParams(f=F0, g=G0, H=H0,
-                         b=np.zeros((grid.nx, grid.ny), dtype=complex))
+    return flat_bottom(grid, F0, G0, H0)
 
 
 @pytest.fixture(scope="module")
@@ -71,16 +69,6 @@ def test_zero_window_step_is_ssprk3_on_transformed_variable(problem32):
     assert rel <= 1e-13
 
 
-def test_pure_linear_step_equals_exponential(rng):
-    result = check_linear_step(rng)
-    assert result.ok, result.detail
-
-
-def test_third_order_convergence_short_horizon():
-    result = check_convergence()
-    assert result.ok, result.detail
-
-
 def test_make_step_config_resolution(grid64):
     params = flat(grid64)
     auto = make_step_config(grid64, params, dt=3600.0, T=3600.0)
@@ -101,17 +89,6 @@ def test_make_step_config_resolution(grid64):
     with pytest.raises(ValueError, match="dt"):
         StepConfig(dt=0.0, quadrature=kernel_weights(0.0, 0),
                    propagator_spec=PropagatorSpec.exact())
-
-
-def test_step_reference_is_zero_window_step(problem32):
-    grid, params, state = problem32
-    got = step_reference(state, 450.0, params)
-    config = StepConfig(dt=450.0, quadrature=kernel_weights(0.0, 0),
-                        propagator_spec=PropagatorSpec.exact())
-    want = step_averaged_ssprk3(state, config, params)
-    assert np.array_equal(got.u, want.u)
-    assert np.array_equal(got.eta, want.eta)
-    assert got.t == 450.0
 
 
 def test_run_records_initial_stride_and_final(problem32):
