@@ -67,7 +67,8 @@ print("  coefficient magnitudes:")
 for k in range(0, len(a), 4):
     print("    a[%2d] = %+.3e" % (k, a[k]))
 
-# cost comparison (both are cheap; the Chebyshev route only needs apply_linear)
+# cost comparison (both are cheap; the Chebyshev route only needs products
+# with L's per-mode couplings)
 spec = PropagatorSpec.chebyshev(Lambda, tol=1e-10)
 for label, fn in (("exact", lambda: exact_exp(t, state, params)),
                   ("chebyshev", lambda: cheb_exp(t, state, params, spec))):

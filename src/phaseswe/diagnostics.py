@@ -7,13 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhysicsParams, State
-from .grid import to_physical
+from .grid import SpectralGrid, to_physical
 
 __all__ = [
     "physical_fields",
     "l2_error_normalized",
     "linf_error_eta",
     "energy_mass",
+    "energy_mass_fields",
     "ErrorReport",
     "make_error_report",
 ]
@@ -24,8 +25,8 @@ def physical_fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     component that is pure cancellation residue (v of a zonal jet) passes."""
     g = state.grid
     vel_scale = max(float(np.max(np.abs(state.u))), float(np.max(np.abs(state.v))))
-    return (to_physical(g, state.u, vel_scale), to_physical(g, state.v, vel_scale),
-            to_physical(g, state.eta))
+    u, v = to_physical(g, np.stack((state.u, state.v)), vel_scale)
+    return u, v, to_physical(g, state.eta)
 
 
 def l2_error_normalized(test: State, ref: State) -> tuple[float, float]:
@@ -59,7 +60,13 @@ def linf_error_eta(test: State, ref: State) -> float:
 
 
 def energy_mass(state: State, params: PhysicsParams) -> tuple[float, float]:
-    """Total energy and mass.
+    """Total energy and mass of a spectral state; see energy_mass_fields."""
+    return energy_mass_fields(state.grid, params, *physical_fields(state))
+
+
+def energy_mass_fields(grid: SpectralGrid, params: PhysicsParams, u: np.ndarray,
+                       v: np.ndarray, eta: np.ndarray) -> tuple[float, float]:
+    """Total energy and mass from the physical fields of physical_fields.
 
     mass   = integral of (H + eta - b)
     energy = integral of (1/2) (H + eta - b) (u^2 + v^2) + (1/2) g eta (eta + 2 H)
@@ -70,11 +77,8 @@ def energy_mass(state: State, params: PhysicsParams) -> tuple[float, float]:
     expression is an exact invariant of the continuous dynamics, so its drift
     measures integration error rather than a moving reference level.
     """
-    g = state.grid
-    u, v, eta = physical_fields(state)
-    b = to_physical(g, np.asarray(params.b, dtype=np.complex128))
-    depth = params.H + eta - b
-    area = g.cell_area
+    depth = params.H + eta - params.b_phys
+    area = grid.cell_area
     mass = float(np.sum(depth) * area)
     energy = float(np.sum(0.5 * depth * (u**2 + v**2)
                           + 0.5 * params.g * eta * (eta + 2.0 * params.H)) * area)

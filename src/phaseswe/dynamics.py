@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft
 
 from .grid import SpectralGrid, dealias, hermitian_residual, to_physical, to_spectral
 
@@ -36,13 +37,16 @@ class PhysicsParams:
     """Physical constants and bottom topography.
 
     b is a spectral field (Hermitian-symmetric, already dealiased where it
-    matters); its physical maximum must stay below the mean depth H.
+    matters); its physical maximum must stay below the mean depth H.  b_phys,
+    the physical topography, is computed once here for that check and kept
+    for the diagnostics.
     """
 
     f: float
     g: float
     H: float
     b: np.ndarray = field(repr=False)
+    b_phys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.g > 0:
@@ -54,10 +58,13 @@ class PhysicsParams:
         if b.ndim != 2:
             raise ValueError(f"b must be a 2D spectral field, got shape {b.shape}")
         scale = float(np.max(np.abs(b)))
+        if scale > 0.0 and hermitian_residual(b) > 1e-9 * scale:
+            raise ValueError("topography b must be Hermitian-symmetric")
+        b_phys = scipy.fft.ifft2(b).real
+        b_phys.setflags(write=False)
+        object.__setattr__(self, "b_phys", b_phys)
         if scale > 0.0:
-            if hermitian_residual(b) > 1e-9 * scale:
-                raise ValueError("topography b must be Hermitian-symmetric")
-            bmax = float(np.fft.ifft2(b).real.max())
+            bmax = float(b_phys.max())
             if bmax >= self.H:
                 raise ValueError(
                     f"topography peak {bmax:.6g} must stay below H = {self.H:.6g}")
@@ -152,29 +159,21 @@ def apply_nonlinear(state: State, params: PhysicsParams) -> State:
     ikx = 1j * kx2
     iky = 1j * ky2
 
-    cu = dealias(g, state.u)
-    cv = dealias(g, state.v)
-    ceta = dealias(g, state.eta)
-    cb = dealias(g, params.b)
-
+    # (u, v, eta - b) truncated to the band, one stacked array
+    c = dealias(g, np.stack((state.u, state.v, state.eta - params.b)))
     # one scale for the whole state so cancellation-residue fields (a zero
     # velocity component, say) pass the symmetry check in to_physical
-    scale = max(float(np.max(np.abs(c))) for c in (cu, cv, ceta - cb))
-    u = to_physical(g, cu, scale)
-    v = to_physical(g, cv, scale)
-    depth = to_physical(g, ceta - cb, scale)
+    scale = float(np.max(np.abs(c)))
+    u, v, depth = to_physical(g, c, scale)
     kscale = scale * max(float(np.max(np.abs(g.kx))), float(np.max(np.abs(g.ky))))
-    ux = to_physical(g, ikx * cu, kscale)
-    uy = to_physical(g, iky * cu, kscale)
-    vx = to_physical(g, ikx * cv, kscale)
-    vy = to_physical(g, iky * cv, kscale)
+    cu, cv = c[0], c[1]
+    ux, uy, vx, vy = to_physical(g, np.stack((ikx * cu, iky * cu, ikx * cv, iky * cv)),
+                                 kscale)
 
-    du = dealias(g, to_spectral(g, -(u * ux + v * uy)))
-    dv = dealias(g, to_spectral(g, -(u * vx + v * vy)))
-    flux_x = to_spectral(g, u * depth)
-    flux_y = to_spectral(g, v * depth)
-    deta = dealias(g, -(ikx * flux_x + iky * flux_y))
-    return replace(state, u=du, v=dv, eta=deta)
+    products = np.stack((-(u * ux + v * uy), -(u * vx + v * vy), u * depth, v * depth))
+    du, dv, flux_x, flux_y = to_spectral(g, products)
+    du, dv = dealias(g, np.stack((du, dv)))
+    return replace(state, u=du, v=dv, eta=dealias(g, -(ikx * flux_x + iky * flux_y)))
 
 
 def dispersion_omega(kappa, params: PhysicsParams) -> np.ndarray:

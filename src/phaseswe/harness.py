@@ -142,8 +142,7 @@ def cmd_sweep(cfg: RunConfig, t_list: list[float]) -> int:
 
 def cmd_validate(cfg: RunConfig, level: str = "fast") -> int:
     """Oracle self-checks; full level appends the 15-day sweep experiment."""
-    results = run_validation(level=level, seed=cfg.seed, workers=cfg.workers,
-                             cfg=cfg)
+    results = run_validation(level=level, cfg=cfg)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import Quadrature, averaged_tendency, default_node_count, kernel_weights
-from .diagnostics import energy_mass, physical_fields
+# energy_mass stays a module attribute: perfbench/tracing.py patches it here
+from .diagnostics import energy_mass, energy_mass_fields, physical_fields  # noqa: F401
 from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
 # to_physical stays a module attribute: perfbench/tracing.py patches it here
 from .grid import SpectralGrid, to_physical  # noqa: F401
@@ -114,8 +115,8 @@ class Trajectory:
     max_speed: list[float] = field(default_factory=list)
 
     def record(self, step: int, state: State, params: PhysicsParams) -> None:
-        en, ms = energy_mass(state, params)
-        u, v, _eta = physical_fields(state)
+        u, v, eta = physical_fields(state)
+        en, ms = energy_mass_fields(state.grid, params, u, v, eta)
         speed = np.hypot(u, v)
         self.times.append(state.t)
         self.steps.append(step)

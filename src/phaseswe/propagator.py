@@ -156,19 +156,35 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
             f"{spec.Lambda:.6g}; enlarge Lambda or shorten t")
 
     a = cheb_coeffs(spec.Lambda, spec.n_poly)
-    scale = t / spec.Lambda
-    q_prev = state
-    acc = a[0] * state
-    if spec.n_poly >= 1:
-        q = scale * apply_linear(state, params)
-        acc = acc + a[1] * q
-        for k in range(2, spec.n_poly + 1):
-            q_next = (2.0 * scale) * apply_linear(q, params) + q_prev
-            acc = acc + a[k] * q_next
-            q_prev, q = q, q_next
+    # the couplings of (2 t / Lambda) L per mode: a scalar for rotation and
+    # full (nx, ny) arrays for the gradients, which multiply faster than
+    # broadcast (nx, 1) and (1, ny) vectors
+    c = 2.0 * t / spec.Lambda
+    ik = 1j * np.stack(np.broadcast_arrays(*state.grid.wavenumber_mesh()))
+    f = c * params.f
+    gx, gy = (-c * params.g) * ik
+    hx, hy = (-c * params.H) * ik
+
+    def add_linear(q: np.ndarray, out: np.ndarray) -> None:
+        # out += (2 t / Lambda) L q
+        out[0] += f * q[1] + gx * q[2]
+        out[1] += gy * q[2] - f * q[0]
+        out[2] += hx * q[0] + hy * q[1]
+
+    # Q_{k+1} = (2 t / Lambda) L Q_k + Q_{k-1} overwrites Q_{k-1}'s buffer,
+    # so the recurrence runs on two (3, nx, ny) arrays and one accumulator
+    q_prev = np.stack((state.u, state.v, state.eta))
+    q = np.zeros_like(q_prev)
+    add_linear(q_prev, q)
+    q *= 0.5
+    acc = a[0] * q_prev + a[1] * q
+    for k in range(2, spec.n_poly + 1):
+        add_linear(q, q_prev)
+        acc += a[k] * q_prev
+        q_prev, q = q, q_prev
     # real coefficients and a real recurrence keep Hermitian inputs Hermitian,
     # so no symmetry projection is needed here
-    return acc.with_time(state.t + t)
+    return replace(state, u=acc[0], v=acc[1], eta=acc[2], t=state.t + t)
 
 
 def propagate(t: float, state: State, params: PhysicsParams,

@@ -244,7 +244,7 @@ def check_interior_optimum(T_list, errs_eta, errs_u) -> CheckResult:
                        "; ".join(details))
 
 
-def check_window_sweep(cfg: RunConfig, workers: int) -> CheckResult:
+def check_window_sweep(cfg: RunConfig) -> CheckResult:
     """The window experiment on the configured case against its fine
     reference, each run set up as `phaseswe reference` and `sweep` set it up."""
     from .harness import build_problem, step_config  # harness imports this module
@@ -256,18 +256,19 @@ def check_window_sweep(cfg: RunConfig, workers: int) -> CheckResult:
     errs = []
     for T in T_list:
         step_cfg = step_config(window_config(cfg, T), grid, params)
-        final = run(jet, step_cfg, params, cfg.t_end, workers=workers).states[-1]
+        final = run(jet, step_cfg, params, cfg.t_end, workers=cfg.workers).states[-1]
         errs.append(l2_error_normalized(final, ref))
     errs_eta, errs_u = zip(*errs)
     return check_interior_optimum(T_list, errs_eta, errs_u)
 
 
-def run_validation(level: str = "fast", seed: int = 0, workers: int = 1,
-                   cfg: RunConfig | None = None) -> list[CheckResult]:
-    """Run the oracle battery; full level appends the configured window sweep."""
+def run_validation(level: str = "fast", cfg: RunConfig | None = None) -> list[CheckResult]:
+    """Run the oracle battery with the config's seed; full level appends the
+    window sweep on the configured case, run with the config's workers."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be fast or full, got {level!r}")
-    rng = np.random.default_rng(seed)
+    cfg = cfg or default_config()
+    rng = np.random.default_rng(cfg.seed)
     results = [
         check_roundtrip(rng),
         check_small_grid_oracles(rng),
@@ -278,5 +279,5 @@ def run_validation(level: str = "fast", seed: int = 0, workers: int = 1,
         check_convergence(),
     ]
     if level == "full":
-        results.append(check_window_sweep(cfg or default_config(), workers))
+        results.append(check_window_sweep(cfg))
     return results

@@ -23,7 +23,8 @@ from phaseswe.testcase import balanced_jet, default_case, physics_params
 from phaseswe.validation import (WINDOW_HOURS, check_cheb_vs_exact,
                                  check_convergence, check_exact_exp_group,
                                  check_interior_optimum, check_linear_step,
-                                 check_small_grid_oracles, check_steady_jet)
+                                 check_roundtrip, check_small_grid_oracles,
+                                 check_steady_jet)
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -152,3 +153,7 @@ def test_mean_elevation_is_conserved_per_step():
 
 def test_small_grid_oracle_equivalences():
     run_check(check_small_grid_oracles, np.random.default_rng(17))
+
+
+def test_transform_roundtrip_and_parseval():
+    run_check(check_roundtrip, np.random.default_rng(19), limit_s=5.0)

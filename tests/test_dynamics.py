@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import phaseswe.dynamics as dynamics
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
                                energy_norm, flat_bottom, max_frequency)
@@ -173,3 +174,22 @@ def test_nonlinear_checks_topography_shape(grid8, grid32, rng):
 
 def test_wrap_indices_helper_matches_fft_layout():
     assert list(wrap_indices(8)) == [0, 1, 2, 3, -4, -3, -2, -1]
+
+
+def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
+    # one inverse call for (u, v, eta - b), one for the four gradients and one
+    # forward call for the four products; counts, not timings
+    calls = {"to_physical": [], "to_spectral": []}
+
+    def counted(name, fn):
+        def wrapper(grid, arr, *args):
+            calls[name].append(np.shape(arr))
+            return fn(grid, arr, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
+    rough = physics_params(default_case(), grid32, with_mountain=True)
+    apply_nonlinear(band_limited_state(grid32, rng), rough)
+    assert calls["to_physical"] == [(3, 32, 32), (4, 32, 32)]
+    assert calls["to_spectral"] == [(4, 32, 32)]

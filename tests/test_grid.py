@@ -126,3 +126,51 @@ def test_physical_product_equals_truncated_convolution(grid8, rng):
         want = truncated_convolution(grid, ca, cb)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, grid.nx
+
+
+# non-square with Lx != Ly, so a transposed axis cannot pass unseen
+GRID_12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
+
+
+def test_stacked_transforms_equal_per_slice_calls(rng):
+    g = GRID_12x8
+    phys = rng.standard_normal((2, 3, g.nx, g.ny))
+    spec = to_spectral(g, phys)
+    assert spec.shape == phys.shape
+    for index in np.ndindex(phys.shape[:2]):
+        assert np.array_equal(spec[index], to_spectral(g, phys[index]))
+    back = to_physical(g, spec, scale=1.0)
+    assert back.shape == phys.shape
+    for index in np.ndindex(phys.shape[:2]):
+        assert np.array_equal(back[index], to_physical(g, spec[index], scale=1.0))
+    assert np.array_equal(dealias(g, spec)[1, 2], dealias(g, spec[1, 2]))
+    with pytest.raises(ValueError, match="shape"):
+        to_physical(g, np.zeros((3, g.ny, g.nx), dtype=complex))
+
+
+def test_stacked_check_names_the_offending_slice_and_mode(rng):
+    g = GRID_12x8
+    c = to_spectral(g, rng.standard_normal((3, g.nx, g.ny)))
+    c[1, 2, 3] += 1e-3 * np.max(np.abs(c[1]))  # (kx index 2, ky index 3)
+    with pytest.raises(ValueError) as err:
+        to_physical(g, c)
+    msg = str(err.value)
+    assert "slice 1" in msg
+    assert "kx index 2, ky index 3" in msg
+
+
+def test_each_stacked_slice_is_judged_against_its_own_amplitude(rng):
+    g = GRID_12x8
+    big = to_spectral(g, 1e3 * rng.standard_normal((g.nx, g.ny)))
+    # round-off noise: asymmetric relative to itself, negligible beside big;
+    # a check against the whole stack's amplitude would let it through
+    noise = 1e-14 * (rng.standard_normal((g.nx, g.ny))
+                     + 1j * rng.standard_normal((g.nx, g.ny)))
+    with pytest.raises(ValueError, match=r"non-Hermitian spectral field \(slice 1\)"):
+        to_physical(g, np.stack((big, noise)))
+    # symmetric within the caller's scale, but its imaginary part is far above
+    # round-off of its own (zero) real field, however large big's field is
+    tilted = np.full((g.nx, g.ny), 4e-13j)
+    with pytest.raises(ValueError, match=r"imaginary residual \(slice 1\)"):
+        to_physical(g, np.stack((big, tilted)), scale=1.0)
+    to_physical(g, np.stack((big, noise)), scale=1.0)  # passes on the caller's scale

@@ -148,15 +148,42 @@ def test_sweep_continues_after_a_failed_window(tmp_path, small_cfg, capsys,
     assert math.isfinite(float(rows[2]["l2_eta"]))
 
 
-def test_validate_fast_battery_passes(capsys):
-    assert harness.main(["validate", "--level", "fast"]) == 0
+FAST_CHECKS = ("check_roundtrip", "check_small_grid_oracles", "check_exact_exp_group",
+               "check_cheb_vs_exact", "check_steady_jet", "check_linear_step",
+               "check_convergence")
+
+
+def test_validate_fast_battery_passes(tmp_path, monkeypatch, capsys):
+    # every check runs for real in tests/test_acceptance.py; this pins the
+    # command: each fast check once, in order, drawing from the config's seed
+    calls = []
+
+    def stub(name):
+        def check(*args):
+            calls.append((name, args))
+            return CheckResult(name=name, ok=True, detail="stubbed")
+        return check
+
+    for name in FAST_CHECKS:
+        monkeypatch.setattr(validation, name, stub(name))
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("seed = 3\n")
+    assert harness.main(["validate", "--level", "fast", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert [name for name, _args in calls] == list(FAST_CHECKS)
+    rngs = [args[0] for _name, args in calls if args]
+    assert len(rngs) == 5 and all(r is rngs[0] for r in rngs)
+    assert np.array_equal(rngs[0].standard_normal(4),
+                          np.random.default_rng(3).standard_normal(4))
+    for name in FAST_CHECKS:
+        assert any(line.startswith(name) and "PASS" in line
+                   for line in out.splitlines()), name
+    assert "7/7 checks passed" in out
     assert "FAIL" not in out
 
 
 def test_validate_reports_failures(monkeypatch, capsys):
-    def rigged(level, seed, workers, cfg):
+    def rigged(level, cfg):
         return [CheckResult(name="always wrong", ok=False, detail="synthetic")]
 
     monkeypatch.setattr(harness, "run_validation", rigged)
@@ -176,7 +203,7 @@ def test_validate_full_checks_the_configured_case(monkeypatch):
         return real_run(state, config, params, t_end, **kwargs)
 
     monkeypatch.setattr(validation, "run", spy)
-    result = validation.check_window_sweep(cfg, workers=1)
+    result = validation.check_window_sweep(cfg)
     assert result.name == "averaging window has an interior optimum"
     # the fine reference is set up as `phaseswe reference` sets it up (exact,
     # ref_dt, M = 0); every window uses the configured propagator and resolves

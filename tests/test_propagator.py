@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phaseswe.dynamics import energy_norm, flat_bottom, max_frequency
+from phaseswe.grid import make_grid
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp,
                                  choose_npoly, exact_exp, propagate)
@@ -137,3 +138,18 @@ def test_cheb_preserves_hermitian_symmetry(grid32, rng):
     for c in (out.u, out.v, out.eta):
         assert hermitian_residual(c) <= 1e-13 * scale
     to_physical(grid32, out.eta)  # symmetry gate passes without projection
+
+
+def test_cheb_matches_dense_exponential_on_anisotropic_grid(rng):
+    # nx != ny and Lx != Ly: swapped kx and ky couplings would show here
+    grid = make_grid(12, 8, 1.5e6, 1.0e6)
+    params = flat(grid)
+    state = band_limited_state(grid, rng)
+    spec = PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0, tol=1e-12)
+    for t in (3600.0, -1800.0):
+        got = cheb_exp(t, state, params, spec)
+        want = dense_exp(t, state, params)
+        scale = max(np.max(np.abs(c)) for c in (want.u, want.v, want.eta))
+        for name in ("u", "v", "eta"):
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-10 * scale
+        assert got.t == state.t + t
