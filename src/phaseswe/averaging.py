@@ -8,9 +8,12 @@ with weights w_k proportional to the one kernel, the compactly supported bump
 rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 2019), normalised to sum exactly to one.  The bump vanishes with all
 derivatives at the window edges, so the endpoint nodes carry zero weight.
-Node evaluations are independent and may run concurrently; the
-weighted reduction always runs in ascending node order on the calling thread,
-so results are bitwise identical for any worker count.
+The forward shifts e^{L s_k} U all act on one U, so they come from one
+propagator.forward_shift (on the exact route: L U and L^2 U once per averaged
+tendency); each backward e^{-L s_k} N_k is a propagate call.  Node
+evaluations are independent and may run concurrently; the weighted reduction
+always runs in ascending node order on the calling thread, so results are
+bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhysicsParams, State, apply_nonlinear
-from .propagator import PropagatorSpec, propagate
+from .propagator import PropagatorSpec, forward_shift, propagate
 
 __all__ = [
     "Quadrature",
@@ -101,14 +104,17 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
     tendency, say) to exercise the purely linear part of a scheme.
     """
     live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
+    # on the calling thread, so pool threads share one L U and L^2 U; a
+    # quadrature whose only live node is s = 0 needs no shift at all
+    shift = (forward_shift(state, params, propagator_spec)
+             if any(quadrature.s[i] != 0.0 for i in live) else None)
 
     def term(i: int) -> State:
         s = float(quadrature.s[i])
         try:
             if s == 0.0:
                 return nonlinear(state, params)
-            shifted = propagate(s, state, params, propagator_spec)
-            tend = nonlinear(shifted, params)
+            tend = nonlinear(shift(s), params)
             return propagate(-s, tend, params, propagator_spec)
         except Exception as exc:
             k = i - quadrature.M

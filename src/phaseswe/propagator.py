@@ -5,7 +5,15 @@ Per mode, L satisfies L^3 = -omega^2 L, so the exponential has the closed form
     e^{Lt} = I + (sin(omega t)/omega) L + ((1 - cos(omega t))/omega^2) L^2
 
 with the omega -> 0 limit I + t L.  This is exact (to round-off) and serves
-as the oracle for the iterative route.
+as the oracle for the iterative route.  Its cost is paid in tables: the
+per-mode couplings of L and omega are cached per (nx, ny, Lx, Ly, f, g, H),
+and c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 per |t|
+(c1 is odd, c2 even), filled on first use.  A run only asks for the few
+times its StepConfig fixes (the node shifts s_k, dt and dt/2), so the
+trigonometry is evaluated once per distinct |t|.  L is applied through the
+cached couplings into stacked (3, nx, ny) arrays, with no State built per
+application, and forward_shift computes L U and L^2 U once for all the
+shifts e^{L s_k} U of one averaged tendency.
 
 The Chebyshev route approximates e^{l} for l on the spectral interval
 i[-Lambda, Lambda] by a degree-n polynomial evaluated matrix-free through
@@ -26,11 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
 
-from .dynamics import PhysicsParams, State, apply_linear, dispersion_omega, max_frequency
+# apply_linear stays a module attribute: perfbench/tracing.py patches it here
+from .dynamics import PhysicsParams, State, apply_linear, dispersion_omega  # noqa: F401
+from .grid import SpectralGrid, make_grid
 
 __all__ = [
     "PropagatorSpec",
@@ -39,6 +51,7 @@ __all__ = [
     "choose_npoly",
     "cheb_exp",
     "propagate",
+    "forward_shift",
 ]
 
 DEFAULT_CHEB_TOL = 1e-10
@@ -75,21 +88,118 @@ class PropagatorSpec:
                    n_poly=choose_npoly(Lambda, tol))
 
 
+# Table sizes.  A step asks for at most M + 2 distinct |t| (the live node
+# shifts, dt and dt/2), so a step's whole set stays cached for M up to 62;
+# each entry is two real (nx, ny) arrays.
+_COUPLING_TABLES = 8
+_COEFF_TABLES = 64
+
+
+class _Couplings(NamedTuple):
+    """Per-mode entries of L: the rotation scalar f, the (nx, ny) gradient
+    couplings -g i kx, -g i ky, -H i kx, -H i ky, and omega."""
+
+    f: float
+    gx: np.ndarray
+    gy: np.ndarray
+    hx: np.ndarray
+    hy: np.ndarray
+    omega: np.ndarray
+    max_omega: float
+
+    def scaled(self, c: float) -> "_Couplings":
+        """The couplings of c L."""
+        return self._replace(f=c * self.f, gx=c * self.gx, gy=c * self.gy,
+                             hx=c * self.hx, hy=c * self.hy)
+
+
+def _table_key(grid: SpectralGrid, params: PhysicsParams) -> tuple:
+    """The values L depends on: (nx, ny, Lx, Ly, f, g, H)."""
+    return (grid.nx, grid.ny, grid.Lx, grid.Ly,
+            float(params.f), float(params.g), float(params.H))
+
+
+@lru_cache(maxsize=_COUPLING_TABLES)
+def _couplings(nx: int, ny: int, Lx: float, Ly: float,
+               f: float, g: float, H: float) -> _Couplings:
+    """Read-only couplings of L, cached per (nx, ny, Lx, Ly, f, g, H)."""
+    kx2, ky2 = make_grid(nx, ny, Lx, Ly).wavenumber_mesh()
+    # full (nx, ny) arrays: a broadcast (nx, 1) complex multiply is slower
+    ikx, iky = 1j * np.stack(np.broadcast_arrays(kx2, ky2))
+    # dispersion_omega reads only f, g and H from its params
+    omega = dispersion_omega((kx2, ky2), SimpleNamespace(f=f, g=g, H=H))
+    arrays = ((-g) * ikx, (-g) * iky, (-H) * ikx, (-H) * iky, omega)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Couplings(f, *arrays, float(np.max(omega)))
+
+
+@lru_cache(maxsize=_COEFF_TABLES)
+def _exp_coeffs(key: tuple, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only c1(|t|) = sin(omega t)/omega and c2(|t|) = (1 - cos omega t)/omega^2,
+    with the omega = 0 limits |t| and t^2/2, for the couplings of key.
+
+    c1 is odd in t and c2 even, so one entry serves e^{Lt} and e^{-Lt}."""
+    om = _couplings(*key).omega
+    safe = np.where(om > 0.0, om, 1.0)
+    c1 = np.where(om > 0.0, np.sin(om * abs_t) / safe, abs_t)
+    c2 = np.where(om > 0.0, (1.0 - np.cos(om * abs_t)) / safe**2, 0.5 * abs_t * abs_t)
+    for arr in (c1, c2):
+        arr.setflags(write=False)
+    return c1, c2
+
+
+def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray) -> None:
+    """out += L q for stacked (3, nx, ny) arrays, L given by its couplings."""
+    out[0] += cp.f * q[1] + cp.gx * q[2]
+    out[1] += cp.gy * q[2] - cp.f * q[0]
+    out[2] += cp.hx * q[0] + cp.hy * q[1]
+
+
+def _linear(cp: _Couplings, q) -> np.ndarray:
+    """L q as a new stacked (3, nx, ny) array; q is a stacked array or a
+    (u, v, eta) tuple of fields."""
+    out = np.empty((3,) + q[0].shape, dtype=np.complex128)
+    np.multiply(q[1], cp.f, out=out[0])
+    out[0] += cp.gx * q[2]
+    np.multiply(cp.gy, q[2], out=out[1])
+    out[1] -= cp.f * q[0]
+    np.multiply(cp.hx, q[0], out=out[2])
+    out[2] += cp.hy * q[1]
+    return out
+
+
+def _from_stack(state: State, q: np.ndarray, t: float) -> State:
+    return replace(state, u=q[0], v=q[1], eta=q[2], t=state.t + t)
+
+
+def _closed_form(key: tuple, t: float, q, lu: np.ndarray, llu: np.ndarray) -> np.ndarray:
+    """e^{Lt} q = q + c1(t) L q + c2(t) L^2 q from the cached coefficients,
+    as a new stacked array."""
+    c1, c2 = _exp_coeffs(key, abs(t))
+    out = np.multiply(llu, c2)
+    tmp = np.empty_like(out[0])
+    combine = np.subtract if t < 0.0 else np.add  # c1 is odd in t
+    for i in range(3):
+        out[i] += q[i]
+        np.multiply(lu[i], c1, out=tmp)
+        combine(out[i], tmp, out=out[i])
+    return out
+
+
+def _exact_shift(state: State, params: PhysicsParams) -> Callable[[float], State]:
+    """t -> e^{Lt} state, with L state and L^2 state computed once here."""
+    key = _table_key(state.grid, params)
+    cp = _couplings(*key)
+    q = (state.u, state.v, state.eta)
+    lu = _linear(cp, q)
+    llu = _linear(cp, lu)
+    return lambda t: _from_stack(state, _closed_form(key, t, q, lu, llu), t)
+
+
 def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
     """Apply e^{Lt} exactly via the per-mode closed form; advances the time stamp."""
-    g = state.grid
-    kx2, ky2 = g.wavenumber_mesh()
-    om = dispersion_omega((kx2, ky2), params)
-    safe = np.where(om > 0.0, om, 1.0)
-    c1 = np.where(om > 0.0, np.sin(om * t) / safe, t)
-    c2 = np.where(om > 0.0, (1.0 - np.cos(om * t)) / safe**2, 0.5 * t * t)
-    lu = apply_linear(state, params)
-    llu = apply_linear(lu, params)
-    return replace(state,
-                   u=state.u + c1 * lu.u + c2 * llu.u,
-                   v=state.v + c1 * lu.v + c2 * llu.v,
-                   eta=state.eta + c1 * lu.eta + c2 * llu.eta,
-                   t=state.t + t)
+    return _exact_shift(state, params)(t)
 
 
 @lru_cache(maxsize=64)
@@ -149,42 +259,30 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
         raise ValueError(f"cheb_exp needs a chebyshev spec, got kind {spec.kind!r}")
     if t == 0.0:
         return state
-    lam_needed = abs(t) * max_frequency(state.grid, params)
+    cp = _couplings(*_table_key(state.grid, params))
+    lam_needed = abs(t) * cp.max_omega
     if lam_needed > spec.Lambda * (1.0 + 1e-9):
         raise ValueError(
             f"|t| * max_frequency = {lam_needed:.6g} exceeds Lambda = "
             f"{spec.Lambda:.6g}; enlarge Lambda or shorten t")
 
     a = cheb_coeffs(spec.Lambda, spec.n_poly)
-    # the couplings of (2 t / Lambda) L per mode: a scalar for rotation and
-    # full (nx, ny) arrays for the gradients, which multiply faster than
-    # broadcast (nx, 1) and (1, ny) vectors
-    c = 2.0 * t / spec.Lambda
-    ik = 1j * np.stack(np.broadcast_arrays(*state.grid.wavenumber_mesh()))
-    f = c * params.f
-    gx, gy = (-c * params.g) * ik
-    hx, hy = (-c * params.H) * ik
-
-    def add_linear(q: np.ndarray, out: np.ndarray) -> None:
-        # out += (2 t / Lambda) L q
-        out[0] += f * q[1] + gx * q[2]
-        out[1] += gy * q[2] - f * q[0]
-        out[2] += hx * q[0] + hy * q[1]
+    scaled = cp.scaled(2.0 * t / spec.Lambda)
 
     # Q_{k+1} = (2 t / Lambda) L Q_k + Q_{k-1} overwrites Q_{k-1}'s buffer,
     # so the recurrence runs on two (3, nx, ny) arrays and one accumulator
     q_prev = np.stack((state.u, state.v, state.eta))
     q = np.zeros_like(q_prev)
-    add_linear(q_prev, q)
+    _add_linear(scaled, q_prev, q)
     q *= 0.5
     acc = a[0] * q_prev + a[1] * q
     for k in range(2, spec.n_poly + 1):
-        add_linear(q, q_prev)
+        _add_linear(scaled, q, q_prev)
         acc += a[k] * q_prev
         q_prev, q = q, q_prev
     # real coefficients and a real recurrence keep Hermitian inputs Hermitian,
     # so no symmetry projection is needed here
-    return replace(state, u=acc[0], v=acc[1], eta=acc[2], t=state.t + t)
+    return _from_stack(state, acc, t)
 
 
 def propagate(t: float, state: State, params: PhysicsParams,
@@ -193,3 +291,17 @@ def propagate(t: float, state: State, params: PhysicsParams,
     if spec.kind == "exact":
         return exact_exp(t, state, params)
     return cheb_exp(t, state, params, spec)
+
+
+def forward_shift(state: State, params: PhysicsParams,
+                  spec: PropagatorSpec) -> Callable[[float], State]:
+    """The map s -> e^{Ls} state, for many s applied to one state.
+
+    On the exact route L state and L^2 state are computed once, here, and
+    each shift only combines them with the cached coefficients; the result
+    is bitwise exact_exp(s, state, params).  On the Chebyshev route each
+    shift is a cheb_exp call.
+    """
+    if spec.kind == "exact":
+        return _exact_shift(state, params)
+    return lambda s: cheb_exp(s, state, params, spec)

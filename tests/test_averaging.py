@@ -1,14 +1,17 @@
 """Quadrature construction and the phase-averaged nonlinear tendency."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from phaseswe import propagator
 from phaseswe.averaging import (Quadrature, averaged_tendency,
                                 default_node_count, kernel_weights)
-from phaseswe.dynamics import (apply_nonlinear, energy_norm, flat_bottom,
-                               max_frequency)
+from phaseswe.dynamics import (PhysicsParams, apply_nonlinear, energy_norm,
+                               flat_bottom, max_frequency)
+from phaseswe.grid import dealias, make_grid, to_spectral
 from phaseswe.oracles import band_limited_state
 from phaseswe.propagator import PropagatorSpec, propagate
 
@@ -75,32 +78,41 @@ def test_default_node_count_resolves_fastest_phase():
     assert default_node_count(28800.0, lam) == 16
 
 
-def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
-    params = flat(grid32)
-    state = band_limited_state(grid32, rng)
-    quad = kernel_weights(1800.0, 3)
-    spec = PropagatorSpec.exact()
-    got = averaged_tendency(state, quad, params, spec)
+def topography(grid):
+    # a smooth ridge of amplitude 200 m, not aligned with either axis
+    x, y = grid.x[:, None], grid.y[None, :]
+    ridge = 200.0 * np.cos(2.0 * np.pi * (x / grid.Lx + y / grid.Ly))
+    return PhysicsParams(f=F0, g=G0, H=H0, b=dealias(grid, to_spectral(grid, ridge)))
 
-    acc_u = np.zeros_like(state.u)
-    acc_v = np.zeros_like(state.v)
-    acc_eta = np.zeros_like(state.eta)
-    for i in range(len(quad.s)):
-        w = quad.w[i]
-        if w == 0.0:
-            continue
-        s = float(quad.s[i])
-        if s == 0.0:
-            term = apply_nonlinear(state, params)
-        else:
-            term = propagate(-s, apply_nonlinear(
-                propagate(s, state, params, spec), params), params, spec)
-        acc_u += w * term.u
-        acc_v += w * term.v
-        acc_eta += w * term.eta
-    assert np.array_equal(got.u, acc_u)
-    assert np.array_equal(got.v, acc_v)
-    assert np.array_equal(got.eta, acc_eta)
+
+def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
+    # the 12 x 8 grid has Lx != Ly and carries topography
+    grid12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
+    for grid, params in ((grid32, flat(grid32)), (grid12x8, topography(grid12x8))):
+        state = band_limited_state(grid, rng)
+        quad = kernel_weights(1800.0, 3)
+        spec = PropagatorSpec.exact()
+        got = averaged_tendency(state, quad, params, spec)
+
+        acc_u = np.zeros_like(state.u)
+        acc_v = np.zeros_like(state.v)
+        acc_eta = np.zeros_like(state.eta)
+        for i in range(len(quad.s)):
+            w = quad.w[i]
+            if w == 0.0:
+                continue
+            s = float(quad.s[i])
+            if s == 0.0:
+                term = apply_nonlinear(state, params)
+            else:
+                term = propagate(-s, apply_nonlinear(
+                    propagate(s, state, params, spec), params), params, spec)
+            acc_u += w * term.u
+            acc_v += w * term.v
+            acc_eta += w * term.eta
+        assert np.array_equal(got.u, acc_u)
+        assert np.array_equal(got.v, acc_v)
+        assert np.array_equal(got.eta, acc_eta)
 
 
 def test_zero_window_reduces_to_plain_nonlinearity(grid32, rng):
@@ -148,6 +160,28 @@ def test_result_is_bitwise_independent_of_worker_count(grid32, rng):
         assert np.array_equal(parallel.u, serial.u)
         assert np.array_equal(parallel.v, serial.v)
         assert np.array_equal(parallel.eta, serial.eta)
+
+
+def test_pool_filling_empty_tables_matches_serial(grid32, rng):
+    # eight threads may miss the same table entries at once; whichever copy
+    # the cache keeps, every thread computes the same values
+    params = flat(grid32)
+    state = band_limited_state(grid32, rng)
+    quad = kernel_weights(3600.0, 4)
+    spec = PropagatorSpec.exact()
+    propagator._couplings.cache_clear()
+    propagator._exp_coeffs.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the misses too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            pooled = averaged_tendency(state, quad, params, spec, executor=pool)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = averaged_tendency(state, quad, params, spec)
+    assert np.array_equal(pooled.u, serial.u)
+    assert np.array_equal(pooled.v, serial.v)
+    assert np.array_equal(pooled.eta, serial.eta)
 
 
 def test_node_failure_reports_node_index(grid32, rng):

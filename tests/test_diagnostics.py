@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from phaseswe import diagnostics
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
-                                  linf_error_eta, make_error_report)
+                                  linf_error_eta, make_error_report, physical_fields)
 from phaseswe.dynamics import PhysicsParams, State, flat_bottom
 from phaseswe.grid import dealias, to_spectral
+from phaseswe.oracles import band_limited_state
 from phaseswe.testcase import default_case, mountain
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
@@ -102,3 +104,25 @@ def test_error_report_assembly(grid32):
     assert report.linf_eta == 0.0
     assert report.energy_drift == 0.0
     assert report.mass_drift == 0.0
+
+
+def test_error_report_transforms_each_state_once(grid32, rng, monkeypatch):
+    case = default_case()
+    params = PhysicsParams(f=case.f, g=case.g, H=case.H, b=mountain(case, grid32))
+    initial, test, ref = (band_limited_state(grid32, rng) for _ in range(3))
+    l2, linf = l2_error_normalized(test, ref), linf_error_eta(test, ref)
+    e0, m0 = energy_mass(initial, params)
+    e1, m1 = energy_mass(test, params)
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return physical_fields(state)
+
+    monkeypatch.setattr(diagnostics, "physical_fields", counted)
+    report = make_error_report(test, ref, params, initial)
+    assert len(calls) == 3
+    assert {id(s) for s in calls} == {id(initial), id(test), id(ref)}
+    assert (report.l2_eta, report.l2_u) == l2 and report.linf_eta == linf
+    assert report.energy_drift == abs(e1 - e0) / abs(e0)
+    assert report.mass_drift == abs(m1 - m0) / abs(m0)

@@ -3,29 +3,38 @@
 import numpy as np
 import pytest
 
-from phaseswe.dynamics import energy_norm, flat_bottom, max_frequency
+from phaseswe import propagator
+from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
 from phaseswe.grid import make_grid
+from phaseswe.integrator import make_step_config, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp,
-                                 choose_npoly, exact_exp, propagate)
+                                 choose_npoly, exact_exp, forward_shift, propagate)
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
+GRID_12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
 
 
 def flat(grid):
     return flat_bottom(grid, F0, G0, H0)
 
 
+def assert_matches_dense(got, state, params, t, rtol):
+    want = dense_exp(t, state, params)
+    scale = max(np.max(np.abs(c)) for c in (want.u, want.v, want.eta))
+    for name in ("u", "v", "eta"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= rtol * scale
+    assert got.t == state.t + t
+
+
 def test_exact_exp_matches_dense_matrix_exponential(grid8, rng):
-    params = flat(grid8)
-    state = band_limited_state(grid8, rng)
-    for t in (500.0, -250.0):
-        got = exact_exp(t, state, params)
-        want = dense_exp(t, state, params)
-        scale = max(np.max(np.abs(c)) for c in (want.u, want.v, want.eta))
-        for a, b in ((got.u, want.u), (got.v, want.v), (got.eta, want.eta)):
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale
-        assert got.t == state.t + t
+    # the 12 x 8 grid has Lx != Ly, so swapped kx and ky couplings would show;
+    # f = 0 puts omega = 0 at the mean mode, the closed form's limit branch
+    for grid, f in ((grid8, F0), (GRID_12x8, F0), (GRID_12x8, 0.0)):
+        params = flat_bottom(grid, f, G0, H0)
+        state = band_limited_state(grid, rng)
+        for t in (500.0, -250.0):
+            assert_matches_dense(exact_exp(t, state, params), state, params, t, 1e-12)
 
 
 def test_mean_mode_rotates_at_inertial_frequency(grid32):
@@ -33,7 +42,6 @@ def test_mean_mode_rotates_at_inertial_frequency(grid32):
     n2 = grid32.nx * grid32.ny
     u = np.zeros((32, 32), dtype=complex)
     u[0, 0] = n2  # physical u = 1 everywhere
-    from phaseswe.dynamics import State
     state = State(grid=grid32, u=u, v=np.zeros_like(u), eta=np.zeros_like(u))
     quarter = np.pi / (2.0 * F0)
     out = exact_exp(quarter, state, params)
@@ -142,14 +150,58 @@ def test_cheb_preserves_hermitian_symmetry(grid32, rng):
 
 def test_cheb_matches_dense_exponential_on_anisotropic_grid(rng):
     # nx != ny and Lx != Ly: swapped kx and ky couplings would show here
-    grid = make_grid(12, 8, 1.5e6, 1.0e6)
-    params = flat(grid)
-    state = band_limited_state(grid, rng)
-    spec = PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0, tol=1e-12)
+    params = flat(GRID_12x8)
+    state = band_limited_state(GRID_12x8, rng)
+    spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0, tol=1e-12)
     for t in (3600.0, -1800.0):
-        got = cheb_exp(t, state, params, spec)
-        want = dense_exp(t, state, params)
-        scale = max(np.max(np.abs(c)) for c in (want.u, want.v, want.eta))
-        for name in ("u", "v", "eta"):
-            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-10 * scale
-        assert got.t == state.t + t
+        assert_matches_dense(cheb_exp(t, state, params, spec), state, params, t, 1e-10)
+
+
+def test_exp_tables_are_keyed_on_grid_and_physics_values(rng):
+    # grids that differ only in Lx, and params that differ only in H, share
+    # shapes; a table keyed on shape or on object identity would reuse the
+    # first entry for the second
+    wide = make_grid(12, 8, 3.0e6, 1.0e6)
+    state = band_limited_state(GRID_12x8, rng)
+    cases = [(GRID_12x8, H0), (wide, H0), (GRID_12x8, 2.0 * H0)]
+    for grid, depth in cases:
+        params = flat_bottom(grid, F0, G0, depth)
+        s = State(grid=grid, u=state.u, v=state.v, eta=state.eta)
+        for t in (900.0, -900.0):
+            assert_matches_dense(exact_exp(t, s, params), s, params, t, 1e-12)
+
+
+def test_forward_shift_is_bitwise_propagate(rng):
+    params = flat(GRID_12x8)
+    state = band_limited_state(GRID_12x8, rng)
+    lam = max_frequency(GRID_12x8, params) * 3600.0
+    for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
+        shift = forward_shift(state, params, spec)
+        for s in (900.0, -1800.0, 3600.0, 900.0):
+            got, want = shift(s), propagate(s, state, params, spec)
+            for name in ("u", "v", "eta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.t == want.t
+
+
+def test_step_fills_coefficient_table_with_its_distinct_times(rng):
+    params = flat(GRID_12x8)
+    state = band_limited_state(GRID_12x8, rng)
+    table = propagator._exp_coeffs
+    table.cache_clear()
+    config = make_step_config(GRID_12x8, params, 3600.0, T=3600.0, M=4)
+    assert table.cache_info().currsize == 0  # filled during the solve only
+    quad = config.quadrature
+    # live shifts 900, 1800, 2700 s, plus dt and dt/2 (dt/2 = 1800 s again)
+    times = {abs(float(s)) for s, w in zip(quad.s, quad.w) if w != 0.0 and s != 0.0}
+    times |= {config.dt, 0.5 * config.dt}
+    assert len(times) == 4
+    out = step_averaged_ssprk3(state, config, params)
+    info = table.cache_info()
+    assert info.currsize == info.misses == len(times)
+    key = propagator._table_key(GRID_12x8, params)
+    for t in times:
+        table(key, t)
+    assert table.cache_info().misses == len(times)  # exactly those times
+    step_averaged_ssprk3(out, config, params)
+    assert table.cache_info().misses == len(times)
