@@ -7,7 +7,7 @@ transformed SSPRK3 stepper.
 """
 
 from .grid import (SpectralGrid, make_grid, to_spectral, to_physical, dealias,
-                   hermitian_residual, integrate_product)
+                   integrate_product)
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
                        dispersion_omega, max_frequency, energy_inner,
                        energy_norm, flat_bottom)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SpectralGrid", "make_grid", "to_spectral", "to_physical", "dealias",
-    "hermitian_residual", "integrate_product",
+    "integrate_product",
     "PhysicsParams", "State", "apply_linear", "apply_nonlinear",
     "dispersion_omega", "max_frequency", "energy_inner", "energy_norm",
     "flat_bottom",

@@ -21,12 +21,10 @@ __all__ = [
 
 
 def physical_fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Physical (u, v, eta); u and v share one symmetry-check scale, so a
-    component that is pure cancellation residue (v of a zonal jet) passes."""
-    g = state.grid
-    vel_scale = max(float(np.max(np.abs(state.u))), float(np.max(np.abs(state.v))))
-    u, v = to_physical(g, np.stack((state.u, state.v)), vel_scale)
-    return u, v, to_physical(g, state.eta)
+    """Physical (u, v, eta) of a spectral state, from one inverse transform of
+    the stacked (3, nx, ny) coefficients."""
+    u, v, eta = to_physical(state.grid, np.stack((state.u, state.v, state.eta)))
+    return u, v, eta
 
 
 def l2_error_normalized(test: State, ref: State) -> tuple[float, float]:

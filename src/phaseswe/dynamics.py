@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.fft
 
-from .grid import SpectralGrid, dealias, hermitian_residual, to_physical, to_spectral
+from .grid import SpectralGrid, dealias, to_physical, to_spectral
 
 __all__ = [
     "PhysicsParams",
@@ -36,10 +36,11 @@ __all__ = [
 class PhysicsParams:
     """Physical constants and bottom topography.
 
-    b is a spectral field (Hermitian-symmetric, already dealiased where it
-    matters); its physical maximum must stay below the mean depth H.  b_phys,
-    the physical topography, is computed once here for that check and kept
-    for the diagnostics.
+    b is the spectral field of a real topography, already dealiased where it
+    matters; its physical maximum must stay below the mean depth H.  b_phys,
+    the physical topography, is computed once here for that check, by the
+    same half-spectrum inverse as grid.to_physical, and kept for the
+    diagnostics.
     """
 
     f: float
@@ -57,17 +58,13 @@ class PhysicsParams:
         object.__setattr__(self, "b", b)
         if b.ndim != 2:
             raise ValueError(f"b must be a 2D spectral field, got shape {b.shape}")
-        scale = float(np.max(np.abs(b)))
-        if scale > 0.0 and hermitian_residual(b) > 1e-9 * scale:
-            raise ValueError("topography b must be Hermitian-symmetric")
-        b_phys = scipy.fft.ifft2(b).real
+        b_phys = scipy.fft.irfft2(b[:, : b.shape[1] // 2 + 1], s=b.shape)
         b_phys.setflags(write=False)
         object.__setattr__(self, "b_phys", b_phys)
-        if scale > 0.0:
-            bmax = float(b_phys.max())
-            if bmax >= self.H:
-                raise ValueError(
-                    f"topography peak {bmax:.6g} must stay below H = {self.H:.6g}")
+        bmax = float(b_phys.max())
+        if bmax >= self.H:
+            raise ValueError(
+                f"topography peak {bmax:.6g} must stay below H = {self.H:.6g}")
 
 
 def flat_bottom(grid: SpectralGrid, f: float, g: float, H: float) -> PhysicsParams:
@@ -161,14 +158,9 @@ def apply_nonlinear(state: State, params: PhysicsParams) -> State:
 
     # (u, v, eta - b) truncated to the band, one stacked array
     c = dealias(g, np.stack((state.u, state.v, state.eta - params.b)))
-    # one scale for the whole state so cancellation-residue fields (a zero
-    # velocity component, say) pass the symmetry check in to_physical
-    scale = float(np.max(np.abs(c)))
-    u, v, depth = to_physical(g, c, scale)
-    kscale = scale * max(float(np.max(np.abs(g.kx))), float(np.max(np.abs(g.ky))))
+    u, v, depth = to_physical(g, c)
     cu, cv = c[0], c[1]
-    ux, uy, vx, vy = to_physical(g, np.stack((ikx * cu, iky * cu, ikx * cv, iky * cv)),
-                                 kscale)
+    ux, uy, vx, vy = to_physical(g, np.stack((ikx * cu, iky * cu, ikx * cv, iky * cv)))
 
     products = np.stack((-(u * ux + v * uy), -(u * vx + v * vy), u * depth, v * depth))
     du, dv, flux_x, flux_y = to_spectral(g, products)

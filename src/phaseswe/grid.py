@@ -7,9 +7,12 @@ transform is unnormalised, the 1/(nx*ny) factor lives in the inverse, so a
 constant field 1.0 transforms to nx*ny in the (0, 0) slot and a round trip
 reproduces the input to round-off.
 
+Every field the package builds is the transform of a real field, so its
+coefficients are Hermitian-symmetric, c(-k) = conj(c(k)); the operators keep
+that symmetry, and the tests check it rather than the transforms.  The
+inverse transform reads only the ky >= 0 half and is real by construction.
 The transforms are ``scipy.fft`` over the last two axes and accept a stack of
-fields, shape (..., nx, ny); every check in to_physical is made slice by
-slice, so one call on a stack raises exactly when one call per slice would.
+fields, shape (..., nx, ny).
 """
 
 from __future__ import annotations
@@ -25,15 +28,8 @@ __all__ = [
     "to_spectral",
     "to_physical",
     "dealias",
-    "hermitian_residual",
     "integrate_product",
 ]
-
-# Relative tolerance for the Hermitian-symmetry and imaginary-residual checks
-# in to_physical.  All operators preserve symmetry exactly, so trajectories sit
-# far below this; tripping it means a genuinely inconsistent field.
-HERMITIAN_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SpectralGrid:
@@ -132,86 +128,18 @@ def to_spectral(grid: SpectralGrid, phys: np.ndarray) -> np.ndarray:
     return scipy.fft.fft2(phys.astype(np.float64, copy=False))
 
 
-# (block, mirror block) index pairs along one axis: the negated wavevector
-# maps index 0 to itself and 1 .. n-1 to n-1 .. 1
-_MIRROR = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse transform of spectral coefficients, one (nx, ny) field or a
+    stack (..., nx, ny), to real physical fields.
 
-
-def _hermitian_defect(c: np.ndarray) -> np.ndarray:
-    """|c(k) - conj(c(-k))| per mode over the last two axes, with c(-k) read
-    through reversed views of c."""
-    d = np.empty_like(c)
-    for rows, mirror_rows in _MIRROR:
-        for cols, mirror_cols in _MIRROR:
-            np.conjugate(c[..., mirror_rows, mirror_cols], out=d[..., rows, cols])
-    np.subtract(c, d, out=d)
-    return np.abs(d)
-
-
-def hermitian_residual(c: np.ndarray) -> float:
-    """Max absolute deviation of c from Hermitian symmetry c(-k) = conj(c(k))."""
-    return float(np.max(_hermitian_defect(np.asarray(c))))
-
-
-def _first_failure(failed: np.ndarray, stack_shape: tuple) -> tuple[int, str]:
-    """Flat index of the first failing slice and its label for a message
-    ("" for a single field), or (-1, "") when none fails."""
-    hits = np.flatnonzero(failed)
-    if hits.size == 0:
-        return -1, ""
-    k = int(hits[0])
-    if not stack_shape:
-        return k, ""
-    index = np.unravel_index(k, stack_shape)
-    return k, f" (slice {', '.join(str(int(i)) for i in index)})"
-
-
-def to_physical(grid: SpectralGrid, coeffs: np.ndarray,
-                scale: float | None = None) -> np.ndarray:
-    """Inverse transform of Hermitian-symmetric coefficients to a real field.
-
-    coeffs is one (nx, ny) field or a stack (..., nx, ny); each slice is
-    checked on its own, against its own amplitude.  scale, when given, is the
-    coefficient magnitude of the data the fields were computed from;
-    asymmetry is judged against the larger of it and the slice's maximum.
-    Fields that are pure cancellation residue (for example a velocity
-    component that stays at round-off on a symmetric flow) would otherwise
-    fail a check relative to their own maximum.
-
-    Raises
-    ------
-    ValueError
-        If a slice does not satisfy c(-k) = conj(c(k)) to within
-        ``HERMITIAN_RTOL`` relative to max(its largest coefficient, scale);
-        the message names the most offending mode, and the slice of a stack.
-        Also if the inverse transform leaves an imaginary part above
-        round-off of the slice's real field.
+    Only the ky >= 0 half, columns 0 .. ny/2, is read: the other half of a
+    real field's spectrum is its conjugate mirror, so the output is real by
+    construction and equals ifft2(coeffs).real for every state the package
+    builds.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    coeffs = np.asarray(coeffs)
     _check_shape(grid, coeffs, "spectral field", stacked=True)
-    stack_shape = coeffs.shape[:-2]
-    flat = coeffs.reshape(-1, grid.nx, grid.ny)
-    ref = np.abs(flat).max(axis=(1, 2))
-    if scale is not None:
-        ref = np.maximum(ref, float(scale))
-    defect = _hermitian_defect(flat)
-    worst = defect.max(axis=(1, 2))
-    k, where = _first_failure(worst > HERMITIAN_RTOL * ref, stack_shape)
-    if k >= 0:
-        i, j = np.unravel_index(int(defect[k].argmax()), defect.shape[1:])
-        wx = _wrap_indices(grid.nx)[i]
-        wy = _wrap_indices(grid.ny)[j]
-        raise ValueError(
-            f"non-Hermitian spectral field{where}: mode (kx index {wx}, ky index "
-            f"{wy}) has asymmetry {worst[k]:.3e} (relative {worst[k] / ref[k]:.3e})")
-    phys = scipy.fft.ifft2(flat)
-    amp = np.maximum(np.abs(phys.real).max(axis=(1, 2)), ref / (grid.nx * grid.ny))
-    imag = np.abs(phys.imag).max(axis=(1, 2))
-    k, where = _first_failure((amp > 0.0) & (imag > 1e-12 * amp + 1e-300), stack_shape)
-    if k >= 0:
-        raise ValueError(f"imaginary residual{where} {imag[k]:.3e} exceeds tolerance "
-                         f"(relative {imag[k] / amp[k]:.3e})")
-    return phys.real.reshape(coeffs.shape)
+    return scipy.fft.irfft2(coeffs[..., : grid.ny // 2 + 1], s=(grid.nx, grid.ny))
 
 
 def dealias(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from phaseswe import diagnostics
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
                                   linf_error_eta, make_error_report, physical_fields)
 from phaseswe.dynamics import PhysicsParams, State, flat_bottom
-from phaseswe.grid import dealias, to_spectral
+from phaseswe.grid import dealias, to_physical, to_spectral
 from phaseswe.oracles import band_limited_state
 from phaseswe.testcase import default_case, mountain
 
@@ -126,3 +126,18 @@ def test_error_report_transforms_each_state_once(grid32, rng, monkeypatch):
     assert (report.l2_eta, report.l2_u) == l2 and report.linf_eta == linf
     assert report.energy_drift == abs(e1 - e0) / abs(e0)
     assert report.mass_drift == abs(m1 - m0) / abs(m0)
+
+
+def test_physical_fields_is_one_stacked_transform(grid32, rng, monkeypatch):
+    state = band_limited_state(grid32, rng)
+    want = physical_fields(state)
+    calls = []
+
+    def counted(grid, arr):
+        calls.append(np.shape(arr))
+        return to_physical(grid, arr)
+
+    monkeypatch.setattr(diagnostics, "to_physical", counted)
+    got = physical_fields(state)
+    assert calls == [(3, 32, 32)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

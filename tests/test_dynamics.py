@@ -142,10 +142,6 @@ def test_params_validation(grid8, rng):
     tall = to_spectral(grid8, np.full((8, 8), 2.0 * H0))
     with pytest.raises(ValueError, match="peak"):
         PhysicsParams(f=F0, g=G0, H=H0, b=tall)
-    lopsided = zeros.copy()
-    lopsided[0, 3] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        PhysicsParams(f=F0, g=G0, H=H0, b=lopsided)
 
 
 def test_state_arithmetic(grid8, grid32, rng):

@@ -1,4 +1,4 @@
-"""Grid construction, transforms, Hermitian checks, dealiasing, quadrature."""
+"""Grid construction, transforms, dealiasing, quadrature."""
 
 import numpy as np
 import pytest
@@ -74,30 +74,6 @@ def test_constant_field_maps_to_mean_mode(grid32):
     assert np.max(np.abs(off)) <= 1e-10 * abs(c[0, 0])
 
 
-def test_hermitian_check_names_offending_mode(grid8):
-    c = np.zeros((8, 8), dtype=complex)
-    c[0, 3] = 1.0  # no conjugate partner at (0, -3)
-    with pytest.raises(ValueError) as err:
-        to_physical(grid8, c)
-    msg = str(err.value)
-    assert "kx index 0" in msg
-    assert "asymmetry" in msg
-
-
-def test_symmetry_check_judged_against_caller_scale(grid8, rng):
-    # round-off noise: wildly asymmetric relative to itself, negligible
-    # relative to the data it was computed from
-    noise = 1e-14 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    with pytest.raises(ValueError, match="non-Hermitian"):
-        to_physical(grid8, noise)
-    out = to_physical(grid8, noise, scale=1.0)
-    assert np.max(np.abs(out)) < 1e-12
-    # within the symmetry tolerance mode by mode, but the imaginary parts add
-    # up at one point to far more than round-off of the real field
-    with pytest.raises(ValueError, match="imaginary residual"):
-        to_physical(grid8, np.full((8, 8), 4e-13j), scale=1.0)
-
-
 def test_integrate_product_matches_riemann_sum(grid32, rng):
     a = rng.standard_normal((32, 32))
     b = rng.standard_normal((32, 32))
@@ -139,38 +115,21 @@ def test_stacked_transforms_equal_per_slice_calls(rng):
     assert spec.shape == phys.shape
     for index in np.ndindex(phys.shape[:2]):
         assert np.array_equal(spec[index], to_spectral(g, phys[index]))
-    back = to_physical(g, spec, scale=1.0)
+    back = to_physical(g, spec)
     assert back.shape == phys.shape
     for index in np.ndindex(phys.shape[:2]):
-        assert np.array_equal(back[index], to_physical(g, spec[index], scale=1.0))
+        assert np.array_equal(back[index], to_physical(g, spec[index]))
     assert np.array_equal(dealias(g, spec)[1, 2], dealias(g, spec[1, 2]))
     with pytest.raises(ValueError, match="shape"):
         to_physical(g, np.zeros((3, g.ny, g.nx), dtype=complex))
 
 
-def test_stacked_check_names_the_offending_slice_and_mode(rng):
+def test_inverse_equals_real_part_of_full_inverse(rng):
+    # the formula the benchmark checks its pinned states with; to_physical
+    # reads only the ky >= 0 half, Nyquist column included
     g = GRID_12x8
-    c = to_spectral(g, rng.standard_normal((3, g.nx, g.ny)))
-    c[1, 2, 3] += 1e-3 * np.max(np.abs(c[1]))  # (kx index 2, ky index 3)
-    with pytest.raises(ValueError) as err:
-        to_physical(g, c)
-    msg = str(err.value)
-    assert "slice 1" in msg
-    assert "kx index 2, ky index 3" in msg
-
-
-def test_each_stacked_slice_is_judged_against_its_own_amplitude(rng):
-    g = GRID_12x8
-    big = to_spectral(g, 1e3 * rng.standard_normal((g.nx, g.ny)))
-    # round-off noise: asymmetric relative to itself, negligible beside big;
-    # a check against the whole stack's amplitude would let it through
-    noise = 1e-14 * (rng.standard_normal((g.nx, g.ny))
-                     + 1j * rng.standard_normal((g.nx, g.ny)))
-    with pytest.raises(ValueError, match=r"non-Hermitian spectral field \(slice 1\)"):
-        to_physical(g, np.stack((big, noise)))
-    # symmetric within the caller's scale, but its imaginary part is far above
-    # round-off of its own (zero) real field, however large big's field is
-    tilted = np.full((g.nx, g.ny), 4e-13j)
-    with pytest.raises(ValueError, match=r"imaginary residual \(slice 1\)"):
-        to_physical(g, np.stack((big, tilted)), scale=1.0)
-    to_physical(g, np.stack((big, noise)), scale=1.0)  # passes on the caller's scale
+    c = to_spectral(g, rng.standard_normal((2, 3, g.nx, g.ny)))
+    got = to_physical(g, c)
+    want = np.fft.ifft2(c).real
+    assert got.dtype == np.float64 and got.shape == c.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

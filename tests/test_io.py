@@ -39,8 +39,7 @@ def test_snapshot_binary_layout(tmp_path, grid32, rng):
     write_snapshot(str(tmp_path), 0, state)
     raw = (tmp_path / "snap_0000000_u.f64").read_bytes()
     assert len(raw) == 32 * 32 * 8
-    u_scale = float(np.max(np.abs(state.u)))
-    u_phys = to_physical(grid32, state.u, u_scale)
+    u_phys = to_physical(grid32, state.u)
     assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(32, 32), u_phys)
     # row-major: the first ny values are the first x row
     assert np.array_equal(np.frombuffer(raw[:32 * 8], dtype="<f8"), u_phys[0])

@@ -1,15 +1,18 @@
 """Exponential propagators against dense-matrix and Bessel-function oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from phaseswe import propagator
 from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
 from phaseswe.grid import make_grid
-from phaseswe.integrator import make_step_config, step_averaged_ssprk3
+from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp,
                                  choose_npoly, exact_exp, forward_shift, propagate)
+from phaseswe.testcase import default_case, physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 GRID_12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
@@ -17,6 +20,13 @@ GRID_12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
 
 def flat(grid):
     return flat_bottom(grid, F0, G0, H0)
+
+
+def hermitian_defect(c):
+    """Largest |c(k) - conj(c(-k))|, with c(-k) read at (-i % nx, -j % ny)."""
+    nx, ny = c.shape
+    mirror = c[np.ix_(-np.arange(nx) % nx, -np.arange(ny) % ny)]
+    return float(np.max(np.abs(c - np.conj(mirror))))
 
 
 def assert_matches_dense(got, state, params, t, rtol):
@@ -136,16 +146,32 @@ def test_propagator_spec_validation():
 
 
 def test_cheb_preserves_hermitian_symmetry(grid32, rng):
-    from phaseswe.grid import hermitian_residual, to_physical
     params = flat(grid32)
     lam = max_frequency(grid32, params) * 3600.0
     spec = PropagatorSpec.chebyshev(lam)
     state = band_limited_state(grid32, rng)
     out = cheb_exp(3600.0, state, params, spec)
-    scale = max(np.max(np.abs(c)) for c in (out.u, out.v, out.eta))
     for c in (out.u, out.v, out.eta):
-        assert hermitian_residual(c) <= 1e-13 * scale
-    to_physical(grid32, out.eta)  # symmetry gate passes without projection
+        assert hermitian_defect(c) <= 1e-13 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("route", ["exact", "chebyshev"])
+def test_averaged_steps_keep_hermitian_symmetry(route, rng):
+    # to_physical reads only the ky >= 0 half, so an operator that broke the
+    # symmetry would go unseen there; the mountain, f != 0 and T > 0 bring
+    # every operator of a step in: the route's exponential, the nonlinear
+    # tendency and the averaging nodes
+    grid = GRID_12x8
+    case = replace(default_case(), r0=3.0e5, xc=4.0e5, yc=6.0e5)
+    params = physics_params(case, grid, with_mountain=True)
+    assert params.f != 0.0
+    config = make_step_config(grid, params, dt=3600.0, T=3600.0, propagator=route)
+    traj = run(band_limited_state(grid, rng), config, params, t_end=3 * 3600.0,
+               snapshot_every=3600.0)
+    assert traj.steps == [0, 1, 2, 3]
+    for state in traj.states:
+        for c in (state.u, state.v, state.eta):
+            assert hermitian_defect(c) <= 1e-13 * np.max(np.abs(c))
 
 
 def test_cheb_matches_dense_exponential_on_anisotropic_grid(rng):
