@@ -5,14 +5,16 @@ jet is a discrete steady state, looks at the mountain, and runs a short
 nonlinear spin-up printing conservation diagnostics.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from phaseswe import (apply_linear, apply_nonlinear, balanced_jet, default_case,
+from phaseswe import (apply_linear, apply_nonlinear, balanced_jet, default_config,
                       energy_norm, make_grid, make_step_config, mountain,
                       physics_params, run, to_physical)
 
 grid = make_grid(64, 64, 4.0e7, 4.0e7)
-case = default_case()
+case = default_config()
 
 print("domain: %g x %g km, %d x %d points" % (grid.Lx / 1e3, grid.Ly / 1e3,
                                               grid.nx, grid.ny))
@@ -22,7 +24,7 @@ print("jets: +-%g m/s, width %g km, centred at y = Ly/4 and 3Ly/4"
 
 # the jet pair is built in discrete geostrophic balance, so with a flat
 # bottom both the linear and the nonlinear tendency vanish to round-off
-flat = physics_params(case, grid, with_mountain=False)
+flat = physics_params(replace(case, b0=0.0), grid)
 jet = balanced_jet(case, grid)
 scale = case.f * energy_norm(jet, flat)
 print("\nflat-bottom steadiness (energy norms, relative to f * |U|):")
@@ -47,7 +49,7 @@ print("  volume %.4e m^3 vs exact cone %.4e (ratio %.4f)"
 
 # with the mountain in place the balance is broken and the flow evolves;
 # one simulated day with the plain (unaveraged) scheme
-rough = physics_params(case, grid, with_mountain=True)
+rough = physics_params(case, grid)
 config = make_step_config(grid, rough, dt=900.0)
 traj = run(jet, config, rough, t_end=86400.0, snapshot_every=21600.0)
 

@@ -8,18 +8,19 @@ here on the default grid.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from phaseswe import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_npoly,
-                      default_case, dispersion_omega, energy_norm, exact_exp,
+                      default_config, dispersion_omega, energy_norm, exact_exp,
                       make_grid, max_frequency, physics_params)
 from phaseswe.grid import dealias, to_spectral
 from phaseswe.dynamics import State
 
 grid = make_grid(64, 64, 4.0e7, 4.0e7)
-case = default_case()
-params = physics_params(case, grid, with_mountain=False)
+case = replace(default_config(), b0=0.0)   # flat bottom
+params = physics_params(case, grid)
 
 lam_max = max_frequency(grid, params)
 print("dispersion on the default grid:")

@@ -13,13 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from phaseswe import (PropagatorSpec, apply_nonlinear, averaged_tendency,
-                      balanced_jet, default_case, default_node_count,
+                      balanced_jet, default_config, default_node_count,
                       energy_norm, kernel_weights, make_grid, max_frequency,
                       physics_params)
 
 grid = make_grid(64, 64, 4.0e7, 4.0e7)
-case = default_case()
-params = physics_params(case, grid, with_mountain=True)
+case = default_config()
+params = physics_params(case, grid)
 lam_max = max_frequency(grid, params)
 
 # quadrature for a one-hour half-window; the bump kernel vanishes smoothly

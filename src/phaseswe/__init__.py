@@ -19,8 +19,8 @@ from .integrator import (StepConfig, make_step_config, step_averaged_ssprk3,
                          Trajectory, run)
 from .diagnostics import (l2_error_normalized, linf_error_eta, energy_mass,
                           ErrorReport, make_error_report)
-from .testcase import (CaseParams, case_params, default_case, mountain,
-                       balanced_jet, physics_params)
+from .config import RunConfig, default_config
+from .testcase import mountain, balanced_jet, physics_params
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,5 @@ __all__ = [
     "StepConfig", "make_step_config", "step_averaged_ssprk3", "Trajectory", "run",
     "l2_error_normalized", "linf_error_eta", "energy_mass", "ErrorReport",
     "make_error_report",
-    "CaseParams", "case_params", "default_case", "mountain", "balanced_jet",
-    "physics_params",
+    "RunConfig", "default_config", "mountain", "balanced_jet", "physics_params",
 ]

@@ -5,25 +5,33 @@ comments ignored.  Every key has a default; unknown keys, malformed lines,
 and duplicates are errors that name the line.  The resolved configuration is
 echoed to `config.resolved` in the output directory in a form that parses
 back to the identical RunConfig.  RunConfig is the one home of a run's
-settings: the fine reference and each sweep window are derived from it by
-reference_config and window_config.
-"""
+settings, the experiment's case included, and validates itself: the fine
+reference and each sweep window are derived from it by reference_config and
+window_config."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
-           "format_config", "default_config", "reference_config", "window_config"]
+           "format_config", "default_config", "reference_config", "window_config",
+           "is_multiple"]
 
 
 class ConfigError(ValueError):
     """Invalid configuration file or values (CLI exit code 2)."""
 
 
+def is_multiple(value: float, dt: float) -> bool:
+    """Whether value is a whole number of steps dt, to 1e-9 relative."""
+    n = value / dt
+    return abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run settings; lengths in metres, times in seconds."""
+    """Run settings, resolved and validated (ConfigError) whenever built,
+    parsed or replaced; lengths in metres, times in seconds."""
 
     nx: int = 64
     ny: int = 64
@@ -34,7 +42,7 @@ class RunConfig:
     H: float = 5960.0
     u0: float = 20.0
     jet_width: float = -1.0      # -1 resolves to Ly / 16
-    b0: float = 2000.0
+    b0: float = 2000.0           # 0 is a flat bottom
     r0: float = -1.0             # -1 resolves to Ly / 9
     xc: float = -1.0             # -1 resolves to Lx / 2
     yc: float = -1.0             # -1 resolves to Ly / 4
@@ -50,6 +58,47 @@ class RunConfig:
     seed: int = 0
     ref_dt: float = 180.0
     reference_path: str = ""
+
+    def __post_init__(self):
+        def bad(msg: str):
+            raise ConfigError(f"invalid config: {msg}")
+
+        # sentinel -1 means "derive from the domain size"
+        for name, derived in (("jet_width", self.Ly / 16.0), ("r0", self.Ly / 9.0),
+                              ("xc", 0.5 * self.Lx), ("yc", 0.25 * self.Ly)):
+            if getattr(self, name) < 0:
+                object.__setattr__(self, name, derived)
+
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if n < 8 or n % 2 != 0:
+                bad(f"{name} must be even and >= 8, got {n}")
+        for name in ("Lx", "Ly", "g", "H", "u0", "jet_width", "r0", "dt", "tol",
+                     "ref_dt"):
+            if not getattr(self, name) > 0:
+                bad(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.b0 < self.H:
+            bad(f"need 0 <= b0 < H, got b0 = {self.b0}, H = {self.H}")
+        if not self.r0 < min(self.Lx, self.Ly) / 2.0:
+            bad(f"r0 = {self.r0} must be below half the domain size")
+        if self.T < 0:
+            bad(f"T must be nonnegative, got {self.T}")
+        if self.M is not None and self.M < 0:
+            bad(f"M must be nonnegative or auto, got {self.M}")
+        if self.T == 0.0 and self.M not in (None, 0):
+            bad(f"T = 0 admits only M = 0, got M = {self.M}")
+        if self.propagator not in ("exact", "chebyshev"):
+            bad(f"propagator must be exact or chebyshev, got {self.propagator!r}")
+        if self.t_end < 0:
+            bad(f"t_end must be nonnegative, got {self.t_end}")
+        if not is_multiple(self.t_end, self.dt):
+            bad(f"t_end = {self.t_end} must be a multiple of dt = {self.dt}")
+        if self.snapshot_every != 0.0 and not is_multiple(self.snapshot_every, self.dt):
+            bad(f"snapshot_every = {self.snapshot_every} must be 0 or a multiple of dt")
+        if self.snapshot_every < 0:
+            bad(f"snapshot_every must be nonnegative, got {self.snapshot_every}")
+        if self.workers < 1:
+            bad(f"workers must be at least 1, got {self.workers}")
 
 
 _DEFAULTS = {fld.name: fld.default for fld in fields(RunConfig)}
@@ -70,60 +119,6 @@ def _convert(key: str, raw: str, where: str):
         raise ConfigError(f"{where}: key {key!r} needs {noun}, got {raw!r}") from None
 
 
-def _is_multiple(value: float, dt: float) -> bool:
-    n = value / dt
-    return abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))
-
-
-def _validate(cfg: RunConfig) -> RunConfig:
-    def bad(msg: str):
-        raise ConfigError(f"invalid config: {msg}")
-
-    for name in ("nx", "ny"):
-        n = getattr(cfg, name)
-        if n < 8 or n % 2 != 0:
-            bad(f"{name} must be even and >= 8, got {n}")
-    for name in ("Lx", "Ly", "g", "H", "u0", "dt", "tol", "ref_dt"):
-        if not getattr(cfg, name) > 0:
-            bad(f"{name} must be positive, got {getattr(cfg, name)}")
-
-    # sentinel -1 means "derive from the domain size"
-    upd = {}
-    if cfg.jet_width < 0:
-        upd["jet_width"] = cfg.Ly / 16.0
-    if cfg.r0 < 0:
-        upd["r0"] = cfg.Ly / 9.0
-    if cfg.xc < 0:
-        upd["xc"] = 0.5 * cfg.Lx
-    if cfg.yc < 0:
-        upd["yc"] = 0.25 * cfg.Ly
-    cfg = replace(cfg, **upd)
-
-    if not 0 <= cfg.b0 < cfg.H:
-        bad(f"need 0 <= b0 < H, got b0 = {cfg.b0}, H = {cfg.H}")
-    if not cfg.r0 < min(cfg.Lx, cfg.Ly) / 2.0:
-        bad(f"r0 = {cfg.r0} must be below half the domain size")
-    if cfg.T < 0:
-        bad(f"T must be nonnegative, got {cfg.T}")
-    if cfg.M is not None and cfg.M < 0:
-        bad(f"M must be nonnegative or auto, got {cfg.M}")
-    if cfg.T == 0.0 and cfg.M not in (None, 0):
-        bad(f"T = 0 admits only M = 0, got M = {cfg.M}")
-    if cfg.propagator not in ("exact", "chebyshev"):
-        bad(f"propagator must be exact or chebyshev, got {cfg.propagator!r}")
-    if cfg.t_end < 0:
-        bad(f"t_end must be nonnegative, got {cfg.t_end}")
-    if not _is_multiple(cfg.t_end, cfg.dt):
-        bad(f"t_end = {cfg.t_end} must be a multiple of dt = {cfg.dt}")
-    if cfg.snapshot_every != 0.0 and not _is_multiple(cfg.snapshot_every, cfg.dt):
-        bad(f"snapshot_every = {cfg.snapshot_every} must be 0 or a multiple of dt")
-    if cfg.snapshot_every < 0:
-        bad(f"snapshot_every must be nonnegative, got {cfg.snapshot_every}")
-    if cfg.workers < 1:
-        bad(f"workers must be at least 1, got {cfg.workers}")
-    return cfg
-
-
 def parse_config(text: str, where: str = "config") -> RunConfig:
     """Parse flat key = value text into a validated RunConfig."""
     values = {}
@@ -140,7 +135,7 @@ def parse_config(text: str, where: str = "config") -> RunConfig:
         if key in values:
             raise ConfigError(f"{where} line {lineno}: duplicate key {key!r}")
         values[key] = _convert(key, raw, f"{where} line {lineno}")
-    return _validate(RunConfig(**values))
+    return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:
@@ -155,7 +150,7 @@ def load_config(path: str) -> RunConfig:
 
 def default_config() -> RunConfig:
     """The all-defaults configuration, fully resolved."""
-    return _validate(RunConfig())
+    return RunConfig()
 
 
 def reference_config(cfg: RunConfig) -> RunConfig:

@@ -20,11 +20,10 @@ __all__ = [
 ]
 
 
-def physical_fields(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Physical (u, v, eta) of a spectral state, from one inverse transform of
-    the stacked (3, nx, ny) coefficients."""
-    u, v, eta = to_physical(state.grid, np.stack((state.u, state.v, state.eta)))
-    return u, v, eta
+def physical_fields(state: State) -> np.ndarray:
+    """Physical (u, v, eta) of a spectral state as one (3, nx, ny) stack, from
+    one inverse transform of the stacked coefficients."""
+    return to_physical(state.grid, np.stack((state.u, state.v, state.eta)))
 
 
 def l2_error_normalized(test: State, ref: State) -> tuple[float, float]:

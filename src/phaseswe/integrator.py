@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import Quadrature, averaged_tendency, default_node_count, kernel_weights
+from .config import is_multiple
 # energy_mass stays a module attribute: perfbench/tracing.py patches it here
 from .diagnostics import energy_mass, energy_mass_fields, physical_fields  # noqa: F401
 from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
@@ -105,32 +106,28 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-snapshot diagnostics from a run."""
+    """Snapshots plus per-snapshot diagnostics from a run; fields holds each
+    snapshot's physical (u, v, eta) stack, transformed once when recorded."""
 
     times: list[float] = field(default_factory=list)
     steps: list[int] = field(default_factory=list)
     states: list[State] = field(default_factory=list)
+    fields: list[np.ndarray] = field(default_factory=list)
     energy: list[float] = field(default_factory=list)
     mass: list[float] = field(default_factory=list)
     max_speed: list[float] = field(default_factory=list)
 
     def record(self, step: int, state: State, params: PhysicsParams) -> None:
-        u, v, eta = physical_fields(state)
-        en, ms = energy_mass_fields(state.grid, params, u, v, eta)
-        speed = np.hypot(u, v)
+        phys = physical_fields(state)
+        en, ms = energy_mass_fields(state.grid, params, *phys)
+        speed = np.hypot(phys[0], phys[1])
         self.times.append(state.t)
         self.steps.append(step)
         self.states.append(state)
+        self.fields.append(phys)
         self.energy.append(en)
         self.mass.append(ms)
         self.max_speed.append(float(speed.max()))
-
-
-def _exact_multiple(value: float, dt: float, what: str) -> int:
-    n = value / dt
-    if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
-        raise ValueError(f"{what} = {value} is not a multiple of dt = {dt}")
-    return int(round(n))
 
 
 def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
@@ -145,13 +142,13 @@ def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    n_steps = _exact_multiple(t_end, config.dt, "t_end")
-    if snapshot_every == 0.0:
-        stride = 0
-    else:
-        stride = _exact_multiple(snapshot_every, config.dt, "snapshot_every")
-        if stride <= 0:
-            raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
+    for what, value in (("t_end", t_end), ("snapshot_every", snapshot_every)):
+        if not is_multiple(value, config.dt):
+            raise ValueError(f"{what} = {value} is not a multiple of dt = {config.dt}")
+    n_steps = round(t_end / config.dt)
+    stride = round(snapshot_every / config.dt)
+    if snapshot_every != 0.0 and stride <= 0:
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
 
     traj = Trajectory()
     traj.record(0, initial, params)

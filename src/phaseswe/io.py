@@ -35,13 +35,16 @@ def snapshot_prefix(step: int) -> str:
     return f"snap_{step:07d}"
 
 
-def write_snapshot(outdir: str, step: int, state: State) -> None:
-    """Write u, v, eta physical fields for one snapshot plus sidecars."""
+def write_snapshot(outdir: str, step: int, state: State,
+                   phys: np.ndarray | None = None) -> None:
+    """Write u, v, eta physical fields for one snapshot plus sidecars; phys is
+    the state's physical_fields stack if the caller has it (Trajectory.fields)."""
     g = state.grid
     prefix = snapshot_prefix(step)
-    phys = dict(zip(_FIELDS, physical_fields(state)))
-    for name in _FIELDS:
-        data = np.ascontiguousarray(phys[name], dtype="<f8")
+    if phys is None:
+        phys = physical_fields(state)
+    for name, field in zip(_FIELDS, phys):
+        data = np.ascontiguousarray(field, dtype="<f8")
         base = os.path.join(outdir, f"{prefix}_{name}")
         with open(base + ".f64", "wb") as fh:
             fh.write(data.tobytes(order="C"))

@@ -11,7 +11,7 @@ one set of tolerances.  fast finishes in well under a minute; full adds the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .integrator import make_step_config, run, step_averaged_ssprk3
 from .oracles import (band_limited_state, bessel_cheb_coeffs, linear_tendency,
                       nonlinear_tendency, truncated_convolution)
 from .propagator import PropagatorSpec, cheb_coeffs, cheb_exp, exact_exp
-from .testcase import balanced_jet, default_case, physics_params
+from .testcase import balanced_jet, physics_params
 
 __all__ = [
     "CheckResult",
@@ -51,10 +51,12 @@ class CheckResult:
     detail: str
 
 
-def _case_problem(n: int, with_mountain: bool):
-    grid = make_grid(n, n, 4.0e7, 4.0e7)
-    case = default_case()
-    return grid, case, physics_params(case, grid, with_mountain=with_mountain)
+def _case_problem(n: int, flat: bool):
+    """Grid, config and physics of the default case on an n x n grid, with
+    the mountain taken away (b0 = 0) when flat."""
+    cfg = replace(default_config(), b0=0.0) if flat else default_config()
+    grid = make_grid(n, n, cfg.Lx, cfg.Ly)
+    return grid, cfg, physics_params(cfg, grid)
 
 
 def _max_rel(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> float:
@@ -127,7 +129,7 @@ def check_exact_exp_group(rng) -> CheckResult:
     for n, (t1, t2), t_inv, t_iso in ((32, (2715.5, 2715.5), 5431.0, 5431.0),
                                       (32, (1800.0, 2700.0), 1800.0, 12345.0),
                                       (64, (1800.0, 4500.0), 1800.0, 86400.0)):
-        grid, _case, flat = _case_problem(n, with_mountain=False)
+        grid, _cfg, flat = _case_problem(n, flat=True)
         state = band_limited_state(grid, rng)
         norm = energy_norm(state, flat)
 
@@ -150,7 +152,7 @@ def check_exact_exp_group(rng) -> CheckResult:
 def check_cheb_vs_exact(rng) -> CheckResult:
     """Chebyshev route against the exact route, forward 1 h and back 30 min,
     on ten states."""
-    grid, _case, flat = _case_problem(64, with_mountain=False)
+    grid, _cfg, flat = _case_problem(64, flat=True)
     spec = PropagatorSpec.chebyshev(max_frequency(grid, flat) * 3600.0, tol=1e-12)
     worst = 0.0
     for _ in range(10):
@@ -165,8 +167,8 @@ def check_cheb_vs_exact(rng) -> CheckResult:
 
 def check_steady_jet() -> CheckResult:
     """The flat-bottom balanced jet stays put: 10 and 100 one-hour steps."""
-    grid, case, flat = _case_problem(64, with_mountain=False)
-    jet = balanced_jet(case, grid)
+    grid, cfg, flat = _case_problem(64, flat=True)
+    jet = balanced_jet(cfg, grid)
     drift10 = 0.0
     drift100 = {}
     for T in (0.0, 3600.0):
@@ -192,7 +194,7 @@ def check_linear_step(rng) -> CheckResult:
     dt = 3600.0
     worst = {"exact": 0.0, "chebyshev": 0.0}
     for n in (32, 64):
-        grid, _case, flat = _case_problem(n, with_mountain=False)
+        grid, _cfg, flat = _case_problem(n, flat=True)
         state = band_limited_state(grid, rng)
         want = exact_exp(dt, state, flat)
         norm = energy_norm(state, flat)
@@ -209,8 +211,8 @@ def check_linear_step(rng) -> CheckResult:
 def check_convergence() -> CheckResult:
     """Third-order convergence in dt of eta on the mountain case: orders of at
     least 2.5 after 1 h and 2.7 after 6 h."""
-    grid, case, params = _case_problem(32, with_mountain=True)
-    jet = balanced_jet(case, grid)
+    grid, cfg, params = _case_problem(32, flat=False)
+    jet = balanced_jet(cfg, grid)
 
     def at_1h_and_6h(dt):
         traj = run(jet, make_step_config(grid, params, dt=dt), params, 21600.0,
@@ -249,7 +251,7 @@ def check_window_sweep(cfg: RunConfig) -> CheckResult:
     reference, each run set up as `phaseswe reference` and `sweep` set it up."""
     from .harness import build_problem, step_config  # harness imports this module
 
-    grid, _case, params, jet = build_problem(cfg)
+    grid, _cfg, params, jet = build_problem(cfg)
     ref = run(jet, step_config(reference_config(cfg), grid, params), params,
               cfg.t_end).states[-1]
     T_list = [h * 3600.0 for h in WINDOW_HOURS]

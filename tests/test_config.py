@@ -71,6 +71,8 @@ def test_m_auto_token():
     ("H = -5\n", "H"),
     ("b0 = 9000\n", "b0"),
     ("r0 = 3e7\n", "r0"),
+    ("r0 = 0\n", "r0"),
+    ("jet_width = 0\n", "jet_width"),
     ("T = -10\n", "T"),
     ("M = -2\n", "M"),
     ("T = 0\nM = 3\n", "T = 0"),
@@ -105,9 +107,8 @@ def test_load_config_missing_file(tmp_path):
     assert load_config(str(path)).nx == 16
 
 
-def test_direct_construction_is_validated_via_helpers():
-    # RunConfig itself is a plain dataclass; validation happens in parsing
-    raw = RunConfig(nx=9)
-    assert raw.nx == 9
-    with pytest.raises(ConfigError):
-        parse_config("nx = 9\n")
+def test_construction_and_replace_are_validated():
+    with pytest.raises(ConfigError, match="nx"):
+        RunConfig(nx=9)
+    with pytest.raises(ConfigError, match="workers"):
+        dataclasses.replace(default_config(), workers=0)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from phaseswe import diagnostics
+from phaseswe.config import default_config
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
                                   linf_error_eta, make_error_report, physical_fields)
 from phaseswe.dynamics import PhysicsParams, State, flat_bottom
 from phaseswe.grid import dealias, to_physical, to_spectral
 from phaseswe.oracles import band_limited_state
-from phaseswe.testcase import default_case, mountain
+from phaseswe.testcase import mountain
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
@@ -32,7 +33,7 @@ def test_rest_state_energy_and_mass(grid32):
 
 
 def test_rest_state_over_mountain(grid64):
-    case = default_case()
+    case = default_config()
     b = mountain(case, grid64)
     params = PhysicsParams(f=case.f, g=case.g, H=case.H, b=b)
     zeros = np.zeros((64, 64))
@@ -107,7 +108,7 @@ def test_error_report_assembly(grid32):
 
 
 def test_error_report_transforms_each_state_once(grid32, rng, monkeypatch):
-    case = default_case()
+    case = default_config()
     params = PhysicsParams(f=case.f, g=case.g, H=case.H, b=mountain(case, grid32))
     initial, test, ref = (band_limited_state(grid32, rng) for _ in range(3))
     l2, linf = l2_error_normalized(test, ref), linf_error_eta(test, ref)

@@ -1,11 +1,13 @@
 """Linear and nonlinear tendency operators against independent oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import phaseswe.dynamics as dynamics
+from phaseswe.config import default_config
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
                                energy_norm, flat_bottom, max_frequency)
@@ -13,7 +15,7 @@ from phaseswe.grid import dealias, make_grid, to_physical, to_spectral
 from phaseswe.oracles import (band_limited_state, linear_tendency,
                               nonlinear_tendency, wrap_indices)
 from phaseswe.propagator import exact_exp
-from phaseswe.testcase import balanced_jet, default_case, physics_params
+from phaseswe.testcase import balanced_jet, physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
@@ -61,8 +63,8 @@ def test_nonlinear_mean_eta_tendency_is_exactly_zero(grid32, rng):
 
 
 def test_balanced_jet_is_discrete_steady_state(grid64):
-    case = default_case()
-    params = physics_params(case, grid64, with_mountain=False)
+    case = default_config()
+    params = physics_params(replace(case, b0=0.0), grid64)
     jet = balanced_jet(case, grid64)
     scale = case.f * energy_norm(jet, params)
     lin = energy_norm(apply_linear(jet, params), params)
@@ -70,7 +72,7 @@ def test_balanced_jet_is_discrete_steady_state(grid64):
     assert lin <= 1e-12 * scale
     assert non <= 1e-12 * scale
     # the mountain breaks the balance
-    rough = physics_params(case, grid64, with_mountain=True)
+    rough = physics_params(case, grid64)
     assert energy_norm(apply_nonlinear(jet, rough), rough) > 1e-6 * scale
 
 
@@ -185,7 +187,7 @@ def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
-    rough = physics_params(default_case(), grid32, with_mountain=True)
+    rough = physics_params(default_config(), grid32)
     apply_nonlinear(band_limited_state(grid32, rng), rough)
     assert calls["to_physical"] == [(3, 32, 32), (4, 32, 32)]
     assert calls["to_spectral"] == [(4, 32, 32)]

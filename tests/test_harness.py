@@ -7,9 +7,13 @@ import os
 import numpy as np
 import pytest
 
+import phaseswe.diagnostics as diagnostics
 import phaseswe.harness as harness
+import phaseswe.integrator as integrator
+import phaseswe.io as pio
 import phaseswe.validation as validation
 from phaseswe.config import parse_config
+from phaseswe.grid import to_physical
 from phaseswe.io import list_snapshot_steps, read_snapshot_state
 from phaseswe.validation import CheckResult
 
@@ -75,6 +79,38 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert harness.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert harness.main(["run", "--config", str(bad), "--workers", "0"]) == 2
     assert harness.main(["sweep", "--config", str(bad), "--tlist", "abc"]) == 2
+    good = tmp_path / "good.cfg"
+    good.write_text(SMALL_CFG)
+    capsys.readouterr()
+    assert harness.main(["run", "--config", str(good), "--workers", "0",
+                         "--output", str(tmp_path / "out")]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    good.write_text(SMALL_CFG + f"reference_path = {tmp_path / 'ref'}\n")
+    assert harness.main(["sweep", "--config", str(good), "--tlist=600,-600",
+                         "--output", str(tmp_path / "out")]) == 2
+    assert "T must be nonnegative" in capsys.readouterr().err
+    good.write_text(SMALL_CFG.replace("ref_dt = 300", "ref_dt = 700"))
+    assert harness.main(["reference", "--config", str(good),
+                         "--output", str(tmp_path / "out")]) == 2
+    assert "t_end = 1800.0 must be a multiple of dt = 700.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_transforms_each_recorded_state_once(tmp_path, small_cfg, monkeypatch):
+    # physical_fields resolves to_physical in diagnostics; io and integrator
+    # keep the name too, so a transform there would be counted as well
+    calls = []
+
+    def counted(grid, arr):
+        calls.append(np.shape(arr))
+        return to_physical(grid, arr)
+
+    for mod in (diagnostics, pio, integrator):
+        monkeypatch.setattr(mod, "to_physical", counted)
+    out = tmp_path / "out"
+    assert harness.main(["run", "--config", str(small_cfg), "--output", str(out)]) == 0
+    assert list_snapshot_steps(str(out)) == [0, 1, 2, 3]
+    assert calls == [(3, 16, 16)] * 4
 
 
 def test_run_failure_exits_1(tmp_path, small_cfg, capsys):
@@ -224,7 +260,7 @@ def test_validate_full_checks_the_configured_case(monkeypatch):
 
 def test_build_problem_respects_flat_bottom():
     cfg = parse_config("b0 = 0\nnx = 16\nny = 16\n")
-    _grid, _case, params, state = harness.build_problem(cfg)
+    _grid, _cfg, params, state = harness.build_problem(cfg)
     assert np.all(params.b == 0.0)
     assert state.t == 0.0
     rough = harness.build_problem(parse_config("nx = 16\nny = 16\n"))[2]

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from phaseswe.averaging import averaged_tendency, kernel_weights
+from phaseswe.config import default_config
 from phaseswe.dynamics import (apply_nonlinear, energy_norm, flat_bottom,
                                max_frequency)
 from phaseswe.integrator import (StepConfig, make_step_config, run,
                                  step_averaged_ssprk3)
 from phaseswe.propagator import PropagatorSpec, choose_npoly, exact_exp
-from phaseswe.testcase import balanced_jet, default_case, physics_params
+from phaseswe.testcase import balanced_jet, physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
@@ -20,8 +21,8 @@ def flat(grid):
 
 @pytest.fixture(scope="module")
 def problem32(grid32):
-    case = default_case()
-    params = physics_params(case, grid32, with_mountain=True)
+    case = default_config()
+    params = physics_params(case, grid32)
     return grid32, params, balanced_jet(case, grid32)
 
 

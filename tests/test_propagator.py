@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from phaseswe import propagator
+from phaseswe.config import default_config
 from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
 from phaseswe.grid import make_grid
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp,
                                  choose_npoly, exact_exp, forward_shift, propagate)
-from phaseswe.testcase import default_case, physics_params
+from phaseswe.testcase import physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 GRID_12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
@@ -162,8 +163,8 @@ def test_averaged_steps_keep_hermitian_symmetry(route, rng):
     # every operator of a step in: the route's exponential, the nonlinear
     # tendency and the averaging nodes
     grid = GRID_12x8
-    case = replace(default_case(), r0=3.0e5, xc=4.0e5, yc=6.0e5)
-    params = physics_params(case, grid, with_mountain=True)
+    case = replace(default_config(), r0=3.0e5, xc=4.0e5, yc=6.0e5)
+    params = physics_params(case, grid)
     assert params.f != 0.0
     config = make_step_config(grid, params, dt=3600.0, T=3600.0, propagator=route)
     traj = run(band_limited_state(grid, rng), config, params, t_end=3 * 3600.0,

@@ -1,16 +1,18 @@
 """Balanced double jet and conical mountain construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from phaseswe.dynamics import PhysicsParams
+from phaseswe.config import ConfigError, RunConfig, default_config
+from phaseswe.dynamics import PhysicsParams, flat_bottom
 from phaseswe.grid import make_grid, to_physical
-from phaseswe.testcase import (CaseParams, balanced_jet, default_case,
-                               mountain, physics_params)
+from phaseswe.testcase import balanced_jet, mountain, physics_params
 
 
 def test_default_case_constants():
-    case = default_case()
+    case = default_config()
     assert case.f == 1.0e-4
     assert case.g == 9.8
     assert case.H == 5960.0
@@ -23,19 +25,16 @@ def test_default_case_constants():
 
 
 def test_case_validation():
-    with pytest.raises(ValueError, match="b0"):
-        CaseParams(f=1e-4, g=9.8, H=100.0, u0=20.0, jet_width=1.0, b0=100.0,
-                   r0=1.0, xc=0.0, yc=0.0)
-    with pytest.raises(ValueError, match="jet_width"):
-        CaseParams(f=1e-4, g=9.8, H=100.0, u0=20.0, jet_width=0.0, b0=10.0,
-                   r0=1.0, xc=0.0, yc=0.0)
-    with pytest.raises(ValueError, match="r0"):
-        CaseParams(f=1e-4, g=9.8, H=100.0, u0=20.0, jet_width=1.0, b0=10.0,
-                   r0=-1.0, xc=0.0, yc=0.0)
+    with pytest.raises(ConfigError, match="b0"):
+        RunConfig(H=100.0, b0=100.0)
+    with pytest.raises(ConfigError, match="jet_width"):
+        RunConfig(jet_width=0.0)
+    with pytest.raises(ConfigError, match="r0"):
+        RunConfig(r0=0.0)
 
 
 def test_mountain_volume_peak_and_position(grid64):
-    case = default_case()
+    case = default_config()
     b = mountain(case, grid64)
     b_phys = to_physical(grid64, b)
 
@@ -53,15 +52,14 @@ def test_mountain_volume_peak_and_position(grid64):
 
 
 def test_mountain_radius_must_fit_the_domain():
+    # the default r0 (Ly / 9 of a 4e7 m domain) does not fit a 1e6 m grid
     grid = make_grid(16, 16, 1.0e6, 1.0e6)
-    case = CaseParams(f=1e-4, g=9.8, H=5960.0, u0=20.0, jet_width=1.0e5,
-                      b0=2000.0, r0=6.0e5, xc=5.0e5, yc=2.5e5)
     with pytest.raises(ValueError, match="radius"):
-        mountain(case, grid)
+        mountain(default_config(), grid)
 
 
 def test_balanced_jet_structure(grid64):
-    case = default_case()
+    case = default_config()
     jet = balanced_jet(case, grid64)
     umax = float(np.max(np.abs(jet.u)))
 
@@ -82,11 +80,13 @@ def test_balanced_jet_structure(grid64):
 
 
 def test_physics_params_wiring(grid64):
-    case = default_case()
-    rough = physics_params(case, grid64, with_mountain=True)
+    case = default_config()
+    rough = physics_params(case, grid64)
     assert isinstance(rough, PhysicsParams)
     assert np.array_equal(rough.b, mountain(case, grid64))
-    smooth = physics_params(case, grid64, with_mountain=False)
+    smooth = physics_params(replace(case, b0=0.0), grid64)
+    flat = flat_bottom(grid64, case.f, case.g, case.H)
+    assert smooth.b.dtype == flat.b.dtype and smooth.b.tobytes() == flat.b.tobytes()
     assert np.all(smooth.b == 0.0)
     for p in (rough, smooth):
         assert (p.f, p.g, p.H) == (case.f, case.g, case.H)
