@@ -8,12 +8,19 @@ with weights w_k proportional to the one kernel, the compactly supported bump
 rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 2019), normalised to sum exactly to one.  The bump vanishes with all
 derivatives at the window edges, so the endpoint nodes carry zero weight.
-The forward shifts e^{L s_k} U all act on one U, so they come from one
-propagator.forward_shift (on the exact route: L U and L^2 U once per averaged
-tendency); each backward e^{-L s_k} N_k is a propagate call.  Node
-evaluations are independent and may run concurrently; the weighted reduction
-always runs in ascending node order on the calling thread, so results are
-bitwise identical for any worker count.
+
+e^{Lt} acts mode by mode and N reads and returns only the 2/3 band, so every
+node term lives on the band.  U's band columns are taken once, as a compact
+(3, nx, kb) stack (grid.take_band); each node's forward shift, backward shift
+and weighted sum run on that stack, and the full Hermitian tendency is
+rebuilt once per call (grid.from_band).  The forward shifts all act on one U
+and come from one propagator.band_shift (on the exact route: L U and L^2 U
+once per averaged tendency).  Each node hands the nonlinearity the full state
+rebuilt from its shifted band and keeps the band of the result: a custom
+nonlinearity sees and returns the 2/3 band.  Node evaluations are independent
+and may run concurrently; the weighted reduction always runs in ascending
+node order on the calling thread, so results are bitwise identical for any
+worker count, and to the explicit loop of full-array propagate calls.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhysicsParams, State, apply_nonlinear
-from .propagator import PropagatorSpec, forward_shift, propagate
+from .grid import from_band, take_band
+from .propagator import PropagatorSpec, band_shift
+# propagate stays a module attribute: perfbench/tracing.py patches it here
+from .propagator import propagate  # noqa: F401
 
 __all__ = [
     "Quadrature",
@@ -101,21 +111,29 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
     executor the node terms are evaluated concurrently; the reduction is
     sequential in ascending node order either way, so the result is bitwise
     independent of the worker count.  nonlinear may be swapped out (for a zero
-    tendency, say) to exercise the purely linear part of a scheme.
+    tendency, say) to exercise the purely linear part of a scheme; it is
+    handed states that are zero outside the 2/3 band, and only the band of
+    what it returns is kept.  The result is zero outside the band and exactly
+    Hermitian-symmetric.
     """
+    grid = state.grid
     live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
+    q = take_band(grid, (state.u, state.v, state.eta))
     # on the calling thread, so pool threads share one L U and L^2 U; a
     # quadrature whose only live node is s = 0 needs no shift at all
-    shift = (forward_shift(state, params, propagator_spec)
+    shift = (band_shift(q, grid, params, propagator_spec)
              if any(quadrature.s[i] != 0.0 for i in live) else None)
 
-    def term(i: int) -> State:
+    def term(i: int) -> np.ndarray:
         s = float(quadrature.s[i])
         try:
+            moved = from_band(grid, q if s == 0.0 else shift(s))
+            tend = nonlinear(State(grid=grid, u=moved[0], v=moved[1], eta=moved[2],
+                                   t=state.t + s), params)
+            tend = take_band(grid, (tend.u, tend.v, tend.eta))
             if s == 0.0:
-                return nonlinear(state, params)
-            tend = nonlinear(shift(s), params)
-            return propagate(-s, tend, params, propagator_spec)
+                return tend
+            return band_shift(tend, grid, params, propagator_spec)(-s)
         except Exception as exc:
             k = i - quadrature.M
             raise RuntimeError(
@@ -126,12 +144,8 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
     else:
         results = list(executor.map(term, live))
 
-    acc_u = np.zeros((state.grid.nx, state.grid.ny), dtype=np.complex128)
-    acc_v = np.zeros_like(acc_u)
-    acc_eta = np.zeros_like(acc_u)
-    for i, res in zip(live, results):
-        w = quadrature.w[i]
-        acc_u += w * res.u
-        acc_v += w * res.v
-        acc_eta += w * res.eta
-    return State(grid=state.grid, u=acc_u, v=acc_v, eta=acc_eta, t=state.t)
+    acc = quadrature.w[live[0]] * results[0]
+    for i, res in zip(live[1:], results[1:]):
+        acc += quadrature.w[i] * res
+    full = from_band(grid, acc)
+    return State(grid=grid, u=full[0], v=full[1], eta=full[2], t=state.t)

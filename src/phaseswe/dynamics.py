@@ -9,6 +9,12 @@ where b is the bottom topography.  L acts diagonally per spectral mode as the
 3x3 block [[0, f, -i g kx], [-f, 0, -i g ky], [-i H kx, -i H ky, 0]] with
 eigenvalues {0, +i omega, -i omega}, omega = sqrt(f^2 + g H |k|^2).  L is
 skew-adjoint in the energy inner product H (u u' + v v') + g eta eta'.
+
+N is a band kernel: it reads only the 2/3-band modes of its input, through
+the compact (nx, kb) band columns of grid.py, and returns a state that is
+zero outside the band and exactly Hermitian-symmetric.  Its seven inverse
+and four forward transforms are one band_to_physical and one
+band_to_spectral call.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.fft
 
-from .grid import SpectralGrid, dealias, to_physical, to_spectral
+from .grid import SpectralGrid, band, band_to_physical, band_to_spectral, from_band
+# to_physical and to_spectral stay module attributes: perfbench/tracing.py
+# patches them here
+from .grid import to_physical, to_spectral  # noqa: F401
 
 __all__ = [
     "PhysicsParams",
@@ -148,24 +157,37 @@ def apply_nonlinear(state: State, params: PhysicsParams) -> State:
     dealiased.  On that band no product of two retained modes aliases back
     into it, so for band-limited inputs this equals the truncated convolution.
     The mean eta tendency is exactly zero because both continuity terms are
-    divergences.
+    divergences.  Only the band columns of the input are read, and the result
+    is rebuilt from its band columns, so it is exactly Hermitian.
     """
     _check_b(state, params)
     g = state.grid
-    kx2, ky2 = g.wavenumber_mesh()
-    ikx = 1j * kx2
-    iky = 1j * ky2
+    bd = band(g)
+    kb = bd.kb
 
-    # (u, v, eta - b) truncated to the band, one stacked array
-    c = dealias(g, np.stack((state.u, state.v, state.eta - params.b)))
-    u, v, depth = to_physical(g, c)
-    cu, cv = c[0], c[1]
-    ux, uy, vx, vy = to_physical(g, np.stack((ikx * cu, iky * cu, ikx * cv, iky * cv)))
+    # (u, v, eta - b) truncated to the band, then the four velocity gradients
+    c = np.zeros((7, g.nx, kb), dtype=np.complex128)
+    for dst, coeffs in zip(c, (state.u[:, :kb], state.v[:, :kb],
+                               state.eta[:, :kb] - params.b[:, :kb])):
+        np.copyto(dst, coeffs, where=bd.mask)
+    np.multiply(bd.ikx, c[0], out=c[3])
+    np.multiply(bd.iky, c[0], out=c[4])
+    np.multiply(bd.ikx, c[1], out=c[5])
+    np.multiply(bd.iky, c[1], out=c[6])
+    phys = band_to_physical(g, c)
+    u, v, depth, ux, uy, vx, vy = phys
 
-    products = np.stack((-(u * ux + v * uy), -(u * vx + v * vy), u * depth, v * depth))
-    du, dv, flux_x, flux_y = to_spectral(g, products)
-    du, dv = dealias(g, np.stack((du, dv)))
-    return replace(state, u=du, v=dv, eta=dealias(g, -(ikx * flux_x + iky * flux_y)))
+    # the four products overwrite the gradients, each after their last use
+    np.negative(u * ux + v * uy, out=phys[3])
+    np.negative(u * vx + v * vy, out=phys[4])
+    np.multiply(u, depth, out=phys[5])
+    np.multiply(v, depth, out=phys[6])
+    du, dv, flux_x, flux_y = band_to_spectral(g, phys[3:])
+    # dealiased into c's first three fields, which are zero outside the band
+    for dst, coeffs in zip(c, (du, dv, -(bd.ikx * flux_x + bd.iky * flux_y))):
+        np.copyto(dst, coeffs, where=bd.mask)
+    full = from_band(g, c[:3])
+    return replace(state, u=full[0], v=full[1], eta=full[2])
 
 
 def dispersion_omega(kappa, params: PhysicsParams) -> np.ndarray:

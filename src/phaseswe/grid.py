@@ -13,11 +13,21 @@ that symmetry, and the tests check it rather than the transforms.  The
 inverse transform reads only the ky >= 0 half and is real by construction.
 The transforms are ``scipy.fft`` over the last two axes and accept a stack of
 fields, shape (..., nx, ny).
+
+Every 2/3-band mode of a real field is fixed by the ky >= 0 band columns
+0 .. kb - 1, kb = ceil(ny/3): the other band modes are their conjugate
+mirrors.  The band kernels work on those columns alone, as compact
+(..., nx, kb) stacks: ``take_band`` cuts them out (zero outside the band),
+``from_band`` rebuilds the full Hermitian (nx, ny) layout, and
+``band_to_physical``/``band_to_spectral`` transform between the compact band
+and real physical fields without touching the columns the band leaves empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -29,6 +39,13 @@ __all__ = [
     "to_physical",
     "dealias",
     "integrate_product",
+    "Band",
+    "band_width",
+    "band",
+    "take_band",
+    "from_band",
+    "band_to_physical",
+    "band_to_spectral",
 ]
 
 @dataclass(frozen=True)
@@ -160,3 +177,95 @@ def integrate_product(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float
     _check_shape(grid, np.asarray(b), "spectral field")
     npts = grid.nx * grid.ny
     return float(np.real(np.vdot(b, a)) * grid.Lx * grid.Ly / npts**2)
+
+
+class Band(NamedTuple):
+    """The ky >= 0 band columns of a grid: their count kb = ceil(ny/3), the
+    2/3 mask on them and i kx, i ky, each a read-only (nx, kb) array."""
+
+    kb: int
+    mask: np.ndarray
+    ikx: np.ndarray
+    iky: np.ndarray
+
+
+def band_width(ny: int) -> int:
+    """kb = ceil(ny/3): the columns 0 <= wy < ny/3 of the 2/3 band."""
+    return -(-ny // 3)
+
+
+@lru_cache(maxsize=8)
+def _band(nx: int, ny: int, Lx: float, Ly: float) -> Band:
+    grid = make_grid(nx, ny, Lx, Ly)
+    kb = band_width(ny)
+    kx2, ky2 = np.broadcast_arrays(grid.kx[:, None], grid.ky[None, :kb])
+    arrays = (np.ascontiguousarray(grid.dealias_mask[:, :kb]), 1j * kx2, 1j * ky2)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Band(kb, *arrays)
+
+
+def band(grid: SpectralGrid) -> Band:
+    """The grid's band tables, cached per (nx, ny, Lx, Ly) and built on first use."""
+    return _band(grid.nx, grid.ny, grid.Lx, grid.Ly)
+
+
+def take_band(grid: SpectralGrid, fields) -> np.ndarray:
+    """The 2/3-band modes of k spectral (nx, ny) fields (a stack or a
+    sequence) as one compact (k, nx, kb) stack, zero outside the band."""
+    b = band(grid)
+    out = np.zeros((len(fields), grid.nx, b.kb), dtype=np.complex128)
+    for dst, coeffs in zip(out, fields):
+        _check_shape(grid, np.asarray(coeffs), "spectral field")
+        np.copyto(dst, coeffs[:, : b.kb], where=b.mask)
+    return out
+
+
+def _check_band(grid: SpectralGrid, arr: np.ndarray) -> None:
+    kb = band_width(grid.ny)
+    if arr.shape[-2:] != (grid.nx, kb):
+        raise ValueError(f"band stack has shape {arr.shape}, expected (..., nx, kb) = "
+                         f"{(grid.nx, kb)}")
+
+
+def from_band(grid: SpectralGrid, compact: np.ndarray) -> np.ndarray:
+    """The full Hermitian (..., nx, ny) layout of a compact band stack.
+
+    Columns 0 .. kb - 1 are the band columns, except that the kx < 0 half of
+    column 0 is the conjugate mirror of its kx > 0 half; columns ny - kb + 1
+    .. ny - 1 are the conjugate mirror at (-kx, -ky) of band columns
+    kb - 1 .. 1; every other entry is zero.  The result is exactly
+    Hermitian-symmetric when the band's (0, 0) entry is real.
+    """
+    compact = np.asarray(compact)
+    _check_band(grid, compact)
+    nx, ny, kb = grid.nx, grid.ny, compact.shape[-1]
+    out = np.zeros(compact.shape[:-1] + (ny,), dtype=np.complex128)
+    out[..., :kb] = compact
+    np.conjugate(compact[..., 1 : nx // 2, 0], out=out[..., : nx // 2 : -1, 0])
+    np.conjugate(compact[..., 0, kb - 1 : 0 : -1], out=out[..., 0, ny - kb + 1 :])
+    np.conjugate(compact[..., :0:-1, kb - 1 : 0 : -1], out=out[..., 1:, ny - kb + 1 :])
+    return out
+
+
+def band_to_physical(grid: SpectralGrid, compact: np.ndarray) -> np.ndarray:
+    """Real physical fields (..., nx, ny) of a compact band stack (..., nx, kb):
+    ifft along x on the kb columns, then irfft along y with n = ny.  For the
+    band of a real field's spectrum this equals to_physical of the field."""
+    compact = np.asarray(compact)
+    _check_band(grid, compact)
+    return scipy.fft.irfft(scipy.fft.ifft(compact, axis=-2), n=grid.ny, axis=-1)
+
+
+def band_to_spectral(grid: SpectralGrid, phys: np.ndarray) -> np.ndarray:
+    """Band columns (..., nx, kb) of the spectra of real fields (..., nx, ny):
+    rfft along y, keep the kb band columns, then fft along x.  Equals
+    to_spectral(phys)[..., :kb] to round-off; no mask is applied."""
+    phys = np.asarray(phys)
+    _check_shape(grid, phys, "physical field", stacked=True)
+    if np.iscomplexobj(phys):
+        raise ValueError("band_to_spectral expects real-valued fields")
+    kb = band_width(grid.ny)
+    # the x transform overwrites the band columns of the rfft output
+    return scipy.fft.fft(scipy.fft.rfft(phys, axis=-1)[..., :kb], axis=-2,
+                         overwrite_x=True)

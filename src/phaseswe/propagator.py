@@ -13,7 +13,15 @@ times its StepConfig fixes (the node shifts s_k, dt and dt/2), so the
 trigonometry is evaluated once per distinct |t|.  L is applied through the
 cached couplings into stacked (3, nx, ny) arrays, with no State built per
 application, and forward_shift computes L U and L^2 U once for all the
-shifts e^{L s_k} U of one averaged tendency.
+shifts e^{L s} U of one state (the step's e^{L dt} U^n and e^{L dt/2} U^n).
+
+Both routes also run on compact (3, nx, kb) band stacks (grid.take_band):
+band_shift reads contiguous band-column copies of the couplings and of c1,
+c2, each cached next to its full table, and on the Chebyshev route runs the
+same recurrence, with the same Lambda, degree and Lambda guard.  Every
+per-mode operation is the one the full-array route performs on that mode, so
+a band shift is bitwise the band columns of the full one.  The averaging
+nodes shift on the band; the step-level exponentials stay on full states.
 
 The Chebyshev route approximates e^{l} for l on the spectral interval
 i[-Lambda, Lambda] by a degree-n polynomial evaluated matrix-free through
@@ -42,7 +50,7 @@ import scipy.fft
 
 # apply_linear stays a module attribute: perfbench/tracing.py patches it here
 from .dynamics import PhysicsParams, State, apply_linear, dispersion_omega  # noqa: F401
-from .grid import SpectralGrid, make_grid
+from .grid import SpectralGrid, band_width, make_grid
 
 __all__ = [
     "PropagatorSpec",
@@ -52,6 +60,7 @@ __all__ = [
     "cheb_exp",
     "propagate",
     "forward_shift",
+    "band_shift",
 ]
 
 DEFAULT_CHEB_TOL = 1e-10
@@ -90,14 +99,15 @@ class PropagatorSpec:
 
 # Table sizes.  A step asks for at most M + 2 distinct |t| (the live node
 # shifts, dt and dt/2), so a step's whole set stays cached for M up to 62;
-# each entry is two real (nx, ny) arrays.
+# each entry is two real (nx, ny) arrays, and a band entry two (nx, kb) ones.
 _COUPLING_TABLES = 8
 _COEFF_TABLES = 64
 
 
 class _Couplings(NamedTuple):
     """Per-mode entries of L: the rotation scalar f, the (nx, ny) gradient
-    couplings -g i kx, -g i ky, -H i kx, -H i ky, and omega."""
+    couplings -g i kx, -g i ky, -H i kx, -H i ky, and omega (or their (nx, kb)
+    band columns); max_omega is always the full grid's."""
 
     f: float
     gx: np.ndarray
@@ -149,15 +159,36 @@ def _exp_coeffs(key: tuple, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
     return c1, c2
 
 
+def _band_copy(arr: np.ndarray) -> np.ndarray:
+    out = np.ascontiguousarray(arr[:, : band_width(arr.shape[1])])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=_COUPLING_TABLES)
+def _band_couplings(*key) -> _Couplings:
+    """The couplings of key on the band columns, as contiguous copies."""
+    cp = _couplings(*key)
+    return cp._replace(**{name: _band_copy(getattr(cp, name))
+                          for name in ("gx", "gy", "hx", "hy", "omega")})
+
+
+@lru_cache(maxsize=_COEFF_TABLES)
+def _band_exp_coeffs(key: tuple, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """c1(|t|), c2(|t|) on the band columns, copied from the full entry so
+    that they are bitwise its values."""
+    return tuple(_band_copy(c) for c in _exp_coeffs(key, abs_t))
+
+
 def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray) -> None:
-    """out += L q for stacked (3, nx, ny) arrays, L given by its couplings."""
+    """out += L q for stacked (3, nx, ny) or band arrays, L given by its couplings."""
     out[0] += cp.f * q[1] + cp.gx * q[2]
     out[1] += cp.gy * q[2] - cp.f * q[0]
     out[2] += cp.hx * q[0] + cp.hy * q[1]
 
 
 def _linear(cp: _Couplings, q) -> np.ndarray:
-    """L q as a new stacked (3, nx, ny) array; q is a stacked array or a
+    """L q as a new stacked (3, ...) array; q is a stacked array or a
     (u, v, eta) tuple of fields."""
     out = np.empty((3,) + q[0].shape, dtype=np.complex128)
     np.multiply(q[1], cp.f, out=out[0])
@@ -173,10 +204,10 @@ def _from_stack(state: State, q: np.ndarray, t: float) -> State:
     return replace(state, u=q[0], v=q[1], eta=q[2], t=state.t + t)
 
 
-def _closed_form(key: tuple, t: float, q, lu: np.ndarray, llu: np.ndarray) -> np.ndarray:
-    """e^{Lt} q = q + c1(t) L q + c2(t) L^2 q from the cached coefficients,
-    as a new stacked array."""
-    c1, c2 = _exp_coeffs(key, abs(t))
+def _closed_form(coeffs, t: float, q, lu: np.ndarray, llu: np.ndarray) -> np.ndarray:
+    """e^{Lt} q = q + c1(t) L q + c2(t) L^2 q from the coefficients (c1, c2)
+    of |t|, as a new stacked array."""
+    c1, c2 = coeffs
     out = np.multiply(llu, c2)
     tmp = np.empty_like(out[0])
     combine = np.subtract if t < 0.0 else np.add  # c1 is odd in t
@@ -194,7 +225,8 @@ def _exact_shift(state: State, params: PhysicsParams) -> Callable[[float], State
     q = (state.u, state.v, state.eta)
     lu = _linear(cp, q)
     llu = _linear(cp, lu)
-    return lambda t: _from_stack(state, _closed_form(key, t, q, lu, llu), t)
+    return lambda t: _from_stack(
+        state, _closed_form(_exp_coeffs(key, abs(t)), t, q, lu, llu), t)
 
 
 def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
@@ -260,6 +292,14 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
     if t == 0.0:
         return state
     cp = _couplings(*_table_key(state.grid, params))
+    q = np.stack((state.u, state.v, state.eta))
+    return _from_stack(state, _cheb_stack(cp, q, t, spec), t)
+
+
+def _cheb_stack(cp: _Couplings, q0: np.ndarray, t: float,
+                spec: PropagatorSpec) -> np.ndarray:
+    """The Chebyshev recurrence for e^{Lt} on a stacked array q0, which it
+    overwrites; L is given by its couplings, full or band."""
     lam_needed = abs(t) * cp.max_omega
     if lam_needed > spec.Lambda * (1.0 + 1e-9):
         raise ValueError(
@@ -270,8 +310,8 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
     scaled = cp.scaled(2.0 * t / spec.Lambda)
 
     # Q_{k+1} = (2 t / Lambda) L Q_k + Q_{k-1} overwrites Q_{k-1}'s buffer,
-    # so the recurrence runs on two (3, nx, ny) arrays and one accumulator
-    q_prev = np.stack((state.u, state.v, state.eta))
+    # so the recurrence runs on two stacked arrays and one accumulator
+    q_prev = q0
     q = np.zeros_like(q_prev)
     _add_linear(scaled, q_prev, q)
     q *= 0.5
@@ -282,7 +322,7 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
         q_prev, q = q, q_prev
     # real coefficients and a real recurrence keep Hermitian inputs Hermitian,
     # so no symmetry projection is needed here
-    return _from_stack(state, acc, t)
+    return acc
 
 
 def propagate(t: float, state: State, params: PhysicsParams,
@@ -305,3 +345,20 @@ def forward_shift(state: State, params: PhysicsParams,
     if spec.kind == "exact":
         return _exact_shift(state, params)
     return lambda s: cheb_exp(s, state, params, spec)
+
+
+def band_shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
+               spec: PropagatorSpec) -> Callable[[float], np.ndarray]:
+    """The map s -> e^{Ls} q for a compact (3, nx, kb) band stack q, as new
+    band stacks; q is not modified.
+
+    On the exact route L q and L^2 q are computed once, here.  Either route
+    is bitwise the band columns of the full-array propagate.
+    """
+    key = _table_key(grid, params)
+    cp = _band_couplings(*key)
+    if spec.kind == "exact":
+        lu = _linear(cp, q)
+        llu = _linear(cp, lu)
+        return lambda s: _closed_form(_band_exp_coeffs(key, abs(s)), s, q, lu, llu)
+    return lambda s: _cheb_stack(cp, q.copy(), s, spec)

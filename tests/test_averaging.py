@@ -9,7 +9,7 @@ import pytest
 from phaseswe import propagator
 from phaseswe.averaging import (Quadrature, averaged_tendency,
                                 default_node_count, kernel_weights)
-from phaseswe.dynamics import (PhysicsParams, apply_nonlinear, energy_norm,
+from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_norm,
                                flat_bottom, max_frequency)
 from phaseswe.grid import dealias, make_grid, to_spectral
 from phaseswe.oracles import band_limited_state
@@ -86,12 +86,16 @@ def topography(grid):
 
 
 def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
-    # the 12 x 8 grid has Lx != Ly and carries topography
+    # the 12 x 8 grid has Lx != Ly and carries topography; both propagator
+    # routes shift the nodes on the band
     grid12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
-    for grid, params in ((grid32, flat(grid32)), (grid12x8, topography(grid12x8))):
+    cases = [(grid, params, spec)
+             for grid, params in ((grid32, flat(grid32)), (grid12x8, topography(grid12x8)))
+             for spec in (PropagatorSpec.exact(),
+                          PropagatorSpec.chebyshev(max_frequency(grid, params) * 1800.0))]
+    for grid, params, spec in cases:
         state = band_limited_state(grid, rng)
         quad = kernel_weights(1800.0, 3)
-        spec = PropagatorSpec.exact()
         got = averaged_tendency(state, quad, params, spec)
 
         acc_u = np.zeros_like(state.u)
@@ -113,6 +117,43 @@ def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
         assert np.array_equal(got.u, acc_u)
         assert np.array_equal(got.v, acc_v)
         assert np.array_equal(got.eta, acc_eta)
+
+
+def hermitian_mirror(c):
+    # c(-k) in place of c(k), for the fft2 layout
+    return c[(-np.arange(c.shape[0])) % c.shape[0]][:, (-np.arange(c.shape[1])) % c.shape[1]]
+
+
+@pytest.mark.parametrize("route", ["exact", "chebyshev"])
+def test_averaged_tendency_is_hermitian_and_band_limited(route, rng):
+    for grid in (make_grid(12, 18, 1.5e6, 2.5e6), make_grid(18, 12, 2.5e6, 1.5e6)):
+        params = topography(grid)
+        spec = (PropagatorSpec.exact() if route == "exact" else
+                PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0))
+        got = averaged_tendency(band_limited_state(grid, rng), kernel_weights(3600.0, 4),
+                                params, spec)
+        for c in (got.u, got.v, got.eta):
+            assert np.array_equal(hermitian_mirror(c), np.conj(c))
+            assert np.all(c[~grid.dealias_mask] == 0.0)
+            assert np.any(c != 0.0)
+
+
+def test_out_of_band_input_leaves_averaged_tendency_unchanged(rng):
+    grid = make_grid(18, 12, 2.5e6, 1.5e6)
+    params = topography(grid)
+    state = band_limited_state(grid, rng)
+    noise = [c - dealias(grid, c) for c in
+             (to_spectral(grid, rng.standard_normal((grid.nx, grid.ny))) for _ in range(3))]
+    assert all(np.any(c != 0.0) for c in noise)
+    noisy = State(grid=grid, u=state.u + noise[0], v=state.v + noise[1],
+                  eta=state.eta + noise[2])
+    for spec in (PropagatorSpec.exact(),
+                 PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0)):
+        for quad in (kernel_weights(0.0, 0), kernel_weights(3600.0, 4)):
+            want = averaged_tendency(state, quad, params, spec)
+            got = averaged_tendency(noisy, quad, params, spec)
+            for name in ("u", "v", "eta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_zero_window_reduces_to_plain_nonlinearity(grid32, rng):

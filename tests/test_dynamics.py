@@ -11,7 +11,7 @@ from phaseswe.config import default_config
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
                                energy_norm, flat_bottom, max_frequency)
-from phaseswe.grid import dealias, make_grid, to_physical, to_spectral
+from phaseswe.grid import band, dealias, make_grid, to_physical, to_spectral
 from phaseswe.oracles import (band_limited_state, linear_tendency,
                               nonlinear_tendency, wrap_indices)
 from phaseswe.propagator import exact_exp
@@ -175,13 +175,15 @@ def test_wrap_indices_helper_matches_fft_layout():
 
 
 def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
-    # one inverse call for (u, v, eta - b), one for the four gradients and one
-    # forward call for the four products; counts, not timings
-    calls = {"to_physical": [], "to_spectral": []}
+    # one inverse call for the seven band fields (u, v, eta - b and the four
+    # gradients), on the compact (7, nx, kb) band columns, and one forward
+    # call for the four real products; the full-grid transforms go unused
+    calls = {name: [] for name in ("band_to_physical", "band_to_spectral",
+                                   "to_physical", "to_spectral")}
 
     def counted(name, fn):
         def wrapper(grid, arr, *args):
-            calls[name].append(np.shape(arr))
+            calls[name].append((np.shape(arr), np.iscomplexobj(arr)))
             return fn(grid, arr, *args)
         return wrapper
 
@@ -189,5 +191,23 @@ def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
     rough = physics_params(default_config(), grid32)
     apply_nonlinear(band_limited_state(grid32, rng), rough)
-    assert calls["to_physical"] == [(3, 32, 32), (4, 32, 32)]
-    assert calls["to_spectral"] == [(4, 32, 32)]
+    kb = 11  # band columns 0 <= wy < 32/3
+    assert calls["band_to_physical"] == [((7, 32, kb), True)]
+    assert calls["band_to_spectral"] == [((4, 32, 32), False)]
+    assert calls["to_physical"] == calls["to_spectral"] == []
+
+
+def test_band_kernel_matches_convolution_oracle_on_anisotropic_grids(rng):
+    # n divisible by 3 on both axes, nx != ny and Lx != Ly: the band's last
+    # column kb - 1 = n/3 - 1, and a swapped axis, would show here
+    for grid in (make_grid(12, 18, 1.5e6, 2.5e6), make_grid(18, 12, 2.5e6, 1.5e6)):
+        assert band(grid).kb == grid.ny // 3
+        state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
+        b = dealias(grid, to_spectral(grid, 30.0 * rng.standard_normal((grid.nx, grid.ny))))
+        params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
+        out = apply_nonlinear(state, params)
+        want = nonlinear_tendency(state, params)
+        for name in ("u", "v", "eta"):
+            got, expect = getattr(out, name), getattr(want, name)
+            scale = np.max(np.abs(expect))
+            assert np.max(np.abs(got - expect)) <= 1e-12 * scale, (grid.nx, name)

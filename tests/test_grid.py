@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from phaseswe.grid import (dealias, integrate_product, make_grid, to_physical,
-                           to_spectral)
+from phaseswe.grid import (band, band_to_physical, band_to_spectral, dealias,
+                           from_band, integrate_product, make_grid, take_band,
+                           to_physical, to_spectral)
 from phaseswe.oracles import (band_limited_state, truncated_convolution,
                               wrap_indices)
 
@@ -133,3 +134,43 @@ def test_inverse_equals_real_part_of_full_inverse(rng):
     want = np.fft.ifft2(c).real
     assert got.dtype == np.float64 and got.shape == c.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12), (32, 32)])
+def test_band_columns_hold_the_two_thirds_band(shape):
+    g = make_grid(*shape, 1.5e6, 2.5e6)
+    b = band(g)
+    assert b.kb == -(-g.ny // 3)
+    # every band mode is in the columns or the mirror of one that is
+    assert np.array_equal(b.mask, g.dealias_mask[:, : b.kb])
+    assert not np.any(g.dealias_mask[:, b.kb : g.ny - b.kb + 1])
+    assert np.array_equal(b.ikx, np.broadcast_to(1j * g.kx[:, None], b.mask.shape))
+    assert np.array_equal(b.iky, np.broadcast_to(1j * g.ky[None, : b.kb], b.mask.shape))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12)])
+def test_band_round_trip_and_transforms(shape, rng):
+    g = make_grid(*shape, 1.5e6, 2.5e6)
+    coeffs = np.stack([band_limited_state(g, rng).u for _ in range(3)])
+    compact = take_band(g, coeffs)
+    assert compact.shape == (3, g.nx, band(g).kb)
+    # the rebuild restores the band-limited field to its round-off
+    # Hermitian defect, and is itself exactly Hermitian
+    full = from_band(g, compact)
+    scale = np.max(np.abs(coeffs))
+    assert np.max(np.abs(full - coeffs)) <= 1e-14 * scale
+    mx, my = (-np.arange(g.nx)) % g.nx, (-np.arange(g.ny)) % g.ny
+    assert np.array_equal(full[:, mx][:, :, my], np.conj(full))
+    assert np.array_equal(take_band(g, full), compact)
+
+    phys = to_physical(g, coeffs)
+    got = band_to_physical(g, compact)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - phys)) <= 1e-14 * np.max(np.abs(phys))
+    spec = band_to_spectral(g, phys)
+    want = to_spectral(g, phys)[..., : band(g).kb]
+    assert np.max(np.abs(spec - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="real"):
+        band_to_spectral(g, phys + 0j)
+    with pytest.raises(ValueError, match="band stack"):
+        band_to_physical(g, coeffs)

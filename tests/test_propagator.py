@@ -8,11 +8,12 @@ import pytest
 from phaseswe import propagator
 from phaseswe.config import default_config
 from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
-from phaseswe.grid import make_grid
+from phaseswe.grid import make_grid, take_band
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp,
-                                 choose_npoly, exact_exp, forward_shift, propagate)
+                                 band_shift, choose_npoly, exact_exp, forward_shift,
+                                 propagate)
 from phaseswe.testcase import physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
@@ -209,6 +210,23 @@ def test_forward_shift_is_bitwise_propagate(rng):
             for name in ("u", "v", "eta"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.t == want.t
+
+
+def test_band_shift_is_bitwise_band_of_propagate(rng):
+    grid = make_grid(18, 12, 2.5e6, 1.5e6)  # ny divisible by 3: kb = 4, wy = 0 .. 3
+    params = flat(grid)
+    state = band_limited_state(grid, rng)
+    q = take_band(grid, (state.u, state.v, state.eta))
+    lam = max_frequency(grid, params) * 3600.0
+    for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
+        shift = band_shift(q, grid, params, spec)
+        for s in (900.0, -1800.0, 3600.0):
+            moved = propagate(s, state, params, spec)
+            want = take_band(grid, (moved.u, moved.v, moved.eta))
+            assert np.array_equal(shift(s), want)
+    assert np.array_equal(q, take_band(grid, (state.u, state.v, state.eta)))
+    with pytest.raises(ValueError, match="exceeds Lambda"):
+        band_shift(q, grid, params, PropagatorSpec.chebyshev(lam))(7200.0)
 
 
 def test_step_fills_coefficient_table_with_its_distinct_times(rng):
