@@ -10,16 +10,15 @@ rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 derivatives at the window edges, so the endpoint nodes carry zero weight.
 
 e^{Lt} acts mode by mode and N reads and returns only the 2/3 band, so every
-node term lives on the band.  U's band columns are taken once, as a compact
-(3, nx, kb) stack (grid.take_band); each node's forward shift, backward shift
-and weighted sum run on that stack, and the full Hermitian tendency is
-rebuilt once per call (grid.from_band).  The forward shifts all act on one U
-and come from one propagator.band_shift (on the exact route: L U and L^2 U
-once per averaged tendency).  Each node hands the nonlinearity the full state
-rebuilt from its shifted band and keeps the band of the result: a custom
-nonlinearity sees and returns the 2/3 band.  Node evaluations are independent
-and may run concurrently; the weighted reduction always runs in ascending
-node order on the calling thread, so results are bitwise identical for any
+node term lives on the band.  The core, band_averaged_tendency, runs on U's
+compact (3, nx, kb) band stack (grid.take_band): one propagator.shift serves
+every forward shift (on the exact route: L U and L^2 U once per call), and
+each node's backward shift and the weighted sum stay on the band.  Each node
+hands the nonlinearity the full state rebuilt from its shifted band and
+keeps the band of the result: a custom nonlinearity sees and returns the 2/3
+band.  averaged_tendency wraps the core for States.  Node evaluations may
+run concurrently; the weighted reduction always runs in ascending node
+order on the calling thread, so results are bitwise identical for any
 worker count, and to the explicit loop of full-array propagate calls.
 """
 
@@ -31,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhysicsParams, State, apply_nonlinear
-from .grid import from_band, take_band
-from .propagator import PropagatorSpec, band_shift
+from .grid import SpectralGrid, from_band, take_band
+from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
 
@@ -41,6 +40,7 @@ __all__ = [
     "kernel_weights",
     "default_node_count",
     "averaged_tendency",
+    "band_averaged_tendency",
 ]
 
 
@@ -105,47 +105,54 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
                       propagator_spec: PropagatorSpec,
                       executor: Executor | None = None,
                       nonlinear=apply_nonlinear) -> State:
-    """Evaluate the phase-averaged nonlinear tendency at the quadrature nodes.
-
-    Nodes with zero weight (the bump kernel's endpoints) are skipped.  With an
-    executor the node terms are evaluated concurrently; the reduction is
-    sequential in ascending node order either way, so the result is bitwise
-    independent of the worker count.  nonlinear may be swapped out (for a zero
-    tendency, say) to exercise the purely linear part of a scheme; it is
-    handed states that are zero outside the 2/3 band, and only the band of
-    what it returns is kept.  The result is zero outside the band and exactly
-    Hermitian-symmetric.
-    """
+    """band_averaged_tendency of the state's 2/3 band, as a State that is zero
+    outside the band and exactly Hermitian-symmetric."""
     grid = state.grid
-    live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
     q = take_band(grid, (state.u, state.v, state.eta))
+    full = from_band(grid, band_averaged_tendency(
+        q, grid, state.t, quadrature, params, propagator_spec, executor, nonlinear))
+    return State(grid=grid, u=full[0], v=full[1], eta=full[2], t=state.t)
+
+
+def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid, t: float,
+                           quadrature: Quadrature, params: PhysicsParams,
+                           propagator_spec: PropagatorSpec,
+                           executor: Executor | None = None,
+                           nonlinear=apply_nonlinear) -> np.ndarray:
+    """The averaged tendency's band stack, for the state at time t whose
+    compact (3, nx, kb) band stack is q.
+
+    Zero-weight nodes (the bump kernel's endpoints) are skipped.  With an
+    executor the node terms run concurrently; the reduction runs in ascending
+    node order either way, so the result is bitwise independent of the worker
+    count.  nonlinear may be swapped out (a zero tendency, say, for the purely
+    linear part of a scheme); it is handed States that are zero outside the
+    2/3 band, and only the band of what it returns is kept.
+    """
+    live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
     # on the calling thread, so pool threads share one L U and L^2 U; a
     # quadrature whose only live node is s = 0 needs no shift at all
-    shift = (band_shift(q, grid, params, propagator_spec)
-             if any(quadrature.s[i] != 0.0 for i in live) else None)
+    forward = (shift(q, grid, params, propagator_spec)
+               if any(quadrature.s[i] != 0.0 for i in live) else None)
 
     def term(i: int) -> np.ndarray:
         s = float(quadrature.s[i])
         try:
-            moved = from_band(grid, q if s == 0.0 else shift(s))
+            moved = from_band(grid, q if s == 0.0 else forward(s))
             tend = nonlinear(State(grid=grid, u=moved[0], v=moved[1], eta=moved[2],
-                                   t=state.t + s), params)
+                                   t=t + s), params)
             tend = take_band(grid, (tend.u, tend.v, tend.eta))
             if s == 0.0:
                 return tend
-            return band_shift(tend, grid, params, propagator_spec)(-s)
+            return shift(tend, grid, params, propagator_spec)(-s)
         except Exception as exc:
             k = i - quadrature.M
             raise RuntimeError(
                 f"averaging node k = {k} (s = {s:.6g} s) failed: {exc}") from exc
 
-    if executor is None:
-        results = [term(i) for i in live]
-    else:
-        results = list(executor.map(term, live))
+    results = list((map if executor is None else executor.map)(term, live))
 
     acc = quadrature.w[live[0]] * results[0]
     for i, res in zip(live[1:], results[1:]):
         acc += quadrature.w[i] * res
-    full = from_band(grid, acc)
-    return State(grid=grid, u=full[0], v=full[1], eta=full[2], t=state.t)
+    return acc

@@ -69,6 +69,11 @@ class RunConfig:
             if getattr(self, name) < 0:
                 object.__setattr__(self, name, derived)
 
+        # the echo must parse back: nothing parse_config cuts or strips
+        for name, value in vars(self).items():
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or "".join(value.splitlines()) != value):
+                bad(f"{name} = {value!r} holds '#', a line break or outer whitespace")
         for name in ("nx", "ny"):
             n = getattr(self, name)
             if n < 8 or n % 2 != 0:

@@ -127,9 +127,6 @@ class State:
                 != (other.grid.nx, other.grid.ny, other.grid.Lx, other.grid.Ly)):
             raise ValueError("states live on different grids")
 
-    def with_time(self, t: float) -> "State":
-        return replace(self, t=t)
-
 
 def _check_b(state: State, params: PhysicsParams) -> None:
     if params.b.shape != (state.grid.nx, state.grid.ny):

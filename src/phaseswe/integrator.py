@@ -13,6 +13,10 @@ The linear part is treated exactly: with N = 0 a step reduces to e^{L dt} up
 to the group-law round-off of the propagator.  The unaveraged reference is
 the same scheme with a zero-width window (T = 0, M = 0), the exact
 propagator, and a fine step (config.reference_config).
+
+N reads and returns only the 2/3 band and e^{Lt} acts mode by mode, so a
+step runs its stages, averaged tendencies and exponentials on compact
+(3, nx, kb) band stacks (grid.take_band) and rebuilds the full state once.
 """
 
 from __future__ import annotations
@@ -22,14 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import Quadrature, averaged_tendency, default_node_count, kernel_weights
+from .averaging import (Quadrature, band_averaged_tendency, default_node_count,
+                        kernel_weights)
+# averaged_tendency stays a module attribute: perfbench/tracing.py patches it here
+from .averaging import averaged_tendency  # noqa: F401
 from .config import is_multiple
 # energy_mass stays a module attribute: perfbench/tracing.py patches it here
 from .diagnostics import energy_mass, energy_mass_fields, physical_fields  # noqa: F401
 from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
 # to_physical stays a module attribute: perfbench/tracing.py patches it here
-from .grid import SpectralGrid, to_physical  # noqa: F401
-from .propagator import PropagatorSpec, forward_shift, propagate
+from .grid import SpectralGrid, from_band, take_band, to_physical  # noqa: F401
+from .propagator import PropagatorSpec, shift
+# propagate stays a module attribute: perfbench/tracing.py patches it here
+from .propagator import propagate  # noqa: F401
 
 __all__ = [
     "StepConfig",
@@ -75,35 +84,38 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
     return StepConfig(dt=float(dt), quadrature=quad, propagator_spec=spec)
 
 
-def _require_finite(state: State, stage: int) -> None:
-    for name in ("u", "v", "eta"):
-        if not np.all(np.isfinite(getattr(state, name))):
+def _require_finite(q: np.ndarray, stage: int) -> None:
+    for name, values in zip(("u", "v", "eta"), q):
+        if not np.all(np.isfinite(values)):
             raise RuntimeError(f"non-finite values in field {name} after stage {stage}")
 
 
 def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams,
                          executor=None, nonlinear=apply_nonlinear) -> State:
-    """Advance one step of the transformed SSPRK3 scheme."""
-    dt = config.dt
-    quad = config.quadrature
-    spec = config.propagator_spec
+    """Advance one step of the transformed SSPRK3 scheme.  Only the 2/3 band
+    of the state is read; the result is exactly Hermitian and zero outside it."""
+    grid, t, dt = state.grid, state.t, config.dt
+    quad, spec = config.quadrature, config.propagator_spec
 
-    def E(t: float, s: State) -> State:
-        return propagate(t, s, params, spec)
+    def E(s: float, q: np.ndarray) -> np.ndarray:
+        return shift(q, grid, params, spec)(s)
 
-    def A(s: State) -> State:
-        return averaged_tendency(s, quad, params, spec, executor, nonlinear)
+    def A(q: np.ndarray, t_q: float) -> np.ndarray:
+        return band_averaged_tendency(q, grid, t_q, quad, params, spec, executor,
+                                      nonlinear)
 
+    un = take_band(grid, (state.u, state.v, state.eta))
     # e^{L dt} U^n and e^{L dt/2} U^n share one L U^n and L^2 U^n
-    shift_un = forward_shift(state, params, spec)
+    shift_un = shift(un, grid, params, spec)
     e_dt_un = shift_un(dt)
-    u1 = e_dt_un + dt * E(dt, A(state))
+    u1 = e_dt_un + dt * E(dt, A(un, t))
     _require_finite(u1, 1)
-    u2 = 0.75 * shift_un(0.5 * dt) + 0.25 * E(-0.5 * dt, u1 + dt * A(u1))
+    u2 = 0.75 * shift_un(0.5 * dt) + 0.25 * E(-0.5 * dt, u1 + dt * A(u1, t + dt))
     _require_finite(u2, 2)
-    out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2))
+    out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2, t + dt / 2))
     _require_finite(out, 3)
-    return out.with_time(state.t + dt)
+    full = from_band(grid, out)
+    return State(grid=grid, u=full[0], v=full[1], eta=full[2], t=t + dt)
 
 
 @dataclass
@@ -136,9 +148,10 @@ def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
         snapshot_every: float = 0.0, workers: int = 1) -> Trajectory:
     """Step from the initial state to t_end, recording snapshots and diagnostics.
 
-    t_end must be a nonnegative multiple of dt; snapshot_every must be a
-    positive multiple of dt, or 0 to record only the initial and final states.
-    The initial and final states are always recorded.
+    The initial state must be zero outside the 2/3 band.  t_end must be a
+    nonnegative multiple of dt; snapshot_every must be a positive multiple of
+    dt, or 0 to record only the initial and final states.  The initial and
+    final states are always recorded.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
@@ -151,6 +164,10 @@ def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
     stride = round(snapshot_every / config.dt)
     if snapshot_every != 0.0 and stride <= 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
+    outside = ~initial.grid.dealias_mask
+    if any(np.any(c[outside]) for c in (initial.u, initial.v, initial.eta)):
+        raise ValueError("initial state has modes outside the 2/3 band, which a step "
+                         "would drop; dealias it first")
 
     traj = Trajectory()
     traj.record(0, initial, params)

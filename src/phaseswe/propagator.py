@@ -5,23 +5,18 @@ Per mode, L satisfies L^3 = -omega^2 L, so the exponential has the closed form
     e^{Lt} = I + (sin(omega t)/omega) L + ((1 - cos(omega t))/omega^2) L^2
 
 with the omega -> 0 limit I + t L.  This is exact (to round-off) and serves
-as the oracle for the iterative route.  Its cost is paid in tables: the
-per-mode couplings of L and omega are cached per (nx, ny, Lx, Ly, f, g, H),
-and c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 per |t|
-(c1 is odd, c2 even), filled on first use.  A run only asks for the few
-times its StepConfig fixes (the node shifts s_k, dt and dt/2), so the
-trigonometry is evaluated once per distinct |t|.  L is applied through the
-cached couplings into stacked (3, nx, ny) arrays, with no State built per
-application, and forward_shift computes L U and L^2 U once for all the
-shifts e^{L s} U of one state (the step's e^{L dt} U^n and e^{L dt/2} U^n).
+as the oracle for the iterative route.
 
-Both routes also run on compact (3, nx, kb) band stacks (grid.take_band):
-band_shift reads contiguous band-column copies of the couplings and of c1,
-c2, each cached next to its full table, and on the Chebyshev route runs the
-same recurrence, with the same Lambda, degree and Lambda guard.  Every
-per-mode operation is the one the full-array route performs on that mode, so
-a band shift is bitwise the band columns of the full one.  The averaging
-nodes shift on the band; the step-level exponentials stay on full states.
+One kernel, shift(q, grid, params, spec), maps s -> e^{Ls} q for a stacked
+(3, nx, ncols) array q: ncols = ny is the whole grid, ncols = kb = ceil(ny/3)
+the compact 2/3 band of grid.take_band.  Its tables are cached per
+(nx, ny, Lx, Ly, f, g, H) and ncols: L's per-mode couplings and omega, and
+per |t| c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 (c1
+is odd, c2 even), so the trigonometry runs once per distinct |t| a run asks
+for (its node shifts, dt and dt/2).  A band entry copies the whole-grid
+entry's columns and every operation is per mode, so a band shift is bitwise
+the band columns of a whole-grid one.  propagate, exact_exp and cheb_exp
+wrap shift for States; the averaged tendency and the stepper use the band.
 
 The Chebyshev route approximates e^{l} for l on the spectral interval
 i[-Lambda, Lambda] by a degree-n polynomial evaluated matrix-free through
@@ -59,8 +54,7 @@ __all__ = [
     "choose_npoly",
     "cheb_exp",
     "propagate",
-    "forward_shift",
-    "band_shift",
+    "shift",
 ]
 
 DEFAULT_CHEB_TOL = 1e-10
@@ -98,16 +92,15 @@ class PropagatorSpec:
 
 
 # Table sizes.  A step asks for at most M + 2 distinct |t| (the live node
-# shifts, dt and dt/2), so a step's whole set stays cached for M up to 62;
-# each entry is two real (nx, ny) arrays, and a band entry two (nx, kb) ones.
-_COUPLING_TABLES = 8
-_COEFF_TABLES = 64
+# shifts, dt and dt/2), each a whole-grid entry of two real (nx, ny) arrays
+# and its band copy, so a step's whole set stays cached for M up to 62.
+_COUPLING_TABLES = 16
+_COEFF_TABLES = 128
 
 
 class _Couplings(NamedTuple):
-    """Per-mode entries of L: the rotation scalar f, the (nx, ny) gradient
-    couplings -g i kx, -g i ky, -H i kx, -H i ky, and omega (or their (nx, kb)
-    band columns); max_omega is always the full grid's."""
+    """Per-mode entries of L: the scalar f, the (nx, ncols) couplings -g i kx,
+    -g i ky, -H i kx, -H i ky and omega, and the whole grid's max omega."""
 
     f: float
     gx: np.ndarray
@@ -129,82 +122,58 @@ def _table_key(grid: SpectralGrid, params: PhysicsParams) -> tuple:
             float(params.f), float(params.g), float(params.H))
 
 
+def _columns(arrays, ncols: int) -> tuple:
+    """Read-only contiguous first ncols columns of (nx, ny) arrays: the arrays
+    themselves for ncols = ny, copies for the band."""
+    out = tuple(np.ascontiguousarray(arr[:, :ncols]) for arr in arrays)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=_COUPLING_TABLES)
-def _couplings(nx: int, ny: int, Lx: float, Ly: float,
-               f: float, g: float, H: float) -> _Couplings:
-    """Read-only couplings of L, cached per (nx, ny, Lx, Ly, f, g, H)."""
+def _couplings(key: tuple, ncols: int) -> _Couplings:
+    """Read-only couplings of L on the first ncols columns, for the key of
+    _table_key; a band entry copies the whole-grid entry's columns."""
+    nx, ny, Lx, Ly, f, g, H = key
+    if ncols != ny:
+        whole = _couplings(key, ny)
+        return whole._replace(**dict(zip(("gx", "gy", "hx", "hy", "omega"),
+                                         _columns(whole[1:6], ncols))))
     kx2, ky2 = make_grid(nx, ny, Lx, Ly).wavenumber_mesh()
     # full (nx, ny) arrays: a broadcast (nx, 1) complex multiply is slower
     ikx, iky = 1j * np.stack(np.broadcast_arrays(kx2, ky2))
     # dispersion_omega reads only f, g and H from its params
     omega = dispersion_omega((kx2, ky2), SimpleNamespace(f=f, g=g, H=H))
-    arrays = ((-g) * ikx, (-g) * iky, (-H) * ikx, (-H) * iky, omega)
-    for arr in arrays:
-        arr.setflags(write=False)
+    arrays = _columns(((-g) * ikx, (-g) * iky, (-H) * ikx, (-H) * iky, omega), ny)
     return _Couplings(f, *arrays, float(np.max(omega)))
 
 
 @lru_cache(maxsize=_COEFF_TABLES)
-def _exp_coeffs(key: tuple, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
+def _exp_coeffs(key: tuple, ncols: int, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only c1(|t|) = sin(omega t)/omega and c2(|t|) = (1 - cos omega t)/omega^2,
-    with the omega = 0 limits |t| and t^2/2, for the couplings of key.
-
-    c1 is odd in t and c2 even, so one entry serves e^{Lt} and e^{-Lt}."""
-    om = _couplings(*key).omega
+    with the omega = 0 limits |t| and t^2/2, on the first ncols columns; a
+    band entry copies the whole-grid entry's.  c1 is odd in t and c2 even,
+    so one entry serves e^{Lt} and e^{-Lt}."""
+    if ncols != key[1]:
+        return _columns(_exp_coeffs(key, key[1], abs_t), ncols)
+    om = _couplings(key, ncols).omega
     safe = np.where(om > 0.0, om, 1.0)
     c1 = np.where(om > 0.0, np.sin(om * abs_t) / safe, abs_t)
     c2 = np.where(om > 0.0, (1.0 - np.cos(om * abs_t)) / safe**2, 0.5 * abs_t * abs_t)
-    for arr in (c1, c2):
-        arr.setflags(write=False)
-    return c1, c2
-
-
-def _band_copy(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr[:, : band_width(arr.shape[1])])
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=_COUPLING_TABLES)
-def _band_couplings(*key) -> _Couplings:
-    """The couplings of key on the band columns, as contiguous copies."""
-    cp = _couplings(*key)
-    return cp._replace(**{name: _band_copy(getattr(cp, name))
-                          for name in ("gx", "gy", "hx", "hy", "omega")})
-
-
-@lru_cache(maxsize=_COEFF_TABLES)
-def _band_exp_coeffs(key: tuple, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
-    """c1(|t|), c2(|t|) on the band columns, copied from the full entry so
-    that they are bitwise its values."""
-    return tuple(_band_copy(c) for c in _exp_coeffs(key, abs_t))
+    return _columns((c1, c2), ncols)
 
 
 def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray) -> None:
-    """out += L q for stacked (3, nx, ny) or band arrays, L given by its couplings."""
+    """out += L q for stacked (3, nx, ncols) arrays, L given by its couplings;
+    into zeros, this is L q."""
     out[0] += cp.f * q[1] + cp.gx * q[2]
     out[1] += cp.gy * q[2] - cp.f * q[0]
     out[2] += cp.hx * q[0] + cp.hy * q[1]
 
 
-def _linear(cp: _Couplings, q) -> np.ndarray:
-    """L q as a new stacked (3, ...) array; q is a stacked array or a
-    (u, v, eta) tuple of fields."""
-    out = np.empty((3,) + q[0].shape, dtype=np.complex128)
-    np.multiply(q[1], cp.f, out=out[0])
-    out[0] += cp.gx * q[2]
-    np.multiply(cp.gy, q[2], out=out[1])
-    out[1] -= cp.f * q[0]
-    np.multiply(cp.hx, q[0], out=out[2])
-    out[2] += cp.hy * q[1]
-    return out
-
-
-def _from_stack(state: State, q: np.ndarray, t: float) -> State:
-    return replace(state, u=q[0], v=q[1], eta=q[2], t=state.t + t)
-
-
-def _closed_form(coeffs, t: float, q, lu: np.ndarray, llu: np.ndarray) -> np.ndarray:
+def _closed_form(coeffs, t: float, q: np.ndarray, lu: np.ndarray,
+                 llu: np.ndarray) -> np.ndarray:
     """e^{Lt} q = q + c1(t) L q + c2(t) L^2 q from the coefficients (c1, c2)
     of |t|, as a new stacked array."""
     c1, c2 = coeffs
@@ -218,20 +187,35 @@ def _closed_form(coeffs, t: float, q, lu: np.ndarray, llu: np.ndarray) -> np.nda
     return out
 
 
-def _exact_shift(state: State, params: PhysicsParams) -> Callable[[float], State]:
-    """t -> e^{Lt} state, with L state and L^2 state computed once here."""
-    key = _table_key(state.grid, params)
-    cp = _couplings(*key)
-    q = (state.u, state.v, state.eta)
-    lu = _linear(cp, q)
-    llu = _linear(cp, lu)
-    return lambda t: _from_stack(
-        state, _closed_form(_exp_coeffs(key, abs(t)), t, q, lu, llu), t)
+def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
+          spec: PropagatorSpec) -> Callable[[float], np.ndarray]:
+    """The map s -> e^{Ls} q for a whole-grid (3, nx, ny) or band
+    (3, nx, kb) stack q, as new stacks; q is not modified.  On the exact
+    route L q and L^2 q are computed once, here; on the Chebyshev route each
+    shift runs the recurrence on a copy of q."""
+    if q.shape not in ((3, grid.nx, grid.ny), (3, grid.nx, band_width(grid.ny))):
+        raise ValueError(f"shift needs a (3, nx, ny) or (3, nx, kb) stack for the "
+                         f"{grid.nx} x {grid.ny} grid, got shape {q.shape}")
+    key, ncols = _table_key(grid, params), q.shape[-1]
+    cp = _couplings(key, ncols)
+    if spec.kind == "exact":
+        lu, llu = np.zeros_like(q), np.zeros_like(q)
+        _add_linear(cp, q, lu)
+        _add_linear(cp, lu, llu)
+        return lambda s: _closed_form(_exp_coeffs(key, ncols, abs(s)), s, q, lu, llu)
+    return lambda s: _cheb_stack(cp, q.copy(), s, spec)
+
+
+def propagate(t: float, state: State, params: PhysicsParams,
+              spec: PropagatorSpec) -> State:
+    """Apply e^{Lt} by the route selected in spec; advances the time stamp."""
+    q = shift(np.stack((state.u, state.v, state.eta)), state.grid, params, spec)(t)
+    return replace(state, u=q[0], v=q[1], eta=q[2], t=state.t + t)
 
 
 def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
     """Apply e^{Lt} exactly via the per-mode closed form; advances the time stamp."""
-    return _exact_shift(state, params)(t)
+    return propagate(t, state, params, PropagatorSpec.exact())
 
 
 @lru_cache(maxsize=64)
@@ -291,15 +275,13 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
         raise ValueError(f"cheb_exp needs a chebyshev spec, got kind {spec.kind!r}")
     if t == 0.0:
         return state
-    cp = _couplings(*_table_key(state.grid, params))
-    q = np.stack((state.u, state.v, state.eta))
-    return _from_stack(state, _cheb_stack(cp, q, t, spec), t)
+    return propagate(t, state, params, spec)
 
 
 def _cheb_stack(cp: _Couplings, q0: np.ndarray, t: float,
                 spec: PropagatorSpec) -> np.ndarray:
     """The Chebyshev recurrence for e^{Lt} on a stacked array q0, which it
-    overwrites; L is given by its couplings, full or band."""
+    overwrites; L is given by its couplings, whole-grid or band."""
     lam_needed = abs(t) * cp.max_omega
     if lam_needed > spec.Lambda * (1.0 + 1e-9):
         raise ValueError(
@@ -323,42 +305,3 @@ def _cheb_stack(cp: _Couplings, q0: np.ndarray, t: float,
     # real coefficients and a real recurrence keep Hermitian inputs Hermitian,
     # so no symmetry projection is needed here
     return acc
-
-
-def propagate(t: float, state: State, params: PhysicsParams,
-              spec: PropagatorSpec) -> State:
-    """Apply e^{Lt} by the route selected in spec."""
-    if spec.kind == "exact":
-        return exact_exp(t, state, params)
-    return cheb_exp(t, state, params, spec)
-
-
-def forward_shift(state: State, params: PhysicsParams,
-                  spec: PropagatorSpec) -> Callable[[float], State]:
-    """The map s -> e^{Ls} state, for many s applied to one state.
-
-    On the exact route L state and L^2 state are computed once, here, and
-    each shift only combines them with the cached coefficients; the result
-    is bitwise exact_exp(s, state, params).  On the Chebyshev route each
-    shift is a cheb_exp call.
-    """
-    if spec.kind == "exact":
-        return _exact_shift(state, params)
-    return lambda s: cheb_exp(s, state, params, spec)
-
-
-def band_shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
-               spec: PropagatorSpec) -> Callable[[float], np.ndarray]:
-    """The map s -> e^{Ls} q for a compact (3, nx, kb) band stack q, as new
-    band stacks; q is not modified.
-
-    On the exact route L q and L^2 q are computed once, here.  Either route
-    is bitwise the band columns of the full-array propagate.
-    """
-    key = _table_key(grid, params)
-    cp = _band_couplings(*key)
-    if spec.kind == "exact":
-        lu = _linear(cp, q)
-        llu = _linear(cp, lu)
-        return lambda s: _closed_form(_band_exp_coeffs(key, abs(s)), s, q, lu, llu)
-    return lambda s: _cheb_stack(cp, q.copy(), s, spec)

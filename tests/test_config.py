@@ -99,6 +99,25 @@ def test_format_parse_round_trip():
     assert format_config(parse_config(format_config(custom))) == format_config(custom)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("output_dir", "runs/#3"),
+    ("output_dir", " runs"),
+    ("reference_path", "ref "),
+    ("output_dir", "runs\nnx = 8"),
+    ("reference_path", "a\rb"),
+    ("propagator", "exact\n"),
+])
+def test_values_that_would_not_parse_back_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(default_config(), **{key: value})
+
+
+def test_inner_spaces_round_trip():
+    cfg = dataclasses.replace(default_config(), output_dir="my runs/T 1",
+                              reference_path="ref dir")
+    assert parse_config(format_config(cfg)) == cfg
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.cfg"))

@@ -154,7 +154,6 @@ def test_state_arithmetic(grid8, grid32, rng):
     assert np.array_equal((a - b).eta, a.eta - b.eta)
     assert np.array_equal((2.0 * a).v, 2.0 * a.v)
     assert np.array_equal((a * 2.0).v, 2.0 * a.v)
-    assert a.with_time(42.0).t == 42.0
     other = band_limited_state(grid32, rng)
     with pytest.raises(ValueError, match="different grids"):
         a + other

@@ -8,12 +8,11 @@ import pytest
 from phaseswe import propagator
 from phaseswe.config import default_config
 from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
-from phaseswe.grid import make_grid, take_band
+from phaseswe.grid import band_width, make_grid, take_band
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
-from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp,
-                                 band_shift, choose_npoly, exact_exp, forward_shift,
-                                 propagate)
+from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_npoly,
+                                 exact_exp, propagate, shift)
 from phaseswe.testcase import physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
@@ -199,34 +198,30 @@ def test_exp_tables_are_keyed_on_grid_and_physics_values(rng):
             assert_matches_dense(exact_exp(t, s, params), s, params, t, 1e-12)
 
 
-def test_forward_shift_is_bitwise_propagate(rng):
-    params = flat(GRID_12x8)
-    state = band_limited_state(GRID_12x8, rng)
-    lam = max_frequency(GRID_12x8, params) * 3600.0
-    for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
-        shift = forward_shift(state, params, spec)
-        for s in (900.0, -1800.0, 3600.0, 900.0):
-            got, want = shift(s), propagate(s, state, params, spec)
-            for name in ("u", "v", "eta"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert got.t == want.t
-
-
-def test_band_shift_is_bitwise_band_of_propagate(rng):
-    grid = make_grid(18, 12, 2.5e6, 1.5e6)  # ny divisible by 3: kb = 4, wy = 0 .. 3
-    params = flat(grid)
-    state = band_limited_state(grid, rng)
-    q = take_band(grid, (state.u, state.v, state.eta))
-    lam = max_frequency(grid, params) * 3600.0
-    for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
-        shift = band_shift(q, grid, params, spec)
-        for s in (900.0, -1800.0, 3600.0):
-            moved = propagate(s, state, params, spec)
-            want = take_band(grid, (moved.u, moved.v, moved.eta))
-            assert np.array_equal(shift(s), want)
-    assert np.array_equal(q, take_band(grid, (state.u, state.v, state.eta)))
-    with pytest.raises(ValueError, match="exceeds Lambda"):
-        band_shift(q, grid, params, PropagatorSpec.chebyshev(lam))(7200.0)
+def test_shift_is_bitwise_propagate_on_grid_and_band(rng):
+    # one shift serves many s, on the whole grid and on the compact band; the
+    # 18 x 12 grid has ny divisible by 3: kb = 4, wy = 0 .. 3
+    for grid in (GRID_12x8, make_grid(18, 12, 2.5e6, 1.5e6)):
+        params = flat(grid)
+        state = band_limited_state(grid, rng)
+        whole = np.stack((state.u, state.v, state.eta))
+        band = take_band(grid, whole)
+        lam = max_frequency(grid, params) * 3600.0
+        for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
+            on_grid = shift(whole, grid, params, spec)
+            on_band = shift(band, grid, params, spec)
+            for s in (900.0, -1800.0, 3600.0, 900.0):
+                moved = propagate(s, state, params, spec)
+                want = np.stack((moved.u, moved.v, moved.eta))
+                assert moved.t == state.t + s
+                assert np.array_equal(on_grid(s), want)
+                assert np.array_equal(on_band(s), take_band(grid, want))
+        assert np.array_equal(whole, np.stack((state.u, state.v, state.eta)))
+        assert np.array_equal(band, take_band(grid, whole))
+        with pytest.raises(ValueError, match="exceeds Lambda"):
+            shift(band, grid, params, PropagatorSpec.chebyshev(lam))(7200.0)
+        with pytest.raises(ValueError, match="stack"):
+            shift(whole[:, :, :-1], grid, params, PropagatorSpec.exact())
 
 
 def test_step_fills_coefficient_table_with_its_distinct_times(rng):
@@ -242,11 +237,14 @@ def test_step_fills_coefficient_table_with_its_distinct_times(rng):
     times |= {config.dt, 0.5 * config.dt}
     assert len(times) == 4
     out = step_averaged_ssprk3(state, config, params)
+    # the step runs on the band: per |t| one band entry, copied from the one
+    # whole-grid entry that evaluates the trigonometry
     info = table.cache_info()
-    assert info.currsize == info.misses == len(times)
+    assert info.currsize == info.misses == 2 * len(times)
     key = propagator._table_key(GRID_12x8, params)
     for t in times:
-        table(key, t)
-    assert table.cache_info().misses == len(times)  # exactly those times
+        for ncols in (GRID_12x8.ny, band_width(GRID_12x8.ny)):
+            table(key, ncols, t)
+    assert table.cache_info().misses == 2 * len(times)  # exactly those entries
     step_averaged_ssprk3(out, config, params)
-    assert table.cache_info().misses == len(times)
+    assert table.cache_info().misses == 2 * len(times)
