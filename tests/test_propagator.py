@@ -198,30 +198,46 @@ def test_exp_tables_are_keyed_on_grid_and_physics_values(rng):
             assert_matches_dense(exact_exp(t, s, params), s, params, t, 1e-12)
 
 
-def test_shift_is_bitwise_propagate_on_grid_and_band(rng):
-    # one shift serves many s, on the whole grid and on the compact band; the
-    # 18 x 12 grid has ny divisible by 3: kb = 4, wy = 0 .. 3
-    for grid in (GRID_12x8, make_grid(18, 12, 2.5e6, 1.5e6)):
+SHIFT_GRIDS = (GRID_12x8, make_grid(18, 12, 2.5e6, 1.5e6))  # 18 x 12: kb = 4, wy = 0 .. 3
+
+
+def shift_cases(rng):
+    """Per grid: params, a band-limited state, its whole-grid stack and both specs."""
+    for grid in SHIFT_GRIDS:
         params = flat(grid)
         state = band_limited_state(grid, rng)
-        whole = np.stack((state.u, state.v, state.eta))
-        band = take_band(grid, whole)
         lam = max_frequency(grid, params) * 3600.0
-        for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
+        yield (grid, params, state, np.stack((state.u, state.v, state.eta)), lam,
+               (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)))
+
+
+def test_forward_shift_is_bitwise_propagate(rng):
+    # one shift of the whole-grid stack serves many s
+    for grid, params, state, whole, lam, specs in shift_cases(rng):
+        for spec in specs:
             on_grid = shift(whole, grid, params, spec)
+            for s in (900.0, -1800.0, 3600.0, 900.0):
+                moved = propagate(s, state, params, spec)
+                assert moved.t == state.t + s
+                assert np.array_equal(on_grid(s), np.stack((moved.u, moved.v, moved.eta)))
+        assert np.array_equal(whole, np.stack((state.u, state.v, state.eta)))
+        with pytest.raises(ValueError, match="stack"):
+            shift(whole[:, :, :-1], grid, params, PropagatorSpec.exact())
+
+
+def test_band_shift_is_bitwise_band_of_propagate(rng):
+    # the same shift on the compact 2/3 band gives the band of the whole-grid result
+    for grid, params, state, whole, lam, specs in shift_cases(rng):
+        band = take_band(grid, whole)
+        for spec in specs:
             on_band = shift(band, grid, params, spec)
             for s in (900.0, -1800.0, 3600.0, 900.0):
                 moved = propagate(s, state, params, spec)
                 want = np.stack((moved.u, moved.v, moved.eta))
-                assert moved.t == state.t + s
-                assert np.array_equal(on_grid(s), want)
                 assert np.array_equal(on_band(s), take_band(grid, want))
-        assert np.array_equal(whole, np.stack((state.u, state.v, state.eta)))
         assert np.array_equal(band, take_band(grid, whole))
         with pytest.raises(ValueError, match="exceeds Lambda"):
             shift(band, grid, params, PropagatorSpec.chebyshev(lam))(7200.0)
-        with pytest.raises(ValueError, match="stack"):
-            shift(whole[:, :, :-1], grid, params, PropagatorSpec.exact())
 
 
 def test_step_fills_coefficient_table_with_its_distinct_times(rng):
