@@ -9,17 +9,15 @@ rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 2019), normalised to sum exactly to one.  The bump vanishes with all
 derivatives at the window edges, so the endpoint nodes carry zero weight.
 
-e^{Lt} acts mode by mode and N reads and returns only the 2/3 band, so every
-node term lives on the band.  The core, band_averaged_tendency, runs on U's
-compact (3, nx, kb) band stack (grid.take_band): one propagator.shift serves
-every forward shift (on the exact route: L U and L^2 U once per call), and
-each node's backward shift and the weighted sum stay on the band.  Each node
-hands the nonlinearity the full state rebuilt from its shifted band and
-keeps the band of the result: a custom nonlinearity sees and returns the 2/3
-band.  averaged_tendency wraps the core for States.  Node evaluations may
-run concurrently; the weighted reduction always runs in ascending node
-order on the calling thread, so results are bitwise identical for any
-worker count, and to the explicit loop of full-array propagate calls.
+e^{Lt} acts mode by mode and N, like any nonlinear=, maps a (3, nx, kb)
+band stack (grid.take_band) to a band stack, so the core,
+band_averaged_tendency, runs every node term on U's band: one
+propagator.shift serves every forward shift (on the exact route: L U and
+L^2 U once per call), then nonlinear, the backward shift and the weighted
+sum.  averaged_tendency wraps the core for States.  Node evaluations may run
+concurrently; the weighted reduction always runs in ascending node order on
+the calling thread, so results are bitwise identical for any worker count,
+and to the explicit loop of full-array propagate calls.
 """
 
 from __future__ import annotations
@@ -110,24 +108,24 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
     grid = state.grid
     q = take_band(grid, (state.u, state.v, state.eta))
     full = from_band(grid, band_averaged_tendency(
-        q, grid, state.t, quadrature, params, propagator_spec, executor, nonlinear))
+        q, grid, quadrature, params, propagator_spec, executor, nonlinear))
     return State(grid=grid, u=full[0], v=full[1], eta=full[2], t=state.t)
 
 
-def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid, t: float,
+def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid,
                            quadrature: Quadrature, params: PhysicsParams,
                            propagator_spec: PropagatorSpec,
                            executor: Executor | None = None,
                            nonlinear=apply_nonlinear) -> np.ndarray:
-    """The averaged tendency's band stack, for the state at time t whose
-    compact (3, nx, kb) band stack is q.
+    """The averaged tendency's band stack, for the state whose compact
+    (3, nx, kb) band stack is q.
 
     Zero-weight nodes (the bump kernel's endpoints) are skipped.  With an
     executor the node terms run concurrently; the reduction runs in ascending
     node order either way, so the result is bitwise independent of the worker
     count.  nonlinear may be swapped out (a zero tendency, say, for the purely
-    linear part of a scheme); it is handed States that are zero outside the
-    2/3 band, and only the band of what it returns is kept.
+    linear part of a scheme); like apply_nonlinear, it maps a band stack, the
+    node's shifted q, and (grid, params) to a band stack.
     """
     live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
     # on the calling thread, so pool threads share one L U and L^2 U; a
@@ -138,13 +136,8 @@ def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid, t: float,
     def term(i: int) -> np.ndarray:
         s = float(quadrature.s[i])
         try:
-            moved = from_band(grid, q if s == 0.0 else forward(s))
-            tend = nonlinear(State(grid=grid, u=moved[0], v=moved[1], eta=moved[2],
-                                   t=t + s), params)
-            tend = take_band(grid, (tend.u, tend.v, tend.eta))
-            if s == 0.0:
-                return tend
-            return shift(tend, grid, params, propagator_spec)(-s)
+            tend = nonlinear(q if s == 0.0 else forward(s), grid, params)
+            return tend if s == 0.0 else shift(tend, grid, params, propagator_spec)(-s)
         except Exception as exc:
             k = i - quadrature.M
             raise RuntimeError(

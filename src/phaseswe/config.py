@@ -11,6 +11,7 @@ window_config."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
@@ -63,17 +64,19 @@ class RunConfig:
         def bad(msg: str):
             raise ConfigError(f"invalid config: {msg}")
 
+        # nan and inf would slip past the checks below; the echo must parse back
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                bad(f"{name} must be finite, got {value}")
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or "".join(value.splitlines()) != value):
+                bad(f"{name} = {value!r} holds '#', a line break or outer whitespace")
+
         # sentinel -1 means "derive from the domain size"
         for name, derived in (("jet_width", self.Ly / 16.0), ("r0", self.Ly / 9.0),
                               ("xc", 0.5 * self.Lx), ("yc", 0.25 * self.Ly)):
             if getattr(self, name) < 0:
                 object.__setattr__(self, name, derived)
-
-        # the echo must parse back: nothing parse_config cuts or strips
-        for name, value in vars(self).items():
-            if isinstance(value, str) and ("#" in value or value != value.strip()
-                                           or "".join(value.splitlines()) != value):
-                bad(f"{name} = {value!r} holds '#', a line break or outer whitespace")
         for name in ("nx", "ny"):
             n = getattr(self, name)
             if n < 8 or n % 2 != 0:

@@ -10,10 +10,10 @@ where b is the bottom topography.  L acts diagonally per spectral mode as the
 eigenvalues {0, +i omega, -i omega}, omega = sqrt(f^2 + g H |k|^2).  L is
 skew-adjoint in the energy inner product H (u u' + v v') + g eta eta'.
 
-N is a band kernel: it reads only the 2/3-band modes of its input, through
-the compact (nx, kb) band columns of grid.py, and returns a state that is
-zero outside the band and exactly Hermitian-symmetric.  Its seven inverse
-and four forward transforms are one band_to_physical and one
+N is a band kernel: apply_nonlinear(q, grid, params) maps the compact
+(3, nx, kb) band stack of U (grid.take_band) to the band stack of N(U), zero
+outside the 2/3 band and the band of an exactly Hermitian field.  Its seven
+inverse and four forward transforms are one band_to_physical and one
 band_to_spectral call.
 """
 
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.fft
 
-from .grid import SpectralGrid, band, band_to_physical, band_to_spectral, from_band
+from .grid import (SpectralGrid, band, band_to_physical, band_to_spectral,
+                   mirror_ky0)
 # to_physical and to_spectral stay module attributes: perfbench/tracing.py
 # patches them here
 from .grid import to_physical, to_spectral  # noqa: F401
@@ -128,13 +129,6 @@ class State:
             raise ValueError("states live on different grids")
 
 
-def _check_b(state: State, params: PhysicsParams) -> None:
-    if params.b.shape != (state.grid.nx, state.grid.ny):
-        raise ValueError(
-            f"topography shape {params.b.shape} does not match grid "
-            f"{(state.grid.nx, state.grid.ny)}")
-
-
 def apply_linear(state: State, params: PhysicsParams) -> State:
     """Tendency L U: rotation, pressure gradient, divergence.  Per-mode diagonal."""
     kx2, ky2 = state.grid.wavenumber_mesh()
@@ -146,32 +140,35 @@ def apply_linear(state: State, params: PhysicsParams) -> State:
     return replace(state, u=du, v=dv, eta=deta)
 
 
-def apply_nonlinear(state: State, params: PhysicsParams) -> State:
-    """Tendency N(U): momentum advection and flux-form continuity.
+def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
+                    params: PhysicsParams) -> np.ndarray:
+    """Band stack of N(U), momentum advection and flux-form continuity, for
+    the state U whose (3, nx, kb) band stack is q.
 
     Products are formed in physical space; inputs are truncated to the 2/3
-    band |wrap| < n/3 first (a no-op on band-limited states) and the result is
-    dealiased.  On that band no product of two retained modes aliases back
-    into it, so for band-limited inputs this equals the truncated convolution.
-    The mean eta tendency is exactly zero because both continuity terms are
-    divergences.  Only the band columns of the input are read, and the result
-    is rebuilt from its band columns, so it is exactly Hermitian.
+    band |wrap| < n/3 (a no-op on band-limited states) and the result is
+    dealiased, so no product of two retained modes aliases back into the
+    band: this is the truncated convolution.  The mean eta tendency is exactly
+    zero, both continuity terms being divergences.  Column ky = 0 is mirrored
+    (mirror_ky0): the result is the band of an exactly Hermitian field.
     """
-    _check_b(state, params)
-    g = state.grid
-    bd = band(g)
-    kb = bd.kb
+    bd = band(grid)
+    if np.shape(q) != (3, grid.nx, bd.kb):
+        raise ValueError(f"apply_nonlinear needs a (3, nx, kb) = "
+                         f"{(3, grid.nx, bd.kb)} band stack, got shape {np.shape(q)}")
+    if params.b.shape != (grid.nx, grid.ny):
+        raise ValueError(f"topography shape {params.b.shape} does not match grid "
+                         f"{(grid.nx, grid.ny)}")
 
     # (u, v, eta - b) truncated to the band, then the four velocity gradients
-    c = np.zeros((7, g.nx, kb), dtype=np.complex128)
-    for dst, coeffs in zip(c, (state.u[:, :kb], state.v[:, :kb],
-                               state.eta[:, :kb] - params.b[:, :kb])):
+    c = np.zeros((7, grid.nx, bd.kb), dtype=np.complex128)
+    for dst, coeffs in zip(c, (q[0], q[1], q[2] - params.b[:, : bd.kb])):
         np.copyto(dst, coeffs, where=bd.mask)
     np.multiply(bd.ikx, c[0], out=c[3])
     np.multiply(bd.iky, c[0], out=c[4])
     np.multiply(bd.ikx, c[1], out=c[5])
     np.multiply(bd.iky, c[1], out=c[6])
-    phys = band_to_physical(g, c)
+    phys = band_to_physical(grid, c)
     u, v, depth, ux, uy, vx, vy = phys
 
     # the four products overwrite the gradients, each after their last use
@@ -179,12 +176,11 @@ def apply_nonlinear(state: State, params: PhysicsParams) -> State:
     np.negative(u * vx + v * vy, out=phys[4])
     np.multiply(u, depth, out=phys[5])
     np.multiply(v, depth, out=phys[6])
-    du, dv, flux_x, flux_y = band_to_spectral(g, phys[3:])
+    du, dv, flux_x, flux_y = band_to_spectral(grid, phys[3:])
     # dealiased into c's first three fields, which are zero outside the band
     for dst, coeffs in zip(c, (du, dv, -(bd.ikx * flux_x + bd.iky * flux_y))):
         np.copyto(dst, coeffs, where=bd.mask)
-    full = from_band(g, c[:3])
-    return replace(state, u=full[0], v=full[1], eta=full[2])
+    return mirror_ky0(c[:3])
 
 
 def dispersion_omega(kappa, params: PhysicsParams) -> np.ndarray:

@@ -18,7 +18,8 @@ Every 2/3-band mode of a real field is fixed by the ky >= 0 band columns
 0 .. kb - 1, kb = ceil(ny/3): the other band modes are their conjugate
 mirrors.  The band kernels work on those columns alone, as compact
 (..., nx, kb) stacks: ``take_band`` cuts them out (zero outside the band),
-``from_band`` rebuilds the full Hermitian (nx, ny) layout, and
+``from_band`` rebuilds the full Hermitian (nx, ny) layout (``mirror_ky0``
+makes column ky = 0 conjugate-symmetric), and
 ``band_to_physical``/``band_to_spectral`` transform between the compact band
 and real physical fields without touching the columns the band leaves empty.
 """
@@ -43,6 +44,7 @@ __all__ = [
     "band_width",
     "band",
     "take_band",
+    "mirror_ky0",
     "from_band",
     "band_to_physical",
     "band_to_spectral",
@@ -228,6 +230,14 @@ def _check_band(grid: SpectralGrid, arr: np.ndarray) -> None:
                          f"{(grid.nx, kb)}")
 
 
+def mirror_ky0(stack: np.ndarray) -> np.ndarray:
+    """The stack (..., nx, ncols), its column ky = 0 made conjugate-symmetric
+    in kx in place: the kx < 0 half is overwritten by the kx > 0 half's mirror."""
+    nx = stack.shape[-2]
+    np.conjugate(stack[..., 1 : nx // 2, 0], out=stack[..., : nx // 2 : -1, 0])
+    return stack
+
+
 def from_band(grid: SpectralGrid, compact: np.ndarray) -> np.ndarray:
     """The full Hermitian (..., nx, ny) layout of a compact band stack.
 
@@ -239,10 +249,10 @@ def from_band(grid: SpectralGrid, compact: np.ndarray) -> np.ndarray:
     """
     compact = np.asarray(compact)
     _check_band(grid, compact)
-    nx, ny, kb = grid.nx, grid.ny, compact.shape[-1]
+    ny, kb = grid.ny, compact.shape[-1]
     out = np.zeros(compact.shape[:-1] + (ny,), dtype=np.complex128)
     out[..., :kb] = compact
-    np.conjugate(compact[..., 1 : nx // 2, 0], out=out[..., : nx // 2 : -1, 0])
+    mirror_ky0(out)
     np.conjugate(compact[..., 0, kb - 1 : 0 : -1], out=out[..., 0, ny - kb + 1 :])
     np.conjugate(compact[..., :0:-1, kb - 1 : 0 : -1], out=out[..., 1:, ny - kb + 1 :])
     return out

@@ -54,9 +54,10 @@ def _write_run_outputs(outdir: str, cfg: RunConfig, traj: Trajectory) -> None:
 
 def _load_reference(path: str, final: State) -> State:
     ref = read_snapshot_state(path)
-    if (ref.grid.nx, ref.grid.ny) != (final.grid.nx, final.grid.ny):
-        raise ValueError(f"reference grid {(ref.grid.nx, ref.grid.ny)} does not "
-                         f"match run grid {(final.grid.nx, final.grid.ny)}")
+    ref_grid, run_grid = ((g.nx, g.ny, g.Lx, g.Ly) for g in (ref.grid, final.grid))
+    if ref_grid != run_grid:
+        raise ValueError(f"reference grid (nx, ny, Lx, Ly) = {ref_grid} does not "
+                         f"match run grid {run_grid}")
     if abs(ref.t - final.t) > 1e-6 * max(1.0, abs(final.t)):
         raise ValueError(f"reference time {ref.t} does not match run final "
                          f"time {final.t}")

@@ -14,9 +14,9 @@ to the group-law round-off of the propagator.  The unaveraged reference is
 the same scheme with a zero-width window (T = 0, M = 0), the exact
 propagator, and a fine step (config.reference_config).
 
-N reads and returns only the 2/3 band and e^{Lt} acts mode by mode, so a
-step runs its stages, averaged tendencies and exponentials on compact
-(3, nx, kb) band stacks (grid.take_band) and rebuilds the full state once.
+N, like any nonlinear=, maps band stacks to band stacks and e^{Lt} acts mode
+by mode, so a step runs on compact (3, nx, kb) band stacks (grid.take_band)
+and rebuilds the full state once.
 """
 
 from __future__ import annotations
@@ -94,28 +94,26 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
                          executor=None, nonlinear=apply_nonlinear) -> State:
     """Advance one step of the transformed SSPRK3 scheme.  Only the 2/3 band
     of the state is read; the result is exactly Hermitian and zero outside it."""
-    grid, t, dt = state.grid, state.t, config.dt
+    grid, dt = state.grid, config.dt
     quad, spec = config.quadrature, config.propagator_spec
 
     def E(s: float, q: np.ndarray) -> np.ndarray:
         return shift(q, grid, params, spec)(s)
 
-    def A(q: np.ndarray, t_q: float) -> np.ndarray:
-        return band_averaged_tendency(q, grid, t_q, quad, params, spec, executor,
-                                      nonlinear)
+    def A(q: np.ndarray) -> np.ndarray:
+        return band_averaged_tendency(q, grid, quad, params, spec, executor, nonlinear)
 
     un = take_band(grid, (state.u, state.v, state.eta))
     # e^{L dt} U^n and e^{L dt/2} U^n share one L U^n and L^2 U^n
     shift_un = shift(un, grid, params, spec)
     e_dt_un = shift_un(dt)
-    u1 = e_dt_un + dt * E(dt, A(un, t))
+    u1 = e_dt_un + dt * E(dt, A(un))
     _require_finite(u1, 1)
-    u2 = 0.75 * shift_un(0.5 * dt) + 0.25 * E(-0.5 * dt, u1 + dt * A(u1, t + dt))
+    u2 = 0.75 * shift_un(0.5 * dt) + 0.25 * E(-0.5 * dt, u1 + dt * A(u1))
     _require_finite(u2, 2)
-    out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2, t + dt / 2))
+    out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2))
     _require_finite(out, 3)
-    full = from_band(grid, out)
-    return State(grid=grid, u=full[0], v=full[1], eta=full[2], t=t + dt)
+    return State(grid, *from_band(grid, out), t=state.t + dt)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from phaseswe.averaging import (Quadrature, averaged_tendency,
                                 default_node_count, kernel_weights)
 from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_norm,
                                flat_bottom, max_frequency)
-from phaseswe.grid import dealias, make_grid, to_spectral
+from phaseswe.grid import dealias, from_band, make_grid, take_band, to_spectral
 from phaseswe.oracles import band_limited_state
 from phaseswe.propagator import PropagatorSpec, propagate
 
@@ -20,6 +20,13 @@ F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
 def flat(grid):
     return flat_bottom(grid, F0, G0, H0)
+
+
+def nonlinear_state(state, params):
+    # N(U) of a State, through the band kernel
+    grid = state.grid
+    q = take_band(grid, (state.u, state.v, state.eta))
+    return State(grid, *from_band(grid, apply_nonlinear(q, grid, params)), t=state.t)
 
 
 def test_weights_sum_to_one_and_are_symmetric():
@@ -107,9 +114,9 @@ def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
                 continue
             s = float(quad.s[i])
             if s == 0.0:
-                term = apply_nonlinear(state, params)
+                term = nonlinear_state(state, params)
             else:
-                term = propagate(-s, apply_nonlinear(
+                term = propagate(-s, nonlinear_state(
                     propagate(s, state, params, spec), params), params, spec)
             acc_u += w * term.u
             acc_v += w * term.v
@@ -161,7 +168,7 @@ def test_zero_window_reduces_to_plain_nonlinearity(grid32, rng):
     state = band_limited_state(grid32, rng)
     got = averaged_tendency(state, kernel_weights(0.0, 0), params,
                             PropagatorSpec.exact())
-    want = apply_nonlinear(state, params)
+    want = nonlinear_state(state, params)
     assert np.array_equal(got.u, want.u)
     assert np.array_equal(got.v, want.v)
     assert np.array_equal(got.eta, want.eta)
@@ -170,7 +177,7 @@ def test_zero_window_reduces_to_plain_nonlinearity(grid32, rng):
 def test_small_window_approaches_plain_nonlinearity(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
-    plain = apply_nonlinear(state, params)
+    plain = nonlinear_state(state, params)
     tiny = averaged_tendency(state, kernel_weights(1e-2, 4), params,
                              PropagatorSpec.exact())
     rel = energy_norm(tiny - plain, params) / energy_norm(plain, params)
@@ -180,7 +187,7 @@ def test_small_window_approaches_plain_nonlinearity(grid32, rng):
 def test_wide_window_differs_from_plain_nonlinearity(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
-    plain = apply_nonlinear(state, params)
+    plain = nonlinear_state(state, params)
     lam = max_frequency(grid32, params)
     T = 4.0 * np.pi / lam  # several periods of the fastest wave
     wide = averaged_tendency(state, kernel_weights(T, 16), params,
@@ -230,7 +237,7 @@ def test_node_failure_reports_node_index(grid32, rng):
     state = band_limited_state(grid32, rng)
     quad = kernel_weights(1800.0, 3)
 
-    def broken(s, p):
+    def broken(q, g, p):
         raise ValueError("boom")
 
     with pytest.raises(RuntimeError, match=r"averaging node k = -2 .*boom"):

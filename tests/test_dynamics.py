@@ -11,7 +11,8 @@ from phaseswe.config import default_config
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
                                energy_norm, flat_bottom, max_frequency)
-from phaseswe.grid import band, dealias, make_grid, to_physical, to_spectral
+from phaseswe.grid import (band, dealias, from_band, make_grid, take_band,
+                           to_physical, to_spectral)
 from phaseswe.oracles import (band_limited_state, linear_tendency,
                               nonlinear_tendency, wrap_indices)
 from phaseswe.propagator import exact_exp
@@ -22,6 +23,13 @@ F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
 def flat(grid):
     return flat_bottom(grid, F0, G0, H0)
+
+
+def nonlinear_state(state, params):
+    # N(U) of a State, through the band kernel
+    grid = state.grid
+    q = take_band(grid, (state.u, state.v, state.eta))
+    return State(grid, *from_band(grid, apply_nonlinear(q, grid, params)), t=state.t)
 
 
 def test_linear_matches_per_mode_matrix(grid8, rng):
@@ -48,7 +56,7 @@ def test_nonlinear_matches_convolution_oracle(grid8, rng):
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
         b = dealias(grid, to_spectral(grid, b_phys))
         params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
-        out = apply_nonlinear(state, params)
+        out = nonlinear_state(state, params)
         want = nonlinear_tendency(state, params)
         for name in ("u", "v", "eta"):
             got, expect = getattr(out, name), getattr(want, name)
@@ -58,7 +66,7 @@ def test_nonlinear_matches_convolution_oracle(grid8, rng):
 
 def test_nonlinear_mean_eta_tendency_is_exactly_zero(grid32, rng):
     state = band_limited_state(grid32, rng)
-    out = apply_nonlinear(state, flat(grid32))
+    out = nonlinear_state(state, flat(grid32))
     assert out.eta[0, 0] == 0.0
 
 
@@ -68,12 +76,12 @@ def test_balanced_jet_is_discrete_steady_state(grid64):
     jet = balanced_jet(case, grid64)
     scale = case.f * energy_norm(jet, params)
     lin = energy_norm(apply_linear(jet, params), params)
-    non = energy_norm(apply_nonlinear(jet, params), params)
+    non = energy_norm(nonlinear_state(jet, params), params)
     assert lin <= 1e-12 * scale
     assert non <= 1e-12 * scale
     # the mountain breaks the balance
     rough = physics_params(case, grid64)
-    assert energy_norm(apply_nonlinear(jet, rough), rough) > 1e-6 * scale
+    assert energy_norm(nonlinear_state(jet, rough), rough) > 1e-6 * scale
 
 
 def test_dispersion_and_max_frequency(grid64):
@@ -166,7 +174,7 @@ def test_nonlinear_checks_topography_shape(grid8, grid32, rng):
     state = band_limited_state(grid8, rng)
     wrong = PhysicsParams(f=F0, g=G0, H=H0, b=np.zeros((32, 32), dtype=complex))
     with pytest.raises(ValueError, match="topography"):
-        apply_nonlinear(state, wrong)
+        nonlinear_state(state, wrong)
 
 
 def test_wrap_indices_helper_matches_fft_layout():
@@ -189,7 +197,7 @@ def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
     for name in calls:
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
     rough = physics_params(default_config(), grid32)
-    apply_nonlinear(band_limited_state(grid32, rng), rough)
+    nonlinear_state(band_limited_state(grid32, rng), rough)
     kb = 11  # band columns 0 <= wy < 32/3
     assert calls["band_to_physical"] == [((7, 32, kb), True)]
     assert calls["band_to_spectral"] == [((4, 32, 32), False)]
@@ -204,9 +212,33 @@ def test_band_kernel_matches_convolution_oracle_on_anisotropic_grids(rng):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b = dealias(grid, to_spectral(grid, 30.0 * rng.standard_normal((grid.nx, grid.ny))))
         params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
-        out = apply_nonlinear(state, params)
+        out = nonlinear_state(state, params)
         want = nonlinear_tendency(state, params)
         for name in ("u", "v", "eta"):
             got, expect = getattr(out, name), getattr(want, name)
             scale = np.max(np.abs(expect))
             assert np.max(np.abs(got - expect)) <= 1e-12 * scale, (grid.nx, name)
+
+
+def test_nonlinear_ky0_column_is_exactly_hermitian(rng):
+    # the x transform of column ky = 0 is conjugate-symmetric only to
+    # round-off; the kernel mirrors it, so the result is the band of an
+    # exactly real field and from_band loses nothing
+    for grid in (make_grid(32, 32, 4.0e7, 4.0e7), make_grid(18, 12, 2.5e6, 1.5e6)):
+        state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
+        b = dealias(grid, to_spectral(grid, 30.0 * rng.standard_normal((grid.nx, grid.ny))))
+        params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
+        out = apply_nonlinear(take_band(grid, (state.u, state.v, state.eta)), grid, params)
+        assert out.shape == (3, grid.nx, band(grid).kb)
+        col = out[:, :, 0]
+        assert np.array_equal(col[:, (-np.arange(grid.nx)) % grid.nx], np.conj(col))
+        assert np.array_equal(take_band(grid, from_band(grid, out)), out)
+
+
+def test_nonlinear_rejects_other_stack_shapes(grid8, rng):
+    state = band_limited_state(grid8, rng)
+    params = flat(grid8)
+    q = take_band(grid8, (state.u, state.v, state.eta))
+    for bad in (np.stack((state.u, state.v, state.eta)), q[:2], q[None], state):
+        with pytest.raises(ValueError, match="band stack"):
+            apply_nonlinear(bad, grid8, params)

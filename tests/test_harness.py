@@ -96,6 +96,34 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("t_end", "nan"), ("snapshot_every", "inf"),
+                                        ("T", "nan"), ("T", "inf"), ("f", "nan"),
+                                        ("xc", "-inf")])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    # nan and inf used to escape as a traceback or fail later as a run error
+    cfg = tmp_path / "nonfinite.cfg"
+    kept = [line for line in SMALL_CFG.splitlines() if line.split(" = ")[0] != key]
+    cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    assert harness.main(["run", "--config", str(cfg), "--output", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reference_on_another_domain_is_rejected(tmp_path, small_cfg, capsys):
+    ref = tmp_path / "ref"
+    assert harness.main(["reference", "--config", str(small_cfg),
+                         "--output", str(ref)]) == 0
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(SMALL_CFG + f"Lx = 3.0e7\nreference_path = {ref}\n")
+    capsys.readouterr()
+    assert harness.main(["run", "--config", str(cfg),
+                         "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "reference grid (nx, ny, Lx, Ly) = (16, 16, 40000000.0, 40000000.0)" in err
+    assert "run grid (16, 16, 30000000.0, 40000000.0)" in err
+
+
 def test_run_transforms_each_recorded_state_once(tmp_path, small_cfg, monkeypatch):
     # physical_fields resolves to_physical in diagnostics; io and integrator
     # keep the name too, so a transform there would be counted as well
