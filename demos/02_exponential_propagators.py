@@ -51,9 +51,11 @@ print("  group error    |E(2t)U - E(t)E(t)U| = %.2e" % (energy_norm(two - chaine
 print("  isometry error | |E(t)U| - |U| |  = %.2e"
       % (abs(energy_norm(fwd, params) - norm) / norm))
 
-# Chebyshev route: the window Lambda must cover |t| * lam_max, then the
-# degree follows from the requested tolerance.  The coefficients are
-# 2 J_k(Lambda) and collapse superexponentially past k = Lambda.
+# Chebyshev route: the spec's Lambda must cover |t| * lam_max.  Each
+# exponential is sized to its own argument, Lambda_t = |t| * lam_max, with
+# the degree from the requested tolerance, so a shorter shift runs a lower
+# degree.  The coefficients are 2 J_k(Lambda_t) and collapse
+# superexponentially past k = Lambda_t.
 Lambda = lam_max * t
 print("\nChebyshev window Lambda = lam_max * t = %.3f" % Lambda)
 for tol in (1e-6, 1e-10, 1e-12):

@@ -76,10 +76,15 @@ def _execute(cfg: RunConfig) -> tuple[Trajectory, PhysicsParams, StepConfig]:
 def cmd_run(cfg: RunConfig) -> int:
     """Phase-averaged run; writes snapshots, diagnostics, and (against a
     reference, if configured) an error report."""
-    traj, params, _step_cfg = _execute(cfg)
+    traj, params, step_cfg = _execute(cfg)
     final = traj.states[-1]
+    # the resolved M and, on the Chebyshev route, Lambda and the largest degree
+    spec = step_cfg.propagator_spec
+    resolved = f"M = {step_cfg.quadrature.M}"
+    if spec.kind == "chebyshev":
+        resolved += f", Chebyshev Lambda = {spec.Lambda:.6g}, max degree {spec.n_poly}"
     print(f"run: {traj.steps[-1]} steps to t = {final.t:g} s, "
-          f"{len(traj.states)} snapshots -> {cfg.output_dir}")
+          f"{len(traj.states)} snapshots, {resolved} -> {cfg.output_dir}")
     if cfg.reference_path:
         ref = _load_reference(cfg.reference_path, final)
         report = make_error_report(final, ref, params, traj.states[0])

@@ -68,8 +68,10 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
     """Resolve a stepper configuration for the given grid and physics.
 
     M = None picks the default node count from the fastest mode.  For the
-    Chebyshev route, Lambda covers the largest exponential argument the
-    stages can request, max(dt, T + dt), with the degree chosen from tol.
+    Chebyshev route, Lambda covers the largest exponential argument a step
+    requests, max(dt, T): the stages shift by dt and +-dt/2, and every live
+    node by |s_k| < T.  Each exponential is sized to its own argument from
+    tol; the spec's n_poly is the degree at Lambda.
     """
     if M is None:
         M = default_node_count(T, max_frequency(grid, params))
@@ -77,7 +79,7 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
     if propagator == "exact":
         spec = PropagatorSpec.exact()
     elif propagator == "chebyshev":
-        lam = max_frequency(grid, params) * max(dt, T + dt)
+        lam = max_frequency(grid, params) * max(dt, T)
         spec = PropagatorSpec.chebyshev(lam, tol=tol)
     else:
         raise ValueError(f"unknown propagator {propagator!r}")

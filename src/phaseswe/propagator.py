@@ -31,6 +31,15 @@ J_k the Bessel function of the first kind.  They are computed here by a
 discrete cosine transform of e^{i Lambda cos(theta)} over Chebyshev nodes,
 and the Bessel identity is kept as an independent cross-check in the tests.
 All recurrence intermediates stay Hermitian-symmetric for real input states.
+
+Each Chebyshev exponential is sized to its own argument: Lambda_t =
+|t| max_omega, with max_omega the whole grid's on either layout, and degree
+choose_npoly(Lambda_t, tol), the coefficients cached per (Lambda_t, tol).
+The spec's Lambda only bounds the arguments.  The recurrence operator
+(2 t/Lambda_t) L = +-(2/max_omega) L is then the same for every |t|, so its
+couplings are one cached read-only table per (table key, ncols, sign).  The
+recurrence writes through out= into buffers of its own call, so node
+threads may shift concurrently.
 """
 
 from __future__ import annotations
@@ -65,12 +74,15 @@ class PropagatorSpec:
     """Which exponential route to use, and the Chebyshev parameters if iterative.
 
     Lambda bounds |t| * max_frequency over every exponential the caller will
-    request; exceeding it is an error, never silent extrapolation.
+    request; exceeding it is an error, never silent extrapolation.  Each
+    Chebyshev exponential is sized to its own argument from tol; n_poly is
+    the degree at the bound Lambda, the largest any call runs.
     """
 
     kind: str
     Lambda: float = 0.0
     n_poly: int = 1
+    tol: float = DEFAULT_CHEB_TOL
 
     def __post_init__(self):
         if self.kind not in ("exact", "chebyshev"):
@@ -79,6 +91,8 @@ class PropagatorSpec:
             raise ValueError(f"Lambda must be nonnegative, got {self.Lambda}")
         if self.n_poly < 1:
             raise ValueError(f"n_poly must be at least 1, got {self.n_poly}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
     @classmethod
     def exact(cls) -> "PropagatorSpec":
@@ -86,14 +100,16 @@ class PropagatorSpec:
 
     @classmethod
     def chebyshev(cls, Lambda: float, tol: float = DEFAULT_CHEB_TOL) -> "PropagatorSpec":
-        """The Chebyshev route on i[-Lambda, Lambda], degree chosen from tol."""
+        """The Chebyshev route on i[-Lambda, Lambda], degrees chosen from tol."""
         return cls(kind="chebyshev", Lambda=float(Lambda),
-                   n_poly=choose_npoly(Lambda, tol))
+                   n_poly=choose_npoly(Lambda, tol), tol=float(tol))
 
 
 # Table sizes.  A step asks for at most M + 2 distinct |t| (the live node
 # shifts, dt and dt/2), each a whole-grid entry of two real (nx, ny) arrays
-# and its band copy, so a step's whole set stays cached for M up to 62.
+# and its band copy, so a step's whole set stays cached for M up to 62.  On
+# the Chebyshev route each distinct |t| is one coefficient entry here, and
+# two in cheb_coeffs (its degree and choose_npoly's longer working set).
 _COUPLING_TABLES = 16
 _COEFF_TABLES = 128
 
@@ -109,11 +125,6 @@ class _Couplings(NamedTuple):
     hy: np.ndarray
     omega: np.ndarray
     max_omega: float
-
-    def scaled(self, c: float) -> "_Couplings":
-        """The couplings of c L."""
-        return self._replace(f=c * self.f, gx=c * self.gx, gy=c * self.gy,
-                             hx=c * self.hx, hy=c * self.hy)
 
 
 def _table_key(grid: SpectralGrid, params: PhysicsParams) -> tuple:
@@ -147,6 +158,19 @@ def _couplings(key: tuple, ncols: int) -> _Couplings:
     omega = dispersion_omega((kx2, ky2), SimpleNamespace(f=f, g=g, H=H))
     arrays = _columns(((-g) * ikx, (-g) * iky, (-H) * ikx, (-H) * iky, omega), ny)
     return _Couplings(f, *arrays, float(np.max(omega)))
+
+
+@lru_cache(maxsize=2 * _COUPLING_TABLES)
+def _recurrence(key: tuple, ncols: int, sign: float) -> _Couplings:
+    """Read-only couplings of c L, c = 2 sign/max_omega, on the first ncols
+    columns: with Lambda_t = |t| max_omega, the recurrence operator
+    (2 t/Lambda_t) L of every e^{Lt} with the sign of t."""
+    cp = _couplings(key, ncols)
+    c = 2.0 * sign / cp.max_omega
+    arrays = (c * cp.gx, c * cp.gy, c * cp.hx, c * cp.hy)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return cp._replace(f=c * cp.f, **dict(zip(("gx", "gy", "hx", "hy"), arrays)))
 
 
 @lru_cache(maxsize=_COEFF_TABLES)
@@ -192,7 +216,7 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
     """The map s -> e^{Ls} q for a whole-grid (3, nx, ny) or band
     (3, nx, kb) stack q, as new stacks; q is not modified.  On the exact
     route L q and L^2 q are computed once, here; on the Chebyshev route each
-    shift runs the recurrence on a copy of q."""
+    shift runs the recurrence sized to its own |s|, and s = 0 is a copy of q."""
     if q.shape not in ((3, grid.nx, grid.ny), (3, grid.nx, band_width(grid.ny))):
         raise ValueError(f"shift needs a (3, nx, ny) or (3, nx, kb) stack for the "
                          f"{grid.nx} x {grid.ny} grid, got shape {q.shape}")
@@ -203,7 +227,7 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
         _add_linear(cp, q, lu)
         _add_linear(cp, lu, llu)
         return lambda s: _closed_form(_exp_coeffs(key, ncols, abs(s)), s, q, lu, llu)
-    return lambda s: _cheb_stack(cp, q.copy(), s, spec)
+    return lambda s: _cheb_shift(key, cp, q, s, spec)
 
 
 def propagate(t: float, state: State, params: PhysicsParams,
@@ -218,7 +242,7 @@ def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
     return propagate(t, state, params, PropagatorSpec.exact())
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_COEFF_TABLES)
 def cheb_coeffs(Lambda: float, n_poly: int) -> np.ndarray:
     """Real, read-only expansion coefficients a_0 .. a_{n_poly} for e^{l},
     l in i[-Lambda, Lambda]; cached per (Lambda, n_poly)."""
@@ -278,29 +302,64 @@ def cheb_exp(t: float, state: State, params: PhysicsParams,
     return propagate(t, state, params, spec)
 
 
-def _cheb_stack(cp: _Couplings, q0: np.ndarray, t: float,
+@lru_cache(maxsize=_COEFF_TABLES)
+def _sized_coeffs(Lambda: float, tol: float) -> np.ndarray:
+    """Read-only coefficients a_0 .. a_n of e^{l} on i[-Lambda, Lambda] at the
+    degree n = choose_npoly(Lambda, tol); cached per (Lambda, tol)."""
+    return cheb_coeffs(Lambda, choose_npoly(Lambda, tol))
+
+
+def _cheb_shift(key: tuple, cp: _Couplings, q: np.ndarray, t: float,
                 spec: PropagatorSpec) -> np.ndarray:
-    """The Chebyshev recurrence for e^{Lt} on a stacked array q0, which it
-    overwrites; L is given by its couplings, whole-grid or band."""
+    """e^{Lt} q through the Chebyshev recurrence on i[-Lambda_t, Lambda_t],
+    Lambda_t = |t| max_omega, as a new stack; t = 0 is a copy of q."""
+    if t == 0.0:
+        return q.copy()
     lam_needed = abs(t) * cp.max_omega
     if lam_needed > spec.Lambda * (1.0 + 1e-9):
         raise ValueError(
             f"|t| * max_frequency = {lam_needed:.6g} exceeds Lambda = "
             f"{spec.Lambda:.6g}; enlarge Lambda or shorten t")
+    # (2 t/Lambda_t) L = +-(2/max_omega) L: one table per sign serves every |t|
+    rc = _recurrence(key, q.shape[-1], 1.0 if t > 0.0 else -1.0)
+    return _cheb_stack(rc, _sized_coeffs(lam_needed, spec.tol), q)
 
-    a = cheb_coeffs(spec.Lambda, spec.n_poly)
-    scaled = cp.scaled(2.0 * t / spec.Lambda)
 
-    # Q_{k+1} = (2 t / Lambda) L Q_k + Q_{k-1} overwrites Q_{k-1}'s buffer,
-    # so the recurrence runs on two stacked arrays and one accumulator
-    q_prev = q0
-    q = np.zeros_like(q_prev)
-    _add_linear(scaled, q_prev, q)
+def _add_linear_out(cp: _Couplings, q: np.ndarray, out: np.ndarray,
+                    tmp: np.ndarray) -> None:
+    """out += L q like _add_linear, every product written through the
+    (nx, ncols) buffer tmp."""
+    np.multiply(q[1], cp.f, out=tmp)
+    out[0] += tmp
+    np.multiply(q[2], cp.gx, out=tmp)
+    out[0] += tmp
+    np.multiply(q[2], cp.gy, out=tmp)
+    out[1] += tmp
+    np.multiply(q[0], cp.f, out=tmp)
+    out[1] -= tmp
+    np.multiply(q[0], cp.hx, out=tmp)
+    out[2] += tmp
+    np.multiply(q[1], cp.hy, out=tmp)
+    out[2] += tmp
+
+
+def _cheb_stack(rc: _Couplings, a: np.ndarray, q0: np.ndarray) -> np.ndarray:
+    """sum_k a_k Q_k q0 for a stacked array q0, which it only reads, with
+    Q_0 = I, Q_1 = S/2 and Q_{k+1} = S Q_k + Q_{k-1}, rc the couplings of
+    the recurrence operator S."""
+    # Q_{k+1} overwrites Q_{k-1}'s buffer, so the recurrence runs on two
+    # stacked arrays, one scratch stack and the accumulator, all of this call
+    tmp = np.empty_like(q0)
+    acc = np.multiply(q0, a[0])
+    q_prev, q = q0.copy(), np.zeros_like(q0)
+    _add_linear_out(rc, q_prev, q, tmp[0])
     q *= 0.5
-    acc = a[0] * q_prev + a[1] * q
-    for k in range(2, spec.n_poly + 1):
-        _add_linear(scaled, q, q_prev)
-        acc += a[k] * q_prev
+    np.multiply(q, a[1], out=tmp)
+    acc += tmp
+    for k in range(2, len(a)):
+        _add_linear_out(rc, q, q_prev, tmp[0])
+        np.multiply(q_prev, a[k], out=tmp)
+        acc += tmp
         q_prev, q = q, q_prev
     # real coefficients and a real recurrence keep Hermitian inputs Hermitian,
     # so no symmetry projection is needed here

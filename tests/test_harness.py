@@ -46,7 +46,22 @@ def test_run_writes_outputs(tmp_path, small_cfg, capsys):
     assert read_snapshot_state(str(out)).t == 1800.0
     echoed = parse_config((out / "config.resolved").read_text())
     assert echoed.T == 600.0 and echoed.M == 2
-    assert "3 steps to t = 1800 s" in capsys.readouterr().out
+    line = capsys.readouterr().out
+    assert "3 steps to t = 1800 s" in line
+    assert ", M = 2 ->" in line and "Chebyshev" not in line
+
+
+def test_chebyshev_run_reports_lambda_and_degree(tmp_path, small_cfg, capsys):
+    cfg = tmp_path / "cheb.cfg"
+    cfg.write_text(SMALL_CFG + "propagator = chebyshev\ntol = 1e-8\n")
+    assert harness.main(["run", "--config", str(cfg), "--output",
+                         str(tmp_path / "out")]) == 0
+    run_cfg = parse_config(cfg.read_text())
+    grid, _cfg, params, _state = harness.build_problem(run_cfg)
+    spec = harness.step_config(run_cfg, grid, params).propagator_spec
+    assert spec.kind == "chebyshev" and spec.tol == 1e-8
+    assert (f", M = 2, Chebyshev Lambda = {spec.Lambda:.6g}, max degree "
+            f"{spec.n_poly} ->") in capsys.readouterr().out
 
 
 def test_reference_then_run_with_error_report(tmp_path, small_cfg, capsys):

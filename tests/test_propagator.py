@@ -180,7 +180,8 @@ def test_cheb_matches_dense_exponential_on_anisotropic_grid(rng):
     params = flat(GRID_12x8)
     state = band_limited_state(GRID_12x8, rng)
     spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0, tol=1e-12)
-    for t in (3600.0, -1800.0):
+    # each |t| runs its own degree, so the shorter shifts are checked too
+    for t in (3600.0, -1800.0, 900.0, 1800.0, 2700.0):
         assert_matches_dense(cheb_exp(t, state, params, spec), state, params, t, 1e-10)
 
 
@@ -240,6 +241,26 @@ def test_band_shift_is_bitwise_band_of_propagate(rng):
             shift(band, grid, params, PropagatorSpec.chebyshev(lam))(7200.0)
 
 
+def test_cheb_zero_shift_is_a_copy(rng):
+    # Lambda_s = 0 at s = 0: the identity, with no recurrence to size
+    params = flat(GRID_12x8)
+    state = band_limited_state(GRID_12x8, rng)
+    whole = np.stack((state.u, state.v, state.eta))
+    spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0)
+    for q in (whole, take_band(GRID_12x8, whole)):
+        out = shift(q, GRID_12x8, params, spec)(0.0)
+        assert np.array_equal(out, q)
+        assert out is not q
+
+
+def step_times(config):
+    """The distinct |t| of one step's exponentials: the live node shifts, dt
+    and dt/2."""
+    quad = config.quadrature
+    times = {abs(float(s)) for s, w in zip(quad.s, quad.w) if w != 0.0 and s != 0.0}
+    return times | {config.dt, 0.5 * config.dt}
+
+
 def test_step_fills_coefficient_table_with_its_distinct_times(rng):
     params = flat(GRID_12x8)
     state = band_limited_state(GRID_12x8, rng)
@@ -247,10 +268,8 @@ def test_step_fills_coefficient_table_with_its_distinct_times(rng):
     table.cache_clear()
     config = make_step_config(GRID_12x8, params, 3600.0, T=3600.0, M=4)
     assert table.cache_info().currsize == 0  # filled during the solve only
-    quad = config.quadrature
     # live shifts 900, 1800, 2700 s, plus dt and dt/2 (dt/2 = 1800 s again)
-    times = {abs(float(s)) for s, w in zip(quad.s, quad.w) if w != 0.0 and s != 0.0}
-    times |= {config.dt, 0.5 * config.dt}
+    times = step_times(config)
     assert len(times) == 4
     out = step_averaged_ssprk3(state, config, params)
     # the step runs on the band: per |t| one band entry, copied from the one
@@ -264,3 +283,46 @@ def test_step_fills_coefficient_table_with_its_distinct_times(rng):
     assert table.cache_info().misses == 2 * len(times)  # exactly those entries
     step_averaged_ssprk3(out, config, params)
     assert table.cache_info().misses == 2 * len(times)
+
+
+def test_cheb_step_sizes_each_distinct_time(rng):
+    # the Chebyshev twin: one coefficient entry per distinct |t|, each of
+    # degree choose_npoly(|t| max_omega, tol)
+    params = flat(GRID_12x8)
+    state = band_limited_state(GRID_12x8, rng)
+    table = propagator._sized_coeffs
+    table.cache_clear()
+    config = make_step_config(GRID_12x8, params, 3600.0, T=3600.0, M=4,
+                              propagator="chebyshev", tol=1e-10)
+    times = step_times(config)
+    assert times == {900.0, 1800.0, 2700.0, 3600.0}
+    out = step_averaged_ssprk3(state, config, params)
+    info = table.cache_info()
+    assert info.currsize == info.misses == len(times)
+    key = propagator._table_key(GRID_12x8, params)
+    omega = propagator._couplings(key, GRID_12x8.ny).max_omega
+    for t in times:
+        assert len(table(t * omega, 1e-10)) - 1 == choose_npoly(t * omega, 1e-10)
+    assert table.cache_info().misses == len(times)  # exactly those entries
+    # the spec's degree is the largest a step runs, the one at |t| = dt
+    assert len(table(3600.0 * omega, 1e-10)) - 1 == config.propagator_spec.n_poly
+    step_averaged_ssprk3(out, config, params)
+    assert table.cache_info().misses == len(times)
+
+
+def test_coefficient_caches_hold_a_sixteen_node_step(rng):
+    # an M = 16 step asks for 16 distinct |t|: every entry it makes, with
+    # choose_npoly's working entries in cheb_coeffs, stays cached
+    params = flat(GRID_12x8)
+    state = band_limited_state(GRID_12x8, rng)
+    config = make_step_config(GRID_12x8, params, 3600.0, T=3600.0, M=16,
+                              propagator="chebyshev", tol=1e-10)
+    n_times = len(step_times(config))
+    assert n_times == 16
+    propagator._sized_coeffs.cache_clear()
+    propagator.cheb_coeffs.cache_clear()
+    out = step_averaged_ssprk3(state, config, params)
+    step_averaged_ssprk3(out, config, params)
+    assert propagator._sized_coeffs.cache_info().misses == n_times
+    info = propagator.cheb_coeffs.cache_info()
+    assert info.misses == info.currsize == 2 * n_times
