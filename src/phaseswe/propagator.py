@@ -75,13 +75,11 @@ class PropagatorSpec:
 
     Lambda bounds |t| * max_frequency over every exponential the caller will
     request; exceeding it is an error, never silent extrapolation.  Each
-    Chebyshev exponential is sized to its own argument from tol; n_poly is
-    the degree at the bound Lambda, the largest any call runs.
+    Chebyshev exponential is sized to its own argument from tol.
     """
 
     kind: str
     Lambda: float = 0.0
-    n_poly: int = 1
     tol: float = DEFAULT_CHEB_TOL
 
     def __post_init__(self):
@@ -89,8 +87,6 @@ class PropagatorSpec:
             raise ValueError(f"unknown propagator kind {self.kind!r}")
         if self.Lambda < 0:
             raise ValueError(f"Lambda must be nonnegative, got {self.Lambda}")
-        if self.n_poly < 1:
-            raise ValueError(f"n_poly must be at least 1, got {self.n_poly}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -101,15 +97,17 @@ class PropagatorSpec:
     @classmethod
     def chebyshev(cls, Lambda: float, tol: float = DEFAULT_CHEB_TOL) -> "PropagatorSpec":
         """The Chebyshev route on i[-Lambda, Lambda], degrees chosen from tol."""
-        return cls(kind="chebyshev", Lambda=float(Lambda),
-                   n_poly=choose_npoly(Lambda, tol), tol=float(tol))
+        return cls(kind="chebyshev", Lambda=float(Lambda), tol=float(tol))
+
+    @property
+    def n_poly(self) -> int:
+        """The degree at the bound Lambda, the largest any call runs."""
+        return choose_npoly(self.Lambda, self.tol)
 
 
 # Table sizes.  A step asks for at most M + 2 distinct |t| (the live node
 # shifts, dt and dt/2), each a whole-grid entry of two real (nx, ny) arrays
-# and its band copy, so a step's whole set stays cached for M up to 62.  On
-# the Chebyshev route each distinct |t| is one coefficient entry here, and
-# two in cheb_coeffs (its degree and choose_npoly's longer working set).
+# and its band copy, so a step's whole set stays cached for M up to 62.
 _COUPLING_TABLES = 16
 _COEFF_TABLES = 128
 
@@ -188,12 +186,25 @@ def _exp_coeffs(key: tuple, ncols: int, abs_t: float) -> tuple[np.ndarray, np.nd
     return _columns((c1, c2), ncols)
 
 
-def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray) -> None:
+def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray,
+                tmp: np.ndarray) -> None:
     """out += L q for stacked (3, nx, ncols) arrays, L given by its couplings;
-    into zeros, this is L q."""
-    out[0] += cp.f * q[1] + cp.gx * q[2]
-    out[1] += cp.gy * q[2] - cp.f * q[0]
-    out[2] += cp.hx * q[0] + cp.hy * q[1]
+    into zeros, this is L q.  The products go through the (2, nx, ncols)
+    scratch tmp: out[0] += f q1 + gx q2, out[1] += gy q2 - f q0 and
+    out[2] += hx q0 + hy q1, in that order of operations."""
+    a, b = tmp
+    np.multiply(cp.f, q[1], out=a)
+    np.multiply(cp.gx, q[2], out=b)
+    a += b
+    out[0] += a
+    np.multiply(cp.gy, q[2], out=a)
+    np.multiply(cp.f, q[0], out=b)
+    a -= b
+    out[1] += a
+    np.multiply(cp.hx, q[0], out=a)
+    np.multiply(cp.hy, q[1], out=b)
+    a += b
+    out[2] += a
 
 
 def _closed_form(coeffs, t: float, q: np.ndarray, lu: np.ndarray,
@@ -223,9 +234,9 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
     key, ncols = _table_key(grid, params), q.shape[-1]
     cp = _couplings(key, ncols)
     if spec.kind == "exact":
-        lu, llu = np.zeros_like(q), np.zeros_like(q)
-        _add_linear(cp, q, lu)
-        _add_linear(cp, lu, llu)
+        lu, llu, tmp = np.zeros_like(q), np.zeros_like(q), np.empty_like(q[:2])
+        _add_linear(cp, q, lu, tmp)
+        _add_linear(cp, lu, llu, tmp)
         return lambda s: _closed_form(_exp_coeffs(key, ncols, abs(s)), s, q, lu, llu)
     return lambda s: _cheb_shift(key, cp, q, s, spec)
 
@@ -242,7 +253,7 @@ def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
     return propagate(t, state, params, PropagatorSpec.exact())
 
 
-@lru_cache(maxsize=_COEFF_TABLES)
+@lru_cache(maxsize=64)
 def cheb_coeffs(Lambda: float, n_poly: int) -> np.ndarray:
     """Real, read-only expansion coefficients a_0 .. a_{n_poly} for e^{l},
     l in i[-Lambda, Lambda]; cached per (Lambda, n_poly)."""
@@ -325,24 +336,6 @@ def _cheb_shift(key: tuple, cp: _Couplings, q: np.ndarray, t: float,
     return _cheb_stack(rc, _sized_coeffs(lam_needed, spec.tol), q)
 
 
-def _add_linear_out(cp: _Couplings, q: np.ndarray, out: np.ndarray,
-                    tmp: np.ndarray) -> None:
-    """out += L q like _add_linear, every product written through the
-    (nx, ncols) buffer tmp."""
-    np.multiply(q[1], cp.f, out=tmp)
-    out[0] += tmp
-    np.multiply(q[2], cp.gx, out=tmp)
-    out[0] += tmp
-    np.multiply(q[2], cp.gy, out=tmp)
-    out[1] += tmp
-    np.multiply(q[0], cp.f, out=tmp)
-    out[1] -= tmp
-    np.multiply(q[0], cp.hx, out=tmp)
-    out[2] += tmp
-    np.multiply(q[1], cp.hy, out=tmp)
-    out[2] += tmp
-
-
 def _cheb_stack(rc: _Couplings, a: np.ndarray, q0: np.ndarray) -> np.ndarray:
     """sum_k a_k Q_k q0 for a stacked array q0, which it only reads, with
     Q_0 = I, Q_1 = S/2 and Q_{k+1} = S Q_k + Q_{k-1}, rc the couplings of
@@ -352,12 +345,12 @@ def _cheb_stack(rc: _Couplings, a: np.ndarray, q0: np.ndarray) -> np.ndarray:
     tmp = np.empty_like(q0)
     acc = np.multiply(q0, a[0])
     q_prev, q = q0.copy(), np.zeros_like(q0)
-    _add_linear_out(rc, q_prev, q, tmp[0])
+    _add_linear(rc, q_prev, q, tmp[:2])
     q *= 0.5
     np.multiply(q, a[1], out=tmp)
     acc += tmp
     for k in range(2, len(a)):
-        _add_linear_out(rc, q, q_prev, tmp[0])
+        _add_linear(rc, q, q_prev, tmp[:2])
         np.multiply(q_prev, a[k], out=tmp)
         acc += tmp
         q_prev, q = q, q_prev

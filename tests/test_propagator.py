@@ -138,10 +138,12 @@ def test_propagator_spec_validation():
         PropagatorSpec(kind="taylor")
     with pytest.raises(ValueError, match="Lambda"):
         PropagatorSpec(kind="chebyshev", Lambda=-2.0)
-    with pytest.raises(ValueError, match="n_poly"):
-        PropagatorSpec(kind="chebyshev", Lambda=1.0, n_poly=0)
+    with pytest.raises(ValueError, match="tol"):
+        PropagatorSpec(kind="chebyshev", Lambda=1.0, tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         PropagatorSpec.chebyshev(1.0, tol=-1e-9)
+    with pytest.raises(TypeError):  # the degree follows from Lambda and tol
+        PropagatorSpec(kind="chebyshev", Lambda=1.0, n_poly=50)
     spec = PropagatorSpec.chebyshev(6.2, tol=1e-10)
     assert spec.n_poly == choose_npoly(6.2, 1e-10)
 
@@ -311,8 +313,8 @@ def test_cheb_step_sizes_each_distinct_time(rng):
 
 
 def test_coefficient_caches_hold_a_sixteen_node_step(rng):
-    # an M = 16 step asks for 16 distinct |t|: every entry it makes, with
-    # choose_npoly's working entries in cheb_coeffs, stays cached
+    # an M = 16 step asks for 16 distinct |t|: every coefficient entry it
+    # makes stays cached, so a second step sizes nothing again
     params = flat(GRID_12x8)
     state = band_limited_state(GRID_12x8, rng)
     config = make_step_config(GRID_12x8, params, 3600.0, T=3600.0, M=16,
@@ -320,9 +322,7 @@ def test_coefficient_caches_hold_a_sixteen_node_step(rng):
     n_times = len(step_times(config))
     assert n_times == 16
     propagator._sized_coeffs.cache_clear()
-    propagator.cheb_coeffs.cache_clear()
     out = step_averaged_ssprk3(state, config, params)
     step_averaged_ssprk3(out, config, params)
-    assert propagator._sized_coeffs.cache_info().misses == n_times
-    info = propagator.cheb_coeffs.cache_info()
-    assert info.misses == info.currsize == 2 * n_times
+    info = propagator._sized_coeffs.cache_info()
+    assert info.misses == info.currsize == n_times
