@@ -12,12 +12,15 @@ derivatives at the window edges, so the endpoint nodes carry zero weight.
 e^{Lt} acts mode by mode and N, like any nonlinear=, maps a (3, nx, kb)
 band stack (grid.take_band) to a band stack, so the core,
 band_averaged_tendency, runs every node term on U's band: one
-propagator.shift serves every forward shift (on the exact route: L U and
-L^2 U once per call), then nonlinear, the backward shift and the weighted
-sum.  averaged_tendency wraps the core for States.  Node evaluations may run
-concurrently; the weighted reduction always runs in ascending node order on
-the calling thread, so results are bitwise identical for any worker count,
-and to the explicit loop of full-array propagate calls.
+propagator.shift call on the calling thread computes every forward shift
+(from one L U and L^2 U on the exact route, one Chebyshev recurrence on the
+other) into that thread's scratch stack; then each node applies nonlinear
+and its own backward shift, into its row of a second scratch stack, and the
+weighted sum follows.  averaged_tendency
+wraps the core for States.  Node evaluations may run concurrently; the
+weighted reduction always runs in ascending node order on the calling
+thread, so results are bitwise identical for any worker count, and to the
+explicit loop of full-array propagate calls.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhysicsParams, State, apply_nonlinear
-from .grid import SpectralGrid, from_band, take_band
+from .grid import SpectralGrid, from_band, scratch, take_band
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
@@ -128,24 +131,34 @@ def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid,
     node's shifted q, and (grid, params) to a band stack.
     """
     live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
-    # on the calling thread, so pool threads share one L U and L^2 U; a
-    # quadrature whose only live node is s = 0 needs no shift at all
-    forward = (shift(q, grid, params, propagator_spec)
-               if any(quadrature.s[i] != 0.0 for i in live) else None)
+    # every forward shift in one call on the calling thread, into its
+    # scratch: one L U and L^2 U, or one Chebyshev recurrence; the node
+    # s = 0 needs no shift, and a window of that node alone none at all
+    moving = [i for i in live if quadrature.s[i] != 0.0]
+    stack = scratch("band_averaged_tendency.forward", (len(moving),) + q.shape)
+    forward = dict(zip(moving, shift(q, grid, params, propagator_spec,
+                                     quadrature.s[moving], out=stack)))
 
-    def term(i: int) -> np.ndarray:
+    # each moving node's backward shift lands in its own row of one more
+    # scratch stack, so no node result is allocated and freed per call
+    terms = scratch("band_averaged_tendency.terms", (len(live),) + q.shape)
+
+    def term(j: int) -> np.ndarray:
+        i = live[j]
         s = float(quadrature.s[i])
         try:
-            tend = nonlinear(q if s == 0.0 else forward(s), grid, params)
-            return tend if s == 0.0 else shift(tend, grid, params, propagator_spec)(-s)
+            tend = nonlinear(forward.get(i, q), grid, params)
+            return tend if s == 0.0 else shift(tend, grid, params, propagator_spec,
+                                               (-s,), out=terms[j : j + 1])[0]
         except Exception as exc:
             k = i - quadrature.M
             raise RuntimeError(
                 f"averaging node k = {k} (s = {s:.6g} s) failed: {exc}") from exc
 
-    results = list((map if executor is None else executor.map)(term, live))
+    results = list((map if executor is None else executor.map)(term, range(len(live))))
 
     acc = quadrature.w[live[0]] * results[0]
+    tmp = scratch("band_averaged_tendency.term", q.shape)
     for i, res in zip(live[1:], results[1:]):
-        acc += quadrature.w[i] * res
+        acc += np.multiply(quadrature.w[i], res, out=tmp)
     return acc

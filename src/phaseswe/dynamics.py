@@ -14,7 +14,11 @@ N is a band kernel: apply_nonlinear(q, grid, params) maps the compact
 (3, nx, kb) band stack of U (grid.take_band) to the band stack of N(U), zero
 outside the 2/3 band and the band of an exactly Hermitian field.  Its seven
 inverse and four forward transforms are one band_to_physical and one
-band_to_spectral call.
+band_to_spectral call (numpy.fft), and every intermediate lives in the
+calling thread's grid.scratch arrays, written through out=: the (7, nx, kb)
+gradient stack, the (7, nx, ny) physical stack, one physical product and the
+(4, nx, kb) forward result, plus the transforms' own scratch.  The band
+stack it returns is the only array a call allocates.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
 
 from .grid import (SpectralGrid, band, band_to_physical, band_to_spectral,
-                   mirror_ky0)
+                   mirror_ky0, scratch)
 # to_physical and to_spectral stay module attributes: perfbench/tracing.py
 # patches them here
 from .grid import to_physical, to_spectral  # noqa: F401
@@ -68,7 +71,7 @@ class PhysicsParams:
         object.__setattr__(self, "b", b)
         if b.ndim != 2:
             raise ValueError(f"b must be a 2D spectral field, got shape {b.shape}")
-        b_phys = scipy.fft.irfft2(b[:, : b.shape[1] // 2 + 1], s=b.shape)
+        b_phys = np.fft.irfft2(b[:, : b.shape[1] // 2 + 1], s=b.shape)
         b_phys.setflags(write=False)
         object.__setattr__(self, "b_phys", b_phys)
         bmax = float(b_phys.max())
@@ -160,27 +163,42 @@ def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
         raise ValueError(f"topography shape {params.b.shape} does not match grid "
                          f"{(grid.nx, grid.ny)}")
 
-    # (u, v, eta - b) truncated to the band, then the four velocity gradients
-    c = np.zeros((7, grid.nx, bd.kb), dtype=np.complex128)
-    for dst, coeffs in zip(c, (q[0], q[1], q[2] - params.b[:, : bd.kb])):
+    nx, ny, kb = grid.nx, grid.ny, bd.kb
+    # (u, v, eta - b) truncated to the band, then the four velocity gradients;
+    # c[3] holds eta - b until its gradient overwrites it
+    c = scratch("apply_nonlinear.c", (7, nx, kb))
+    c[:3] = 0.0
+    np.subtract(q[2], params.b[:, :kb], out=c[3])
+    for dst, coeffs in zip(c, (q[0], q[1], c[3])):
         np.copyto(dst, coeffs, where=bd.mask)
     np.multiply(bd.ikx, c[0], out=c[3])
     np.multiply(bd.iky, c[0], out=c[4])
     np.multiply(bd.ikx, c[1], out=c[5])
     np.multiply(bd.iky, c[1], out=c[6])
-    phys = band_to_physical(grid, c)
+    phys = band_to_physical(grid, c, out=scratch("apply_nonlinear.phys", (7, nx, ny),
+                                                 np.float64))
     u, v, depth, ux, uy, vx, vy = phys
 
     # the four products overwrite the gradients, each after their last use
-    np.negative(u * ux + v * uy, out=phys[3])
-    np.negative(u * vx + v * vy, out=phys[4])
-    np.multiply(u, depth, out=phys[5])
-    np.multiply(v, depth, out=phys[6])
-    du, dv, flux_x, flux_y = band_to_spectral(grid, phys[3:])
-    # dealiased into c's first three fields, which are zero outside the band
-    for dst, coeffs in zip(c, (du, dv, -(bd.ikx * flux_x + bd.iky * flux_y))):
+    tmp = scratch("apply_nonlinear.tmp", (nx, ny), np.float64)
+    np.multiply(u, ux, out=ux)
+    ux += np.multiply(v, uy, out=tmp)
+    np.negative(ux, out=ux)
+    np.multiply(u, vx, out=uy)
+    uy += np.multiply(v, vy, out=tmp)
+    np.negative(uy, out=uy)
+    np.multiply(u, depth, out=vx)
+    np.multiply(v, depth, out=vy)
+    du, dv, flux_x, flux_y = band_to_spectral(
+        grid, phys[3:], out=scratch("apply_nonlinear.products", (4, nx, kb)))
+    # -(i kx flux_x + i ky flux_y) in c[3], then everything dealiased
+    np.multiply(bd.ikx, flux_x, out=c[3])
+    c[3] += np.multiply(bd.iky, flux_y, out=c[4])
+    np.negative(c[3], out=c[3])
+    out = np.zeros((3, nx, kb), dtype=np.complex128)
+    for dst, coeffs in zip(out, (du, dv, c[3])):
         np.copyto(dst, coeffs, where=bd.mask)
-    return mirror_ky0(c[:3])
+    return mirror_ky0(out)
 
 
 def dispersion_omega(kappa, params: PhysicsParams) -> np.ndarray:

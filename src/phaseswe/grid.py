@@ -8,10 +8,11 @@ constant field 1.0 transforms to nx*ny in the (0, 0) slot and a round trip
 reproduces the input to round-off.
 
 Every field the package builds is the transform of a real field, so its
-coefficients are Hermitian-symmetric, c(-k) = conj(c(k)); the operators keep
-that symmetry, and the tests check it rather than the transforms.  The
-inverse transform reads only the ky >= 0 half and is real by construction.
-The transforms are ``scipy.fft`` over the last two axes and accept a stack of
+coefficients are Hermitian-symmetric, c(-k) = conj(c(k)).  The forward
+transform computes the ky >= 0 half (rfft along y, fft along x) and fills
+the rest as its conjugate mirror, so its output is exactly Hermitian; the
+inverse reads only the ky >= 0 half and is real by construction.  The
+transforms are ``numpy.fft`` over the last two axes and accept a stack of
 fields, shape (..., nx, ny).
 
 Every 2/3-band mode of a real field is fixed by the ky >= 0 band columns
@@ -22,16 +23,20 @@ mirrors.  The band kernels work on those columns alone, as compact
 makes column ky = 0 conjugate-symmetric), and
 ``band_to_physical``/``band_to_spectral`` transform between the compact band
 and real physical fields without touching the columns the band leaves empty.
+Both write their result through ``out=`` when given one, and keep their
+intermediate spectra in ``scratch`` arrays: reusable buffers of the calling
+thread, made once per (name, shape), so a kernel that passes its own scratch
+as ``out`` allocates nothing per call and threads never share a buffer.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "SpectralGrid",
@@ -48,6 +53,7 @@ __all__ = [
     "from_band",
     "band_to_physical",
     "band_to_spectral",
+    "scratch",
 ]
 
 @dataclass(frozen=True)
@@ -139,12 +145,27 @@ def _check_shape(grid: SpectralGrid, arr: np.ndarray, what: str,
 
 def to_spectral(grid: SpectralGrid, phys: np.ndarray) -> np.ndarray:
     """Forward transform of a real physical field, or a stack (..., nx, ny) of
-    them, to spectral coefficients."""
+    them, to spectral coefficients.
+
+    The ky >= 0 half, columns 0 .. ny/2, is rfft along y then fft along x;
+    every other entry is set from it by c(-k) = conj(c(k)), and the four
+    self-conjugate modes are made real, so the output is exactly Hermitian.
+    """
     phys = np.asarray(phys)
     _check_shape(grid, phys, "physical field", stacked=True)
     if np.iscomplexobj(phys):
         raise ValueError("to_spectral expects a real-valued field")
-    return scipy.fft.fft2(phys.astype(np.float64, copy=False))
+    nx, half = grid.nx, grid.ny // 2
+    out = np.empty(phys.shape, dtype=np.complex128)
+    np.fft.fft(np.fft.rfft(phys.astype(np.float64, copy=False), axis=-1), axis=-2,
+               out=out[..., : half + 1])
+    # columns ky = 0 and ky = ny/2 are each their own mirror in ky
+    edges = out[..., ::half]
+    np.conjugate(edges[..., 1 : nx // 2, :], out=edges[..., : nx // 2 : -1, :])
+    edges[..., :: nx // 2, :].imag = 0.0
+    np.conjugate(out[..., 0, half - 1 : 0 : -1], out=out[..., 0, half + 1 :])
+    np.conjugate(out[..., :0:-1, half - 1 : 0 : -1], out=out[..., 1:, half + 1 :])
+    return out
 
 
 def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -158,7 +179,7 @@ def to_physical(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     _check_shape(grid, coeffs, "spectral field", stacked=True)
-    return scipy.fft.irfft2(coeffs[..., : grid.ny // 2 + 1], s=(grid.nx, grid.ny))
+    return np.fft.irfft2(coeffs[..., : grid.ny // 2 + 1], s=(grid.nx, grid.ny))
 
 
 def dealias(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -258,24 +279,46 @@ def from_band(grid: SpectralGrid, compact: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_to_physical(grid: SpectralGrid, compact: np.ndarray) -> np.ndarray:
+_scratch = threading.local()
+
+
+def scratch(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+    """The calling thread's reusable array for (name, shape, dtype), made on
+    first use.  It holds whatever its last user left, and stays valid only
+    until the thread's next user of the same (name, shape, dtype)."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None:
+        buffers = _scratch.buffers = {}
+    key = (name, tuple(shape), np.dtype(dtype))
+    arr = buffers.get(key)
+    if arr is None:
+        arr = buffers[key] = np.empty(shape, dtype=dtype)
+    return arr
+
+
+def band_to_physical(grid: SpectralGrid, compact: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Real physical fields (..., nx, ny) of a compact band stack (..., nx, kb):
-    ifft along x on the kb columns, then irfft along y with n = ny.  For the
-    band of a real field's spectrum this equals to_physical of the field."""
+    ifft along x on the kb columns, into scratch, then irfft along y with
+    n = ny, into out if given.  For the band of a real field's spectrum this
+    equals to_physical of the field."""
     compact = np.asarray(compact)
     _check_band(grid, compact)
-    return scipy.fft.irfft(scipy.fft.ifft(compact, axis=-2), n=grid.ny, axis=-1)
+    spec_x = np.fft.ifft(compact, axis=-2,
+                         out=scratch("band_to_physical", compact.shape))
+    return np.fft.irfft(spec_x, n=grid.ny, axis=-1, out=out)
 
 
-def band_to_spectral(grid: SpectralGrid, phys: np.ndarray) -> np.ndarray:
+def band_to_spectral(grid: SpectralGrid, phys: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Band columns (..., nx, kb) of the spectra of real fields (..., nx, ny):
-    rfft along y, keep the kb band columns, then fft along x.  Equals
-    to_spectral(phys)[..., :kb] to round-off; no mask is applied."""
+    rfft along y, into scratch, then fft along x of the kb band columns, into
+    out if given.  Equals to_spectral(phys)[..., :kb] to round-off; no mask
+    is applied."""
     phys = np.asarray(phys)
     _check_shape(grid, phys, "physical field", stacked=True)
     if np.iscomplexobj(phys):
         raise ValueError("band_to_spectral expects real-valued fields")
-    kb = band_width(grid.ny)
-    # the x transform overwrites the band columns of the rfft output
-    return scipy.fft.fft(scipy.fft.rfft(phys, axis=-1)[..., :kb], axis=-2,
-                         overwrite_x=True)
+    half = np.fft.rfft(phys, axis=-1, out=scratch(
+        "band_to_spectral", phys.shape[:-1] + (grid.ny // 2 + 1,)))
+    return np.fft.fft(half[..., : band_width(grid.ny)], axis=-2, out=out)

@@ -100,18 +100,18 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
     quad, spec = config.quadrature, config.propagator_spec
 
     def E(s: float, q: np.ndarray) -> np.ndarray:
-        return shift(q, grid, params, spec)(s)
+        return shift(q, grid, params, spec, (s,))[0]
 
     def A(q: np.ndarray) -> np.ndarray:
         return band_averaged_tendency(q, grid, quad, params, spec, executor, nonlinear)
 
     un = take_band(grid, (state.u, state.v, state.eta))
-    # e^{L dt} U^n and e^{L dt/2} U^n share one L U^n and L^2 U^n
-    shift_un = shift(un, grid, params, spec)
-    e_dt_un = shift_un(dt)
+    # e^{L dt} U^n and e^{L dt/2} U^n in one call: one L U^n and L^2 U^n,
+    # or one Chebyshev recurrence
+    e_dt_un, e_half_un = shift(un, grid, params, spec, (dt, 0.5 * dt))
     u1 = e_dt_un + dt * E(dt, A(un))
     _require_finite(u1, 1)
-    u2 = 0.75 * shift_un(0.5 * dt) + 0.25 * E(-0.5 * dt, u1 + dt * A(u1))
+    u2 = 0.75 * e_half_un + 0.25 * E(-0.5 * dt, u1 + dt * A(u1))
     _require_finite(u2, 2)
     out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2))
     _require_finite(out, 3)

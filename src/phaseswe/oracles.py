@@ -11,7 +11,6 @@ module, so there is one copy of each reference.
 from __future__ import annotations
 
 import numpy as np
-import scipy.special
 
 from .dynamics import PhysicsParams, State
 from .grid import SpectralGrid, dealias, to_spectral
@@ -133,4 +132,7 @@ def dense_exp(t: float, state: State, params: PhysicsParams) -> State:
 def bessel_cheb_coeffs(Lambda: float, n_poly: int) -> np.ndarray:
     """Chebyshev coefficients of e^{l}: a_k = (2 - delta_k0) J_k(Lambda)."""
     k = np.arange(n_poly + 1)
+    # imported here, as scipy.linalg is above: a run never loads scipy
+    import scipy.special
+
     return np.where(k == 0, 1.0, 2.0) * scipy.special.jv(k, Lambda)

@@ -7,9 +7,12 @@ Per mode, L satisfies L^3 = -omega^2 L, so the exponential has the closed form
 with the omega -> 0 limit I + t L.  This is exact (to round-off) and serves
 as the oracle for the iterative route.
 
-One kernel, shift(q, grid, params, spec), maps s -> e^{Ls} q for a stacked
-(3, nx, ncols) array q: ncols = ny is the whole grid, ncols = kb = ceil(ny/3)
-the compact 2/3 band of grid.take_band.  Its tables are cached per
+One kernel, shift(q, grid, params, spec, times), returns the stack
+(len(times), 3, nx, ncols) of e^{Lt} q for a stacked (3, nx, ncols) array q:
+ncols = ny is the whole grid, ncols = kb = ceil(ny/3) the compact 2/3 band
+of grid.take_band.  Each row is bitwise the shift of its time alone, and a
+call computes what its rows share once: L q and L^2 q on the exact route,
+one recurrence on the Chebyshev route.  Its tables are cached per
 (nx, ny, Lx, Ly, f, g, H) and ncols: L's per-mode couplings and omega, and
 per |t| c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 (c1
 is odd, c2 even), so the trigonometry runs once per distinct |t| a run asks
@@ -28,18 +31,23 @@ repeated application of L.  With the basis
 (the i factors of the standard Chebyshev recurrence folded into the basis),
 the expansion coefficients are real: a_k = (2 - delta_{k0}) J_k(Lambda) with
 J_k the Bessel function of the first kind.  They are computed here by a
-discrete cosine transform of e^{i Lambda cos(theta)} over Chebyshev nodes,
-and the Bessel identity is kept as an independent cross-check in the tests.
+discrete cosine transform of e^{i Lambda cos(theta)} over Chebyshev nodes
+(an FFT through numpy.fft), and the Bessel identity is kept as an
+independent cross-check in the tests.
 All recurrence intermediates stay Hermitian-symmetric for real input states.
 
 Each Chebyshev exponential is sized to its own argument: Lambda_t =
 |t| max_omega, with max_omega the whole grid's on either layout, and degree
 choose_npoly(Lambda_t, tol), the coefficients cached per (Lambda_t, tol).
 The spec's Lambda only bounds the arguments.  The recurrence operator
-(2 t/Lambda_t) L = +-(2/max_omega) L is then the same for every |t|, so its
-couplings are one cached read-only table per (table key, ncols, sign).  The
-recurrence writes through out= into buffers of its own call, so node
-threads may shift concurrently.
+(2 t/Lambda_t) L = sign(t) S, S = (2/max_omega) L, is then the same for
+every |t| up to sign, and Q_k(-S) = (-1)^k Q_k(S), so one recurrence in S,
+from one cached read-only table per (table key, ncols), serves every time of
+a call: the sign of t negates the odd coefficients, and each row
+accumulates up to its own degree.  Both routes write through out= into the
+calling thread's grid.scratch arrays (L q and L^2 q, or the recurrence's
+rolling Q_{k-1}, Q_k and product), so node threads may shift concurrently
+and a call allocates only the stack it returns, or nothing when given out.
 """
 
 from __future__ import annotations
@@ -47,14 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 # apply_linear stays a module attribute: perfbench/tracing.py patches it here
 from .dynamics import PhysicsParams, State, apply_linear, dispersion_omega  # noqa: F401
-from .grid import SpectralGrid, band_width, make_grid
+from .grid import SpectralGrid, band_width, make_grid, scratch
 
 __all__ = [
     "PropagatorSpec",
@@ -158,13 +165,13 @@ def _couplings(key: tuple, ncols: int) -> _Couplings:
     return _Couplings(f, *arrays, float(np.max(omega)))
 
 
-@lru_cache(maxsize=2 * _COUPLING_TABLES)
-def _recurrence(key: tuple, ncols: int, sign: float) -> _Couplings:
-    """Read-only couplings of c L, c = 2 sign/max_omega, on the first ncols
-    columns: with Lambda_t = |t| max_omega, the recurrence operator
-    (2 t/Lambda_t) L of every e^{Lt} with the sign of t."""
+@lru_cache(maxsize=_COUPLING_TABLES)
+def _recurrence(key: tuple, ncols: int) -> _Couplings:
+    """Read-only couplings of S = (2/max_omega) L on the first ncols columns:
+    with Lambda_t = |t| max_omega, the recurrence operator (2 t/Lambda_t) L
+    of every e^{Lt} with t > 0, and -S that of every t < 0."""
     cp = _couplings(key, ncols)
-    c = 2.0 * sign / cp.max_omega
+    c = 2.0 / cp.max_omega
     arrays = (c * cp.gx, c * cp.gy, c * cp.hx, c * cp.hy)
     for arr in arrays:
         arr.setflags(write=False)
@@ -208,43 +215,57 @@ def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray,
 
 
 def _closed_form(coeffs, t: float, q: np.ndarray, lu: np.ndarray,
-                 llu: np.ndarray) -> np.ndarray:
-    """e^{Lt} q = q + c1(t) L q + c2(t) L^2 q from the coefficients (c1, c2)
-    of |t|, as a new stacked array."""
+                 llu: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = e^{Lt} q = q + c1(t) L q + c2(t) L^2 q for stacked arrays, from
+    the coefficients (c1, c2) of |t|; tmp is an (nx, ncols) scratch."""
     c1, c2 = coeffs
-    out = np.multiply(llu, c2)
-    tmp = np.empty_like(out[0])
+    np.multiply(llu, c2, out=out)
     combine = np.subtract if t < 0.0 else np.add  # c1 is odd in t
     for i in range(3):
         out[i] += q[i]
         np.multiply(lu[i], c1, out=tmp)
         combine(out[i], tmp, out=out[i])
-    return out
 
 
 def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
-          spec: PropagatorSpec) -> Callable[[float], np.ndarray]:
-    """The map s -> e^{Ls} q for a whole-grid (3, nx, ny) or band
-    (3, nx, kb) stack q, as new stacks; q is not modified.  On the exact
-    route L q and L^2 q are computed once, here; on the Chebyshev route each
-    shift runs the recurrence sized to its own |s|, and s = 0 is a copy of q."""
+          spec: PropagatorSpec, times, out: np.ndarray | None = None) -> np.ndarray:
+    """The stack (len(times), 3, nx, ncols) of e^{Lt} q, one row per t in
+    times, for a whole-grid (3, nx, ny) or band (3, nx, kb) stack q, which is
+    not modified; written into out if given, else a new array.  Every row is
+    bitwise the row a call with its time alone gives.  On the exact route
+    L q and L^2 q are computed once per call; on the Chebyshev route one
+    recurrence serves every row, and t = 0 is a copy of q."""
     if q.shape not in ((3, grid.nx, grid.ny), (3, grid.nx, band_width(grid.ny))):
         raise ValueError(f"shift needs a (3, nx, ny) or (3, nx, kb) stack for the "
                          f"{grid.nx} x {grid.ny} grid, got shape {q.shape}")
     key, ncols = _table_key(grid, params), q.shape[-1]
+    times = [float(t) for t in times]
+    if out is None:
+        out = np.empty((len(times),) + q.shape, dtype=np.complex128)
+    elif out.shape != (len(times),) + q.shape:
+        raise ValueError(f"shift's out has shape {out.shape}, expected "
+                         f"{(len(times),) + q.shape}")
+    if not times:
+        return out
+    if spec.kind == "chebyshev":
+        _cheb_rows(key, q, times, spec, out)
+        return out
     cp = _couplings(key, ncols)
-    if spec.kind == "exact":
-        lu, llu, tmp = np.zeros_like(q), np.zeros_like(q), np.empty_like(q[:2])
-        _add_linear(cp, q, lu, tmp)
-        _add_linear(cp, lu, llu, tmp)
-        return lambda s: _closed_form(_exp_coeffs(key, ncols, abs(s)), s, q, lu, llu)
-    return lambda s: _cheb_shift(key, cp, q, s, spec)
+    lu, llu = scratch("shift.lu", q.shape), scratch("shift.llu", q.shape)
+    tmp = scratch("shift.tmp", (2,) + q.shape[1:])
+    lu.fill(0.0)
+    llu.fill(0.0)
+    _add_linear(cp, q, lu, tmp)
+    _add_linear(cp, lu, llu, tmp)
+    for row, t in zip(out, times):
+        _closed_form(_exp_coeffs(key, ncols, abs(t)), t, q, lu, llu, row, tmp[0])
+    return out
 
 
 def propagate(t: float, state: State, params: PhysicsParams,
               spec: PropagatorSpec) -> State:
     """Apply e^{Lt} by the route selected in spec; advances the time stamp."""
-    q = shift(np.stack((state.u, state.v, state.eta)), state.grid, params, spec)(t)
+    q = shift(np.stack((state.u, state.v, state.eta)), state.grid, params, spec, (t,))[0]
     return replace(state, u=q[0], v=q[1], eta=q[2], t=state.t + t)
 
 
@@ -263,11 +284,15 @@ def cheb_coeffs(Lambda: float, n_poly: int) -> np.ndarray:
         raise ValueError(f"n_poly must be at least 1, got {n_poly}")
     # Chebyshev coefficients b_k of h(x) = e^{i Lambda x} on [-1, 1] via a
     # type-II DCT at the Chebyshev roots, then rotated by (-i)^k so that the
-    # coefficients of the Q_k basis come out real.
+    # coefficients of the Q_k basis come out real.  The DCT,
+    # 2 sum_n h_n cos(pi k (2n + 1)/(2 npts)), is the FFT of h's even
+    # extension, each term k < npts turned by e^{-i pi k/(2 npts)}.
     npts = max(64, 2 * (n_poly + 1), int(np.ceil(Lambda)) + 64)
-    theta = np.pi * (np.arange(npts) + 0.5) / npts
+    k = np.arange(npts)
+    theta = np.pi * (k + 0.5) / npts
     h = np.exp(1j * Lambda * np.cos(theta))
-    b = (scipy.fft.dct(h.real, type=2) + 1j * scipy.fft.dct(h.imag, type=2)) / npts
+    b = (np.exp(-0.5j * np.pi * k / npts)
+         * np.fft.fft(np.concatenate((h, h[::-1])))[:npts]) / npts
     b[0] *= 0.5
     rot = (-1j) ** np.arange(n_poly + 1)
     a = rot * b[:n_poly + 1]
@@ -320,40 +345,53 @@ def _sized_coeffs(Lambda: float, tol: float) -> np.ndarray:
     return cheb_coeffs(Lambda, choose_npoly(Lambda, tol))
 
 
-def _cheb_shift(key: tuple, cp: _Couplings, q: np.ndarray, t: float,
-                spec: PropagatorSpec) -> np.ndarray:
-    """e^{Lt} q through the Chebyshev recurrence on i[-Lambda_t, Lambda_t],
-    Lambda_t = |t| max_omega, as a new stack; t = 0 is a copy of q."""
-    if t == 0.0:
-        return q.copy()
-    lam_needed = abs(t) * cp.max_omega
-    if lam_needed > spec.Lambda * (1.0 + 1e-9):
-        raise ValueError(
-            f"|t| * max_frequency = {lam_needed:.6g} exceeds Lambda = "
-            f"{spec.Lambda:.6g}; enlarge Lambda or shorten t")
-    # (2 t/Lambda_t) L = +-(2/max_omega) L: one table per sign serves every |t|
-    rc = _recurrence(key, q.shape[-1], 1.0 if t > 0.0 else -1.0)
-    return _cheb_stack(rc, _sized_coeffs(lam_needed, spec.tol), q)
+def _cheb_rows(key: tuple, q: np.ndarray, times: list[float],
+               spec: PropagatorSpec, out: np.ndarray) -> None:
+    """out[j] = e^{L t_j} q through the Chebyshev recurrence on
+    i[-Lambda_t, Lambda_t], Lambda_t = |t_j| max_omega; t_j = 0 is a copy.
 
-
-def _cheb_stack(rc: _Couplings, a: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """sum_k a_k Q_k q0 for a stacked array q0, which it only reads, with
-    Q_0 = I, Q_1 = S/2 and Q_{k+1} = S Q_k + Q_{k-1}, rc the couplings of
-    the recurrence operator S."""
-    # Q_{k+1} overwrites Q_{k-1}'s buffer, so the recurrence runs on two
-    # stacked arrays, one scratch stack and the accumulator, all of this call
-    tmp = np.empty_like(q0)
-    acc = np.multiply(q0, a[0])
-    q_prev, q = q0.copy(), np.zeros_like(q0)
-    _add_linear(rc, q_prev, q, tmp[:2])
-    q *= 0.5
-    np.multiply(q, a[1], out=tmp)
-    acc += tmp
-    for k in range(2, len(a)):
-        _add_linear(rc, q, q_prev, tmp[:2])
-        np.multiply(q_prev, a[k], out=tmp)
-        acc += tmp
-        q_prev, q = q, q_prev
+    With S = (2/max_omega) L, Q_0 = I, Q_1 = S/2 and Q_{k+1} = S Q_k + Q_{k-1},
+    e^{Lt} = sum_k a_k Q_k(sign(t) S) and Q_k(-S) = (-1)^k Q_k(S), so one
+    recurrence in S serves every row: the sign of t negates the odd a_k.
+    Rows run in order of falling degree, each accumulating Q_0 .. Q_n of its
+    own degree n in the same order as a recurrence of its own.  Q_{k+1}
+    overwrites Q_{k-1}'s buffer; the two and one scratch stack are the
+    calling thread's, so node threads may shift concurrently."""
+    max_omega = _couplings(key, q.shape[-1]).max_omega
+    rows = []  # (coefficients with the sign of t folded in, output row)
+    for row, t in zip(out, times):
+        if t == 0.0:
+            np.copyto(row, q)
+            continue
+        lam_needed = abs(t) * max_omega
+        if lam_needed > spec.Lambda * (1.0 + 1e-9):
+            raise ValueError(
+                f"|t| * max_frequency = {lam_needed:.6g} exceeds Lambda = "
+                f"{spec.Lambda:.6g}; enlarge Lambda or shorten t")
+        a = _sized_coeffs(lam_needed, spec.tol)
+        if t < 0.0:
+            a = a.copy()
+            a[1::2] = -a[1::2]
+        rows.append((a, row))
+    if not rows:
+        return
+    rows.sort(key=lambda r: len(r[0]), reverse=True)
+    rc = _recurrence(key, q.shape[-1])
+    q_prev, q_k, tmp = (scratch(name, q.shape) for name in ("cheb.prev", "cheb.k", "cheb.tmp"))
+    for a, row in rows:
+        np.multiply(q, a[0], out=row)
+    np.copyto(q_prev, q)
+    q_k.fill(0.0)
+    _add_linear(rc, q, q_k, tmp[:2])
+    q_k *= 0.5
+    for k in range(1, len(rows[0][0])):
+        if k > 1:
+            _add_linear(rc, q_k, q_prev, tmp[:2])
+            q_prev, q_k = q_k, q_prev
+        for a, row in rows:
+            if len(a) <= k:
+                break
+            np.multiply(q_k, a[k], out=tmp)
+            row += tmp
     # real coefficients and a real recurrence keep Hermitian inputs Hermitian,
     # so no symmetry projection is needed here
-    return acc

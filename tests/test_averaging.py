@@ -13,7 +13,7 @@ from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_nor
                                flat_bottom, max_frequency)
 from phaseswe.grid import dealias, from_band, make_grid, take_band, to_spectral
 from phaseswe.oracles import band_limited_state
-from phaseswe.propagator import PropagatorSpec, propagate
+from phaseswe.propagator import PropagatorSpec, propagate, shift
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
@@ -235,6 +235,37 @@ def test_pool_filling_empty_tables_matches_serial(grid32, rng):
             assert np.array_equal(pooled.u, serial.u)
             assert np.array_equal(pooled.v, serial.v)
             assert np.array_equal(pooled.eta, serial.eta)
+
+
+def test_each_thread_has_its_own_workspace(grid32, rng):
+    # apply_nonlinear and the Chebyshev recurrence keep every intermediate in
+    # the calling thread's scratch arrays; four threads running both at once
+    # on different inputs must reproduce the serial results bitwise
+    b = dealias(grid32, to_spectral(grid32, 30.0 * rng.standard_normal((32, 32))))
+    params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
+    spec = PropagatorSpec.chebyshev(max_frequency(grid32, params) * 3600.0)
+    inputs = []
+    for _ in range(8):
+        state = band_limited_state(grid32, rng)
+        inputs.append(take_band(grid32, (state.u, state.v, state.eta)))
+
+    def work(q):
+        return (apply_nonlinear(q, grid32, params),
+                shift(q, grid32, params, spec, (900.0, -1800.0, 3600.0)))
+
+    serial = [work(q) for q in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the kernels too
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                pooled = list(pool.map(work, inputs + inputs[::-1], timeout=60))
+            for (tend, moved), (want_tend, want_moved) in zip(pooled,
+                                                              serial + serial[::-1]):
+                assert np.array_equal(tend, want_tend)
+                assert np.array_equal(moved, want_moved)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_node_failure_reports_node_index(grid32, rng):

@@ -184,24 +184,35 @@ def test_wrap_indices_helper_matches_fft_layout():
 def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
     # one inverse call for the seven band fields (u, v, eta - b and the four
     # gradients), on the compact (7, nx, kb) band columns, and one forward
-    # call for the four real products; the full-grid transforms go unused
+    # call for the four real products; the full-grid transforms go unused.
+    # Both write through out= into the calling thread's scratch, so a second
+    # call reuses the first call's arrays
     calls = {name: [] for name in ("band_to_physical", "band_to_spectral",
                                    "to_physical", "to_spectral")}
 
     def counted(name, fn):
-        def wrapper(grid, arr, *args):
-            calls[name].append((np.shape(arr), np.iscomplexobj(arr)))
-            return fn(grid, arr, *args)
+        def wrapper(grid, arr, *args, **kwargs):
+            calls[name].append((np.shape(arr), np.iscomplexobj(arr), kwargs.get("out")))
+            return fn(grid, arr, *args, **kwargs)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
     rough = physics_params(default_config(), grid32)
-    nonlinear_state(band_limited_state(grid32, rng), rough)
+    state = band_limited_state(grid32, rng)
+    first = nonlinear_state(state, rough)
     kb = 11  # band columns 0 <= wy < 32/3
-    assert calls["band_to_physical"] == [((7, 32, kb), True)]
-    assert calls["band_to_spectral"] == [((4, 32, 32), False)]
+    shapes = {name: [c[:2] for c in got] for name, got in calls.items()}
+    assert shapes["band_to_physical"] == [((7, 32, kb), True)]
+    assert shapes["band_to_spectral"] == [((4, 32, 32), False)]
     assert calls["to_physical"] == calls["to_spectral"] == []
+    outs = [calls[name][0][2] for name in ("band_to_physical", "band_to_spectral")]
+    assert outs[0].shape == (7, 32, 32) and outs[1].shape == (4, 32, kb)
+    second = nonlinear_state(state, rough)
+    for name, out in zip(("band_to_physical", "band_to_spectral"), outs):
+        assert len(calls[name]) == 2 and calls[name][1][2] is out
+    for name in ("u", "v", "eta"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_band_kernel_matches_convolution_oracle_on_anisotropic_grids(rng):

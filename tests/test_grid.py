@@ -1,11 +1,14 @@
 """Grid construction, transforms, dealiasing, quadrature."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from phaseswe.grid import (band, band_to_physical, band_to_spectral, dealias,
-                           from_band, integrate_product, make_grid, take_band,
-                           to_physical, to_spectral)
+                           from_band, integrate_product, make_grid, scratch,
+                           take_band, to_physical, to_spectral)
 from phaseswe.oracles import (band_limited_state, truncated_convolution,
                               wrap_indices)
 
@@ -65,6 +68,50 @@ def test_to_spectral_rejects_bad_input(grid32, rng):
         to_spectral(grid32, np.zeros((16, 32)))
     with pytest.raises(ValueError, match="shape"):
         to_physical(grid32, np.zeros((32, 16), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(12, 8), (12, 18), (18, 12), (32, 32)])
+def test_to_spectral_is_exactly_hermitian(shape, rng):
+    # the ky > ny/2 columns, the kx < 0 halves of columns 0 and ny/2 and the
+    # four self-conjugate modes are set from the rest, not transformed
+    g = make_grid(*shape, 1.5e6, 2.5e6)
+    phys = rng.standard_normal((2, g.nx, g.ny))
+    c = to_spectral(g, phys)
+    mx, my = (-np.arange(g.nx)) % g.nx, (-np.arange(g.ny)) % g.ny
+    assert np.array_equal(c[:, mx][:, :, my], np.conj(c))
+    want = scipy.fft.fft2(phys)
+    assert np.max(np.abs(c - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12), (32, 32), (64, 64)])
+def test_band_transforms_are_bitwise_scipy_fft(shape, rng):
+    # numpy.fft with out= against the scipy.fft calls the band transforms
+    # replaced: a library change that broke the equality would otherwise
+    # show only as drift in the sweep
+    g = make_grid(*shape, 1.5e6, 2.5e6)
+    kb = band(g).kb
+    c = rng.standard_normal((7, g.nx, kb)) + 1j * rng.standard_normal((7, g.nx, kb))
+    out = np.empty((7, g.nx, g.ny))
+    assert band_to_physical(g, c, out=out) is out
+    assert np.array_equal(out, scipy.fft.irfft(scipy.fft.ifft(c, axis=-2), n=g.ny, axis=-1))
+    assert np.array_equal(band_to_physical(g, c), out)
+    phys = rng.standard_normal((4, g.nx, g.ny))
+    spec = np.empty((4, g.nx, kb), dtype=complex)
+    assert band_to_spectral(g, phys, out=spec) is spec
+    assert np.array_equal(spec, scipy.fft.fft(scipy.fft.rfft(phys, axis=-1)[..., :kb],
+                                              axis=-2))
+    assert np.array_equal(band_to_spectral(g, phys), spec)
+
+
+def test_scratch_is_reused_per_thread_and_never_shared():
+    a = scratch("test.a", (3, 4))
+    assert scratch("test.a", (3, 4)) is a
+    assert scratch("test.a", (3, 5)) is not a
+    assert scratch("test.b", (3, 4)) is not a
+    assert scratch("test.a", (3, 4), np.float64).dtype == np.float64
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(scratch, "test.a", (3, 4)).result(timeout=10)
+    assert other is not a and other.shape == a.shape
 
 
 def test_constant_field_maps_to_mean_mode(grid32):

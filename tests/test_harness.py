@@ -3,6 +3,9 @@
 import csv
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,29 @@ def test_chebyshev_run_reports_lambda_and_degree(tmp_path, small_cfg, capsys):
     assert spec.kind == "chebyshev" and spec.tol == 1e-8
     assert (f", M = 2, Chebyshev Lambda = {spec.Lambda:.6g}, max degree "
             f"{spec.n_poly} ->") in capsys.readouterr().out
+
+
+def test_run_path_loads_no_scipy(tmp_path, small_cfg):
+    # every transform and the Chebyshev coefficients are numpy's; scipy is
+    # for the oracles only, which import it when called
+    cheb = tmp_path / "cheb.cfg"
+    cheb.write_text(SMALL_CFG + "propagator = chebyshev\n")
+    code = (
+        "import sys\n"
+        "from phaseswe.harness import main\n"
+        "for i, cfg in enumerate(sys.argv[1:]):\n"
+        "    assert main(['run', '--config', cfg, '--output', f'out{i}']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code, str(small_cfg), str(cheb)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out0" / "diagnostics.csv").exists()
+    assert (tmp_path / "out1" / "diagnostics.csv").exists()
 
 
 def test_reference_then_run_with_error_report(tmp_path, small_cfg, capsys):

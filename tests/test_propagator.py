@@ -214,18 +214,22 @@ def shift_cases(rng):
                (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)))
 
 
+SHIFT_TIMES = (900.0, -1800.0, 3600.0, 900.0)  # both signs, unequal Chebyshev degrees
+
+
 def test_forward_shift_is_bitwise_propagate(rng):
     # one shift of the whole-grid stack serves many s
     for grid, params, state, whole, lam, specs in shift_cases(rng):
         for spec in specs:
-            on_grid = shift(whole, grid, params, spec)
-            for s in (900.0, -1800.0, 3600.0, 900.0):
+            on_grid = shift(whole, grid, params, spec, SHIFT_TIMES)
+            assert on_grid.shape == (len(SHIFT_TIMES),) + whole.shape
+            for s, row in zip(SHIFT_TIMES, on_grid):
                 moved = propagate(s, state, params, spec)
                 assert moved.t == state.t + s
-                assert np.array_equal(on_grid(s), np.stack((moved.u, moved.v, moved.eta)))
+                assert np.array_equal(row, np.stack((moved.u, moved.v, moved.eta)))
         assert np.array_equal(whole, np.stack((state.u, state.v, state.eta)))
         with pytest.raises(ValueError, match="stack"):
-            shift(whole[:, :, :-1], grid, params, PropagatorSpec.exact())
+            shift(whole[:, :, :-1], grid, params, PropagatorSpec.exact(), (900.0,))
 
 
 def test_band_shift_is_bitwise_band_of_propagate(rng):
@@ -233,14 +237,37 @@ def test_band_shift_is_bitwise_band_of_propagate(rng):
     for grid, params, state, whole, lam, specs in shift_cases(rng):
         band = take_band(grid, whole)
         for spec in specs:
-            on_band = shift(band, grid, params, spec)
-            for s in (900.0, -1800.0, 3600.0, 900.0):
+            on_band = shift(band, grid, params, spec, SHIFT_TIMES)
+            for s, row in zip(SHIFT_TIMES, on_band):
                 moved = propagate(s, state, params, spec)
                 want = np.stack((moved.u, moved.v, moved.eta))
-                assert np.array_equal(on_band(s), take_band(grid, want))
+                assert np.array_equal(row, take_band(grid, want))
         assert np.array_equal(band, take_band(grid, whole))
         with pytest.raises(ValueError, match="exceeds Lambda"):
-            shift(band, grid, params, PropagatorSpec.chebyshev(lam))(7200.0)
+            shift(band, grid, params, PropagatorSpec.chebyshev(lam), (900.0, 7200.0))
+
+
+def test_multi_time_shift_rows_are_single_time_shifts(rng):
+    # one call's rows come from one L q and L^2 q, or one Chebyshev
+    # recurrence whose rows stop at their own degrees and fold in the sign
+    # of t; each must be bitwise the shift of its time alone
+    for grid, params, state, whole, lam, specs in shift_cases(rng):
+        omega = max_frequency(grid, params)
+        degrees = {choose_npoly(abs(s) * omega) for s in SHIFT_TIMES}
+        assert len(degrees) == 3
+        for q in (whole, take_band(grid, whole)):
+            before = q.copy()
+            for spec in specs:
+                rows = shift(q, grid, params, spec, SHIFT_TIMES)
+                for s, row in zip(SHIFT_TIMES, rows):
+                    assert np.array_equal(row, shift(q, grid, params, spec, (s,))[0])
+                assert np.array_equal(q, before)
+                buf = np.empty_like(rows)
+                assert shift(q, grid, params, spec, SHIFT_TIMES, out=buf) is buf
+                assert np.array_equal(buf, rows)
+                assert shift(q, grid, params, spec, ()).shape == (0,) + q.shape
+                with pytest.raises(ValueError, match="out"):
+                    shift(q, grid, params, spec, SHIFT_TIMES[:2], out=buf)
 
 
 def test_cheb_zero_shift_is_a_copy(rng):
@@ -250,9 +277,11 @@ def test_cheb_zero_shift_is_a_copy(rng):
     whole = np.stack((state.u, state.v, state.eta))
     spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0)
     for q in (whole, take_band(GRID_12x8, whole)):
-        out = shift(q, GRID_12x8, params, spec)(0.0)
-        assert np.array_equal(out, q)
-        assert out is not q
+        out = shift(q, GRID_12x8, params, spec, (0.0, 900.0, 0.0))
+        for row in out[::2]:
+            assert np.array_equal(row, q)
+            assert not np.shares_memory(row, q)
+        assert np.array_equal(out[1], shift(q, GRID_12x8, params, spec, (900.0,))[0])
 
 
 def step_times(config):
