@@ -14,9 +14,11 @@ band stack (grid.take_band) to a band stack, so the core,
 band_averaged_tendency, runs every node term on U's band: one
 propagator.shift call on the calling thread computes every forward shift
 (from one L U and L^2 U on the exact route, one Chebyshev recurrence on the
-other) into that thread's scratch stack; then each node applies nonlinear
-and its own backward shift, into its row of a second scratch stack, and the
-weighted sum follows.  averaged_tendency
+other) into that thread's scratch_rows stack; then each node applies
+nonlinear and its own backward shift, into its row of a second scratch_rows
+stack, and the weighted sum follows.  A failing forward shift is raised as
+a RuntimeError naming the window's largest |s|, a failing node term as one
+naming the node.  averaged_tendency
 wraps the core for States.  Node evaluations may run concurrently; the
 weighted reduction always runs in ascending node order on the calling
 thread, so results are bitwise identical for any worker count, and to the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhysicsParams, State, apply_nonlinear
-from .grid import SpectralGrid, from_band, scratch, take_band
+from .grid import SpectralGrid, from_band, scratch, scratch_rows, take_band
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
@@ -135,13 +137,18 @@ def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid,
     # scratch: one L U and L^2 U, or one Chebyshev recurrence; the node
     # s = 0 needs no shift, and a window of that node alone none at all
     moving = [i for i in live if quadrature.s[i] != 0.0]
-    stack = scratch("band_averaged_tendency.forward", (len(moving),) + q.shape)
-    forward = dict(zip(moving, shift(q, grid, params, propagator_spec,
-                                     quadrature.s[moving], out=stack)))
+    stack = scratch_rows("band_averaged_tendency.forward", len(moving), q.shape)
+    try:
+        forward = dict(zip(moving, shift(q, grid, params, propagator_spec,
+                                         quadrature.s[moving], out=stack)))
+    except Exception as exc:
+        s_max = float(np.max(np.abs(quadrature.s[moving])))
+        raise RuntimeError(f"forward shifts of the averaging nodes "
+                           f"(|s| up to {s_max:.6g} s) failed: {exc}") from exc
 
     # each moving node's backward shift lands in its own row of one more
     # scratch stack, so no node result is allocated and freed per call
-    terms = scratch("band_averaged_tendency.terms", (len(live),) + q.shape)
+    terms = scratch_rows("band_averaged_tendency.terms", len(live), q.shape)
 
     def term(j: int) -> np.ndarray:
         i = live[j]

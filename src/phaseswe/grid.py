@@ -27,6 +27,9 @@ Both write their result through ``out=`` when given one, and keep their
 intermediate spectra in ``scratch`` arrays: reusable buffers of the calling
 thread, made once per (name, shape), so a kernel that passes its own scratch
 as ``out`` allocates nothing per call and threads never share a buffer.
+``scratch_rows`` serves stacks whose row count varies from call to call (one
+row per averaging node): it keeps one stack per (name, row shape), grown to
+the largest request, and hands out its leading rows.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "band_to_physical",
     "band_to_spectral",
     "scratch",
+    "scratch_rows",
 ]
 
 @dataclass(frozen=True)
@@ -294,6 +298,22 @@ def scratch(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
     if arr is None:
         arr = buffers[key] = np.empty(shape, dtype=dtype)
     return arr
+
+
+def scratch_rows(name: str, rows: int, shape: tuple, dtype=np.complex128) -> np.ndarray:
+    """The leading rows of the calling thread's reusable (n, *shape) stack
+    for (name, shape, dtype), n the most rows asked for so far: a request
+    for more rows replaces the stack, so each key keeps one stack, sized to
+    its largest request.  Valid as scratch() is."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None:
+        buffers = _scratch.buffers = {}
+    key = (name, "rows", tuple(shape), np.dtype(dtype))
+    arr = buffers.get(key)
+    if arr is None or len(arr) < rows:
+        arr = buffers[key] = None  # free the smaller stack before making the larger
+        arr = buffers[key] = np.empty((rows,) + tuple(shape), dtype=dtype)
+    return arr[:rows]
 
 
 def band_to_physical(grid: SpectralGrid, compact: np.ndarray,

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from phaseswe import grid as grid_module
 from phaseswe import propagator
 from phaseswe.averaging import (Quadrature, averaged_tendency,
                                 default_node_count, kernel_weights)
@@ -283,6 +284,29 @@ def test_node_failure_reports_node_index(grid32, rng):
         with pytest.raises(RuntimeError, match="averaging node"):
             averaged_tendency(state, quad, params, PropagatorSpec.exact(),
                               executor=pool, nonlinear=broken)
+
+
+def test_windows_of_any_size_keep_one_pair_of_node_stacks(grid32, rng):
+    # a sweep runs windows of different M on one thread: after its largest
+    # window, smaller ones reuse the node stacks and keep nothing more
+    params = flat(grid32)
+    state = band_limited_state(grid32, rng)
+    spec = PropagatorSpec.exact()
+    averaged_tendency(state, kernel_weights(3600.0, 8), params, spec)
+    held = sum(a.nbytes for a in grid_module._scratch.buffers.values())
+    for M in (4, 6, 3):
+        averaged_tendency(state, kernel_weights(3600.0, M), params, spec)
+        assert sum(a.nbytes for a in grid_module._scratch.buffers.values()) == held
+
+
+def test_forward_shift_failure_names_the_window(grid32, rng):
+    # the live nodes reach |s| = 1200 s, beyond a Lambda sized for 900 s
+    params = flat(grid32)
+    state = band_limited_state(grid32, rng)
+    spec = PropagatorSpec.chebyshev(max_frequency(grid32, params) * 900.0)
+    with pytest.raises(RuntimeError,
+                       match=r"forward shifts .*\|s\| up to 1200 s.*exceeds Lambda"):
+        averaged_tendency(state, kernel_weights(1800.0, 3), params, spec)
 
 
 def test_bump_kernel_profile_values():

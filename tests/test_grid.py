@@ -8,7 +8,7 @@ import scipy.fft
 
 from phaseswe.grid import (band, band_to_physical, band_to_spectral, dealias,
                            from_band, integrate_product, make_grid, scratch,
-                           take_band, to_physical, to_spectral)
+                           scratch_rows, take_band, to_physical, to_spectral)
 from phaseswe.oracles import (band_limited_state, truncated_convolution,
                               wrap_indices)
 
@@ -112,6 +112,19 @@ def test_scratch_is_reused_per_thread_and_never_shared():
     with ThreadPoolExecutor(max_workers=1) as pool:
         other = pool.submit(scratch, "test.a", (3, 4)).result(timeout=10)
     assert other is not a and other.shape == a.shape
+
+
+def test_scratch_rows_keep_one_stack_sized_to_the_largest_request():
+    two = scratch_rows("test.rows", 2, (3, 4))
+    assert two.shape == (2, 3, 4)
+    five = scratch_rows("test.rows", 5, (3, 4))
+    assert five.shape == (5, 3, 4) and not np.shares_memory(five, two)
+    three = scratch_rows("test.rows", 3, (3, 4))
+    assert three.shape == (3, 3, 4) and three.base is five.base
+    assert scratch_rows("test.rows", 3, (3, 5)).base is not five.base
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(scratch_rows, "test.rows", 3, (3, 4)).result(timeout=10)
+    assert not np.shares_memory(other, five)
 
 
 def test_constant_field_maps_to_mean_mode(grid32):

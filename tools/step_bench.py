@@ -4,7 +4,7 @@ perfbench pairs, written to one BENCH_*.json file.
 Run from the root of a checkout:
 
     python3 tools/step_bench.py --base HEAD --out BENCH_example.json \
-        --rounds 3 --pairs chebyshev=10,reference=6,sweep=6 --seconds 36
+        --pairs chebyshev=10,reference=6,sweep=6
 
 The base revision's `src/` and `perfbench/` are extracted with `git archive`
 into a temporary directory; the change is this checkout's working tree.
@@ -14,10 +14,11 @@ of the machine hits both sides alike:
 - In-process steps.  A fresh interpreter per side and round builds the
   configured jet and mountain case at 32^2, 64^2 and 128^2 with dt = 1 h and
   times single-threaded steps at T = 0, 1 h and 8 h (exact route, auto M)
-  and at T = 1 h on the Chebyshev route, after two warm-up steps.  Each step
-  records its wall time and its minor page faults (`ru_minflt`).
-- perfbench pairs.  `perfbench/run.py --workload W --trace 0` of each tree,
-  the side that runs first alternating from pair to pair.
+  and at T = 1 h on the Chebyshev route, after two warm-up steps: 6 rounds
+  per side of 12 timed steps per case.  Each step records its wall time and
+  its minor page faults (`ru_minflt`).
+- perfbench pairs.  `perfbench/run.py --workload W --seconds 36 --trace 0`
+  of each tree, the side that runs first alternating from pair to pair.
 
 The output holds the machine line that perfbench prints, each side's median
 and quartiles per metric, the change/base ratio of the medians, and how many
@@ -47,9 +48,12 @@ CASES = {  # name: (T in seconds, propagator)
     "cheb1h": (3600.0, "chebyshev"),
 }
 WARMUP_STEPS = 2
+ROUNDS = 6             # alternating in-process rounds per side
+STEPS_PER_ROUND = 12   # timed steps per case and round
+PERFBENCH_SECONDS = 36
 
 
-def measure_steps(src: str, steps: int) -> dict:
+def measure_steps(src: str) -> dict:
     """Per grid and case: the M, the Chebyshev degree, and the wall time (ms)
     and minor page faults of each timed step, from the phaseswe under src."""
     sys.path.insert(0, src)
@@ -70,7 +74,7 @@ def measure_steps(src: str, steps: int) -> dict:
             for _ in range(WARMUP_STEPS):
                 state = step_averaged_ssprk3(state, step_cfg, params)
             ms, faults = [], []
-            for _ in range(steps):
+            for _ in range(STEPS_PER_ROUND):
                 f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 state = step_averaged_ssprk3(state, step_cfg, params)
@@ -111,14 +115,13 @@ def run_python(tree: str, args: list[str], env: dict) -> str:
     return done.stdout
 
 
-def step_rounds(trees: dict, rounds: int, steps: int, env: dict) -> dict:
+def step_rounds(trees: dict, env: dict) -> dict:
     raw = {side: [] for side in trees}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         for side in order:
             out = run_python(ROOT, [os.path.abspath(__file__), "--worker",
-                                    os.path.join(trees[side], "src"),
-                                    "--steps", str(steps)], env)
+                                    os.path.join(trees[side], "src")], env)
             raw[side].append(json.loads(out.splitlines()[-1]))
     result = {}
     for key in raw["base"][0]:
@@ -134,8 +137,8 @@ def step_rounds(trees: dict, rounds: int, steps: int, env: dict) -> dict:
     return result
 
 
-def perfbench_pairs(trees: dict, workload: str, pairs: int, seconds: int,
-                    seed: int, env: dict, machine: dict) -> dict:
+def perfbench_pairs(trees: dict, workload: str, pairs: int, seed: int,
+                    env: dict, machine: dict) -> dict:
     runs = []
     for i in range(pairs):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
@@ -143,7 +146,7 @@ def perfbench_pairs(trees: dict, workload: str, pairs: int, seconds: int,
         for side in order:
             out = run_python(trees[side], [
                 "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", "0"], env)
+                "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"], env)
             lines = out.splitlines()
             for line in lines:
                 if line.startswith("machine ") and not machine:
@@ -155,7 +158,7 @@ def perfbench_pairs(trees: dict, workload: str, pairs: int, seconds: int,
         runs.append(pair)
     names = runs[0]["base"]["metrics"]
     return {
-        "pairs": pairs, "seconds": seconds, "seed": seed,
+        "pairs": pairs, "seconds": PERFBENCH_SECONDS, "seed": seed,
         "attempted": {s: sum(r[s]["attempted"] for r in runs) for s in trees},
         "failed": {s: sum(r[s]["failed"] for r in runs) for s in trees},
         "metrics": {name: compare([r["base"]["metrics"][name] for r in runs],
@@ -189,18 +192,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="base revision")
     parser.add_argument("--out", help="BENCH_*.json file to write")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="alternating in-process rounds per side")
-    parser.add_argument("--steps", type=int, default=8, help="timed steps per case")
     parser.add_argument("--pairs", default="",
                         help="perfbench pairs per workload, e.g. chebyshev=10,sweep=6")
-    parser.add_argument("--seconds", type=int, default=36)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:
-        print(json.dumps(measure_steps(args.worker, args.steps)))
+        print(json.dumps(measure_steps(args.worker)))
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -215,9 +214,8 @@ def main(argv=None) -> int:
     machine: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": extract(args.base, tmp), "change": ROOT}
-        steps = step_rounds(trees, args.rounds, args.steps, env) if args.rounds else {}
-        bench = {name: perfbench_pairs(trees, name, count, args.seconds, args.seed,
-                                       env, machine)
+        steps = step_rounds(trees, env)
+        bench = {name: perfbench_pairs(trees, name, count, args.seed, env, machine)
                  for name, count in pairs.items()}
     if not machine:
         machine = {"cpu": platform.processor(), "nproc": os.cpu_count(),
@@ -227,7 +225,7 @@ def main(argv=None) -> int:
         "base": git("rev-parse", args.base),
         "change": git("rev-parse", "HEAD") + (" + working tree" if dirty else ""),
         "machine": machine,
-        "steps": {"rounds": args.rounds, "steps_per_round": args.steps,
+        "steps": {"rounds": ROUNDS, "steps_per_round": STEPS_PER_ROUND,
                   "warmup_steps": WARMUP_STEPS, "dt_s": 3600.0, "cases": steps},
         "perfbench": bench,
     }
