@@ -24,12 +24,10 @@ makes column ky = 0 conjugate-symmetric), and
 ``band_to_physical``/``band_to_spectral`` transform between the compact band
 and real physical fields without touching the columns the band leaves empty.
 Both write their result through ``out=`` when given one, and keep their
-intermediate spectra in ``scratch`` arrays: reusable buffers of the calling
-thread, made once per (name, shape), so a kernel that passes its own scratch
-as ``out`` allocates nothing per call and threads never share a buffer.
-``scratch_rows`` serves stacks whose row count varies from call to call (one
-row per averaging node): it keeps one stack per (name, row shape), grown to
-the largest request, and hands out its leading rows.
+intermediate spectra in ``scratch`` arrays: reusable stacks of the calling
+thread, one per (name, trailing shape, dtype), grown to the most rows asked
+for (one row per averaging node, say), so a kernel that passes its own
+scratch as ``out`` allocates nothing per call and threads never share one.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ __all__ = [
     "band_to_physical",
     "band_to_spectral",
     "scratch",
-    "scratch_rows",
 ]
 
 @dataclass(frozen=True)
@@ -256,7 +253,7 @@ def _check_band(grid: SpectralGrid, arr: np.ndarray) -> None:
 
 
 def mirror_ky0(stack: np.ndarray) -> np.ndarray:
-    """The stack (..., nx, ncols), its column ky = 0 made conjugate-symmetric
+    """The stack (..., nx, n), its column ky = 0 made conjugate-symmetric
     in kx in place: the kx < 0 half is overwritten by the kx > 0 half's mirror."""
     nx = stack.shape[-2]
     np.conjugate(stack[..., 1 : nx // 2, 0], out=stack[..., : nx // 2 : -1, 0])
@@ -287,32 +284,20 @@ _scratch = threading.local()
 
 
 def scratch(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-    """The calling thread's reusable array for (name, shape, dtype), made on
-    first use.  It holds whatever its last user left, and stays valid only
-    until the thread's next user of the same (name, shape, dtype)."""
+    """The leading shape[0] rows of the calling thread's reusable stack for
+    (name, shape[1:], dtype), made on first use.  A request for more rows
+    than it has replaces the stack, so each key keeps one stack, sized to its
+    largest request.  The array holds whatever its last user left, and stays
+    valid only until the thread's next user of the same key."""
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None:
         buffers = _scratch.buffers = {}
-    key = (name, tuple(shape), np.dtype(dtype))
-    arr = buffers.get(key)
-    if arr is None:
-        arr = buffers[key] = np.empty(shape, dtype=dtype)
-    return arr
-
-
-def scratch_rows(name: str, rows: int, shape: tuple, dtype=np.complex128) -> np.ndarray:
-    """The leading rows of the calling thread's reusable (n, *shape) stack
-    for (name, shape, dtype), n the most rows asked for so far: a request
-    for more rows replaces the stack, so each key keeps one stack, sized to
-    its largest request.  Valid as scratch() is."""
-    buffers = getattr(_scratch, "buffers", None)
-    if buffers is None:
-        buffers = _scratch.buffers = {}
-    key = (name, "rows", tuple(shape), np.dtype(dtype))
+    rows, rest = shape[0], tuple(shape[1:])
+    key = (name, rest, np.dtype(dtype))
     arr = buffers.get(key)
     if arr is None or len(arr) < rows:
         arr = buffers[key] = None  # free the smaller stack before making the larger
-        arr = buffers[key] = np.empty((rows,) + tuple(shape), dtype=dtype)
+        arr = buffers[key] = np.empty((rows,) + rest, dtype=dtype)
     return arr[:rows]
 
 

@@ -8,18 +8,18 @@ with the omega -> 0 limit I + t L.  This is exact (to round-off) and serves
 as the oracle for the iterative route.
 
 One kernel, shift(q, grid, params, spec, times), returns the stack
-(len(times), 3, nx, ncols) of e^{Lt} q for a stacked (3, nx, ncols) array q:
-ncols = ny is the whole grid, ncols = kb = ceil(ny/3) the compact 2/3 band
-of grid.take_band.  Each row is bitwise the shift of its time alone, and a
-call computes what its rows share once: L q and L^2 q on the exact route,
-one recurrence on the Chebyshev route.  Its tables are cached per
-(nx, ny, Lx, Ly, f, g, H) and ncols: L's per-mode couplings and omega, and
-per |t| c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 (c1
-is odd, c2 even), so the trigonometry runs once per distinct |t| a run asks
-for (its node shifts, dt and dt/2).  A band entry copies the whole-grid
-entry's columns and every operation is per mode, so a band shift is bitwise
-the band columns of a whole-grid one.  propagate, exact_exp and cheb_exp
-wrap shift for States; the averaged tendency and the stepper use the band.
+(len(times), 3, nx, kb) of e^{Lt} q for a (3, nx, kb) stack q of the compact
+2/3 band of grid.take_band, kb = ceil(ny/3); it takes no other layout.  Each
+row is bitwise the shift of its time alone, and a call computes what its rows
+share once: L q and L^2 q on the exact route, one recurrence on the Chebyshev
+route.  Its tables hold band columns only and are cached per
+(nx, ny, Lx, Ly, f, g, H): L's per-mode couplings and omega, and per |t|
+c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 (c1 is
+odd, c2 even), so the trigonometry runs once per distinct |t| a run asks for
+(its node shifts, dt and dt/2).  propagate, exact_exp and cheb_exp apply
+shift to a State the way the averaged tendency and the stepper do: they
+read only its 2/3 band and return a State that is exactly Hermitian and
+zero outside the band.
 
 The Chebyshev route approximates e^{l} for l on the spectral interval
 i[-Lambda, Lambda] by a degree-n polynomial evaluated matrix-free through
@@ -37,13 +37,13 @@ independent cross-check in the tests.
 All recurrence intermediates stay Hermitian-symmetric for real input states.
 
 Each Chebyshev exponential is sized to its own argument: Lambda_t =
-|t| max_omega, with max_omega the whole grid's on either layout, and degree
-choose_npoly(Lambda_t, tol), the coefficients cached per (Lambda_t, tol).
-The spec's Lambda only bounds the arguments.  The recurrence operator
-(2 t/Lambda_t) L = sign(t) S, S = (2/max_omega) L, is then the same for
-every |t| up to sign, and Q_k(-S) = (-1)^k Q_k(S), so one recurrence in S,
-from one cached read-only table per (table key, ncols), serves every time of
-a call: the sign of t negates the odd coefficients, and each row
+|t| max_omega, with max_omega the whole grid's (dynamics.max_frequency), and
+degree choose_npoly(Lambda_t, tol), the coefficients cached per
+(Lambda_t, tol).  The spec's Lambda only bounds the arguments.  The
+recurrence operator (2 t/Lambda_t) L = sign(t) S, S = (2/max_omega) L, is
+then the same for every |t| up to sign, and Q_k(-S) = (-1)^k Q_k(S), so one
+recurrence in S, from one cached read-only table per table key, serves every
+time of a call: the sign of t negates the odd coefficients, and each row
 accumulates up to its own degree.  Both routes write through out= into the
 calling thread's grid.scratch arrays (L q and L^2 q, or the recurrence's
 rolling Q_{k-1}, Q_k and product), so node threads may shift concurrently
@@ -52,7 +52,7 @@ and a call allocates only the stack it returns, or nothing when given out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -60,8 +60,9 @@ from typing import NamedTuple
 import numpy as np
 
 # apply_linear stays a module attribute: perfbench/tracing.py patches it here
-from .dynamics import PhysicsParams, State, apply_linear, dispersion_omega  # noqa: F401
-from .grid import SpectralGrid, band_width, make_grid, scratch
+from .dynamics import (PhysicsParams, State, apply_linear,  # noqa: F401
+                       dispersion_omega, max_frequency)
+from .grid import SpectralGrid, band, band_width, from_band, make_grid, scratch, take_band
 
 __all__ = [
     "PropagatorSpec",
@@ -113,15 +114,15 @@ class PropagatorSpec:
 
 
 # Table sizes.  A step asks for at most M + 2 distinct |t| (the live node
-# shifts, dt and dt/2), each a whole-grid entry of two real (nx, ny) arrays
-# and its band copy, so a step's whole set stays cached for M up to 62.
+# shifts, dt and dt/2), each an entry of two real (nx, kb) arrays, so a
+# step's whole set stays cached for M up to 126.
 _COUPLING_TABLES = 16
 _COEFF_TABLES = 128
 
 
 class _Couplings(NamedTuple):
-    """Per-mode entries of L: the scalar f, the (nx, ncols) couplings -g i kx,
-    -g i ky, -H i kx, -H i ky and omega, and the whole grid's max omega."""
+    """Per-mode entries of L on the band: the scalar f, the (nx, kb) couplings
+    -g i kx, -g i ky, -H i kx, -H i ky and omega, and the whole grid's max omega."""
 
     f: float
     gx: np.ndarray
@@ -138,65 +139,54 @@ def _table_key(grid: SpectralGrid, params: PhysicsParams) -> tuple:
             float(params.f), float(params.g), float(params.H))
 
 
-def _columns(arrays, ncols: int) -> tuple:
-    """Read-only contiguous first ncols columns of (nx, ny) arrays: the arrays
-    themselves for ncols = ny, copies for the band."""
-    out = tuple(np.ascontiguousarray(arr[:, :ncols]) for arr in arrays)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=_COUPLING_TABLES)
-def _couplings(key: tuple, ncols: int) -> _Couplings:
-    """Read-only couplings of L on the first ncols columns, for the key of
-    _table_key; a band entry copies the whole-grid entry's columns."""
-    nx, ny, Lx, Ly, f, g, H = key
-    if ncols != ny:
-        whole = _couplings(key, ny)
-        return whole._replace(**dict(zip(("gx", "gy", "hx", "hy", "omega"),
-                                         _columns(whole[1:6], ncols))))
-    kx2, ky2 = make_grid(nx, ny, Lx, Ly).wavenumber_mesh()
-    # full (nx, ny) arrays: a broadcast (nx, 1) complex multiply is slower
-    ikx, iky = 1j * np.stack(np.broadcast_arrays(kx2, ky2))
-    # dispersion_omega reads only f, g and H from its params
-    omega = dispersion_omega((kx2, ky2), SimpleNamespace(f=f, g=g, H=H))
-    arrays = _columns(((-g) * ikx, (-g) * iky, (-H) * ikx, (-H) * iky, omega), ny)
-    return _Couplings(f, *arrays, float(np.max(omega)))
-
-
-@lru_cache(maxsize=_COUPLING_TABLES)
-def _recurrence(key: tuple, ncols: int) -> _Couplings:
-    """Read-only couplings of S = (2/max_omega) L on the first ncols columns:
-    with Lambda_t = |t| max_omega, the recurrence operator (2 t/Lambda_t) L
-    of every e^{Lt} with t > 0, and -S that of every t < 0."""
-    cp = _couplings(key, ncols)
-    c = 2.0 / cp.max_omega
-    arrays = (c * cp.gx, c * cp.gy, c * cp.hx, c * cp.hy)
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only."""
     for arr in arrays:
         arr.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=_COUPLING_TABLES)
+def _couplings(key: tuple) -> _Couplings:
+    """Read-only couplings of L on the band columns, for the key of _table_key."""
+    nx, ny, Lx, Ly, f, g, H = key
+    grid = make_grid(nx, ny, Lx, Ly)
+    b = band(grid)
+    kx2, ky2 = grid.wavenumber_mesh()
+    # max_frequency and dispersion_omega read only f, g and H from their params
+    params = SimpleNamespace(f=f, g=g, H=H)
+    omega = dispersion_omega((kx2, ky2[:, : b.kb]), params)
+    arrays = _frozen((-g) * b.ikx, (-g) * b.iky, (-H) * b.ikx, (-H) * b.iky, omega)
+    return _Couplings(f, *arrays, max_frequency(grid, params))
+
+
+@lru_cache(maxsize=_COUPLING_TABLES)
+def _recurrence(key: tuple) -> _Couplings:
+    """Read-only couplings of S = (2/max_omega) L on the band columns: with
+    Lambda_t = |t| max_omega, the recurrence operator (2 t/Lambda_t) L of
+    every e^{Lt} with t > 0, and -S that of every t < 0."""
+    cp = _couplings(key)
+    c = 2.0 / cp.max_omega
+    arrays = _frozen(c * cp.gx, c * cp.gy, c * cp.hx, c * cp.hy)
     return cp._replace(f=c * cp.f, **dict(zip(("gx", "gy", "hx", "hy"), arrays)))
 
 
 @lru_cache(maxsize=_COEFF_TABLES)
-def _exp_coeffs(key: tuple, ncols: int, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
+def _exp_coeffs(key: tuple, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only c1(|t|) = sin(omega t)/omega and c2(|t|) = (1 - cos omega t)/omega^2,
-    with the omega = 0 limits |t| and t^2/2, on the first ncols columns; a
-    band entry copies the whole-grid entry's.  c1 is odd in t and c2 even,
-    so one entry serves e^{Lt} and e^{-Lt}."""
-    if ncols != key[1]:
-        return _columns(_exp_coeffs(key, key[1], abs_t), ncols)
-    om = _couplings(key, ncols).omega
+    with the omega = 0 limits |t| and t^2/2, on the band columns.  c1 is odd
+    in t and c2 even, so one entry serves e^{Lt} and e^{-Lt}."""
+    om = _couplings(key).omega
     safe = np.where(om > 0.0, om, 1.0)
     c1 = np.where(om > 0.0, np.sin(om * abs_t) / safe, abs_t)
     c2 = np.where(om > 0.0, (1.0 - np.cos(om * abs_t)) / safe**2, 0.5 * abs_t * abs_t)
-    return _columns((c1, c2), ncols)
+    return _frozen(c1, c2)
 
 
 def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray,
                 tmp: np.ndarray) -> None:
-    """out += L q for stacked (3, nx, ncols) arrays, L given by its couplings;
-    into zeros, this is L q.  The products go through the (2, nx, ncols)
+    """out += L q for (3, nx, kb) band stacks, L given by its couplings;
+    into zeros, this is L q.  The products go through the (2, nx, kb)
     scratch tmp: out[0] += f q1 + gx q2, out[1] += gy q2 - f q0 and
     out[2] += hx q0 + hy q1, in that order of operations."""
     a, b = tmp
@@ -217,7 +207,7 @@ def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray,
 def _closed_form(coeffs, t: float, q: np.ndarray, lu: np.ndarray,
                  llu: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """out = e^{Lt} q = q + c1(t) L q + c2(t) L^2 q for stacked arrays, from
-    the coefficients (c1, c2) of |t|; tmp is an (nx, ncols) scratch."""
+    the coefficients (c1, c2) of |t|; tmp is an (nx, kb) scratch."""
     c1, c2 = coeffs
     np.multiply(llu, c2, out=out)
     combine = np.subtract if t < 0.0 else np.add  # c1 is odd in t
@@ -229,16 +219,17 @@ def _closed_form(coeffs, t: float, q: np.ndarray, lu: np.ndarray,
 
 def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
           spec: PropagatorSpec, times, out: np.ndarray | None = None) -> np.ndarray:
-    """The stack (len(times), 3, nx, ncols) of e^{Lt} q, one row per t in
-    times, for a whole-grid (3, nx, ny) or band (3, nx, kb) stack q, which is
-    not modified; written into out if given, else a new array.  Every row is
-    bitwise the row a call with its time alone gives.  On the exact route
-    L q and L^2 q are computed once per call; on the Chebyshev route one
-    recurrence serves every row, and t = 0 is a copy of q."""
-    if q.shape not in ((3, grid.nx, grid.ny), (3, grid.nx, band_width(grid.ny))):
-        raise ValueError(f"shift needs a (3, nx, ny) or (3, nx, kb) stack for the "
+    """The stack (len(times), 3, nx, kb) of e^{Lt} q, one row per t in times,
+    for a (3, nx, kb) band stack q, which is not modified; written into out
+    if given, else a new array.  Every row is bitwise the row a call with its
+    time alone gives.  On the exact route L q and L^2 q are computed once per
+    call; on the Chebyshev route one recurrence serves every row, and t = 0
+    is a copy of q."""
+    expected = (3, grid.nx, band_width(grid.ny))
+    if q.shape != expected:
+        raise ValueError(f"shift needs a (3, nx, kb) band stack, {expected} for the "
                          f"{grid.nx} x {grid.ny} grid, got shape {q.shape}")
-    key, ncols = _table_key(grid, params), q.shape[-1]
+    key = _table_key(grid, params)
     times = [float(t) for t in times]
     if out is None:
         out = np.empty((len(times),) + q.shape, dtype=np.complex128)
@@ -250,7 +241,7 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
     if spec.kind == "chebyshev":
         _cheb_rows(key, q, times, spec, out)
         return out
-    cp = _couplings(key, ncols)
+    cp = _couplings(key)
     lu, llu = scratch("shift.lu", q.shape), scratch("shift.llu", q.shape)
     tmp = scratch("shift.tmp", (2,) + q.shape[1:])
     lu.fill(0.0)
@@ -258,19 +249,22 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
     _add_linear(cp, q, lu, tmp)
     _add_linear(cp, lu, llu, tmp)
     for row, t in zip(out, times):
-        _closed_form(_exp_coeffs(key, ncols, abs(t)), t, q, lu, llu, row, tmp[0])
+        _closed_form(_exp_coeffs(key, abs(t)), t, q, lu, llu, row, tmp[0])
     return out
 
 
 def propagate(t: float, state: State, params: PhysicsParams,
               spec: PropagatorSpec) -> State:
-    """Apply e^{Lt} by the route selected in spec; advances the time stamp."""
-    q = shift(np.stack((state.u, state.v, state.eta)), state.grid, params, spec, (t,))[0]
-    return replace(state, u=q[0], v=q[1], eta=q[2], t=state.t + t)
+    """Apply e^{Lt} by the route selected in spec to the state's 2/3 band;
+    the result is exactly Hermitian and zero outside the band, and its time
+    stamp advances by t."""
+    grid = state.grid
+    q = shift(take_band(grid, (state.u, state.v, state.eta)), grid, params, spec, (t,))[0]
+    return State(grid, *from_band(grid, q), t=state.t + t)
 
 
 def exact_exp(t: float, state: State, params: PhysicsParams) -> State:
-    """Apply e^{Lt} exactly via the per-mode closed form; advances the time stamp."""
+    """Apply e^{Lt} exactly via the per-mode closed form, as propagate does."""
     return propagate(t, state, params, PropagatorSpec.exact())
 
 
@@ -326,15 +320,10 @@ def choose_npoly(Lambda: float, tol: float = DEFAULT_CHEB_TOL) -> int:
 
 def cheb_exp(t: float, state: State, params: PhysicsParams,
              spec: PropagatorSpec) -> State:
-    """Apply e^{Lt} through the matrix-free Chebyshev recurrence.
-
-    Requires |t| * max_frequency <= spec.Lambda; t = 0 returns the state
-    unchanged (e^0 is the identity).
-    """
+    """Apply e^{Lt} through the matrix-free Chebyshev recurrence, as propagate
+    does.  Requires |t| * max_frequency <= spec.Lambda."""
     if spec.kind != "chebyshev":
         raise ValueError(f"cheb_exp needs a chebyshev spec, got kind {spec.kind!r}")
-    if t == 0.0:
-        return state
     return propagate(t, state, params, spec)
 
 
@@ -357,7 +346,7 @@ def _cheb_rows(key: tuple, q: np.ndarray, times: list[float],
     own degree n in the same order as a recurrence of its own.  Q_{k+1}
     overwrites Q_{k-1}'s buffer; the two and one scratch stack are the
     calling thread's, so node threads may shift concurrently."""
-    max_omega = _couplings(key, q.shape[-1]).max_omega
+    max_omega = _couplings(key).max_omega
     rows = []  # (coefficients with the sign of t folded in, output row)
     for row, t in zip(out, times):
         if t == 0.0:
@@ -376,7 +365,7 @@ def _cheb_rows(key: tuple, q: np.ndarray, times: list[float],
     if not rows:
         return
     rows.sort(key=lambda r: len(r[0]), reverse=True)
-    rc = _recurrence(key, q.shape[-1])
+    rc = _recurrence(key)
     q_prev, q_k, tmp = (scratch(name, q.shape) for name in ("cheb.prev", "cheb.k", "cheb.tmp"))
     for a, row in rows:
         np.multiply(q, a[0], out=row)

@@ -8,7 +8,7 @@ import pytest
 from phaseswe import propagator
 from phaseswe.config import default_config
 from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
-from phaseswe.grid import band_width, make_grid, take_band
+from phaseswe.grid import band_width, from_band, make_grid, take_band, to_spectral
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_npoly,
@@ -117,7 +117,10 @@ def test_cheb_zero_time_is_identity(grid32, rng):
     params = flat(grid32)
     spec = PropagatorSpec.chebyshev(1.0)
     state = band_limited_state(grid32, rng)
-    assert cheb_exp(0.0, state, params, spec) is state
+    out = cheb_exp(0.0, state, params, spec)
+    assert out.t == state.t
+    for name in ("u", "v", "eta"):
+        assert np.array_equal(getattr(out, name), getattr(state, name))
 
 
 def test_propagate_dispatches_on_kind(grid32, rng):
@@ -205,83 +208,104 @@ SHIFT_GRIDS = (GRID_12x8, make_grid(18, 12, 2.5e6, 1.5e6))  # 18 x 12: kb = 4, w
 
 
 def shift_cases(rng):
-    """Per grid: params, a band-limited state, its whole-grid stack and both specs."""
+    """Per grid: params, a band-limited state, its band stack and both specs."""
     for grid in SHIFT_GRIDS:
         params = flat(grid)
         state = band_limited_state(grid, rng)
         lam = max_frequency(grid, params) * 3600.0
-        yield (grid, params, state, np.stack((state.u, state.v, state.eta)), lam,
+        yield (grid, params, state, take_band(grid, (state.u, state.v, state.eta)), lam,
                (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)))
 
 
 SHIFT_TIMES = (900.0, -1800.0, 3600.0, 900.0)  # both signs, unequal Chebyshev degrees
 
 
-def test_forward_shift_is_bitwise_propagate(rng):
-    # one shift of the whole-grid stack serves many s
-    for grid, params, state, whole, lam, specs in shift_cases(rng):
-        for spec in specs:
-            on_grid = shift(whole, grid, params, spec, SHIFT_TIMES)
-            assert on_grid.shape == (len(SHIFT_TIMES),) + whole.shape
-            for s, row in zip(SHIFT_TIMES, on_grid):
-                moved = propagate(s, state, params, spec)
-                assert moved.t == state.t + s
-                assert np.array_equal(row, np.stack((moved.u, moved.v, moved.eta)))
-        assert np.array_equal(whole, np.stack((state.u, state.v, state.eta)))
-        with pytest.raises(ValueError, match="stack"):
-            shift(whole[:, :, :-1], grid, params, PropagatorSpec.exact(), (900.0,))
-
-
-def test_band_shift_is_bitwise_band_of_propagate(rng):
-    # the same shift on the compact 2/3 band gives the band of the whole-grid result
-    for grid, params, state, whole, lam, specs in shift_cases(rng):
-        band = take_band(grid, whole)
+def test_band_shift_is_bitwise_propagate(rng):
+    # one shift of the band stack serves many s, and propagate is that shift
+    # between take_band and from_band; shift takes no other layout
+    for grid, params, state, band, lam, specs in shift_cases(rng):
+        before = band.copy()
+        # every Chebyshev degree and the Lambda guard are sized from the
+        # whole grid's omega, though the tables hold band columns only
+        key = propagator._table_key(grid, params)
+        assert propagator._couplings(key).max_omega == max_frequency(grid, params)
         for spec in specs:
             on_band = shift(band, grid, params, spec, SHIFT_TIMES)
+            assert on_band.shape == (len(SHIFT_TIMES),) + band.shape
             for s, row in zip(SHIFT_TIMES, on_band):
                 moved = propagate(s, state, params, spec)
+                assert moved.t == state.t + s
                 want = np.stack((moved.u, moved.v, moved.eta))
+                assert np.array_equal(from_band(grid, row), want)
                 assert np.array_equal(row, take_band(grid, want))
-        assert np.array_equal(band, take_band(grid, whole))
+        assert np.array_equal(band, before)
+        whole = np.stack((state.u, state.v, state.eta))
+        kb = band_width(grid.ny)
+        wide = np.zeros((3, grid.nx, kb + 1), dtype=complex)
+        for bad in (whole, wide, band[:2]):
+            with pytest.raises(ValueError, match=rf"\(3, {grid.nx}, {kb}\)"):
+                shift(bad, grid, params, PropagatorSpec.exact(), (900.0,))
         with pytest.raises(ValueError, match="exceeds Lambda"):
             shift(band, grid, params, PropagatorSpec.chebyshev(lam), (900.0, 7200.0))
+
+
+def test_state_exponentials_read_only_the_band(rng):
+    # modes outside the 2/3 band are ignored, and the result is zero there
+    for grid in SHIFT_GRIDS:
+        params = flat(grid)
+        state = band_limited_state(grid, rng)
+        noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
+        noise[:, grid.dealias_mask] = 0.0
+        assert np.max(np.abs(noise)) > 0.0
+        noisy = State(grid, *(np.stack((state.u, state.v, state.eta)) + noise), t=state.t)
+        part = State(grid, *from_band(grid, take_band(grid, (noisy.u, noisy.v, noisy.eta))),
+                     t=state.t)
+        spec = PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0)
+        for fn in (lambda x: propagate(-1800.0, x, params, PropagatorSpec.exact()),
+                   lambda x: propagate(900.0, x, params, spec),
+                   lambda x: exact_exp(3600.0, x, params),
+                   lambda x: cheb_exp(-3600.0, x, params, spec),
+                   lambda x: cheb_exp(0.0, x, params, spec)):
+            got, want = fn(noisy), fn(part)
+            assert got.t == want.t
+            for name in ("u", "v", "eta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+                assert not np.any(getattr(got, name)[~grid.dealias_mask])
 
 
 def test_multi_time_shift_rows_are_single_time_shifts(rng):
     # one call's rows come from one L q and L^2 q, or one Chebyshev
     # recurrence whose rows stop at their own degrees and fold in the sign
     # of t; each must be bitwise the shift of its time alone
-    for grid, params, state, whole, lam, specs in shift_cases(rng):
+    for grid, params, state, q, lam, specs in shift_cases(rng):
         omega = max_frequency(grid, params)
         degrees = {choose_npoly(abs(s) * omega) for s in SHIFT_TIMES}
         assert len(degrees) == 3
-        for q in (whole, take_band(grid, whole)):
-            before = q.copy()
-            for spec in specs:
-                rows = shift(q, grid, params, spec, SHIFT_TIMES)
-                for s, row in zip(SHIFT_TIMES, rows):
-                    assert np.array_equal(row, shift(q, grid, params, spec, (s,))[0])
-                assert np.array_equal(q, before)
-                buf = np.empty_like(rows)
-                assert shift(q, grid, params, spec, SHIFT_TIMES, out=buf) is buf
-                assert np.array_equal(buf, rows)
-                assert shift(q, grid, params, spec, ()).shape == (0,) + q.shape
-                with pytest.raises(ValueError, match="out"):
-                    shift(q, grid, params, spec, SHIFT_TIMES[:2], out=buf)
+        before = q.copy()
+        for spec in specs:
+            rows = shift(q, grid, params, spec, SHIFT_TIMES)
+            for s, row in zip(SHIFT_TIMES, rows):
+                assert np.array_equal(row, shift(q, grid, params, spec, (s,))[0])
+            assert np.array_equal(q, before)
+            buf = np.empty_like(rows)
+            assert shift(q, grid, params, spec, SHIFT_TIMES, out=buf) is buf
+            assert np.array_equal(buf, rows)
+            assert shift(q, grid, params, spec, ()).shape == (0,) + q.shape
+            with pytest.raises(ValueError, match="out"):
+                shift(q, grid, params, spec, SHIFT_TIMES[:2], out=buf)
 
 
 def test_cheb_zero_shift_is_a_copy(rng):
     # Lambda_s = 0 at s = 0: the identity, with no recurrence to size
     params = flat(GRID_12x8)
     state = band_limited_state(GRID_12x8, rng)
-    whole = np.stack((state.u, state.v, state.eta))
+    q = take_band(GRID_12x8, (state.u, state.v, state.eta))
     spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0)
-    for q in (whole, take_band(GRID_12x8, whole)):
-        out = shift(q, GRID_12x8, params, spec, (0.0, 900.0, 0.0))
-        for row in out[::2]:
-            assert np.array_equal(row, q)
-            assert not np.shares_memory(row, q)
-        assert np.array_equal(out[1], shift(q, GRID_12x8, params, spec, (900.0,))[0])
+    out = shift(q, GRID_12x8, params, spec, (0.0, 900.0, 0.0))
+    for row in out[::2]:
+        assert np.array_equal(row, q)
+        assert not np.shares_memory(row, q)
+    assert np.array_equal(out[1], shift(q, GRID_12x8, params, spec, (900.0,))[0])
 
 
 def step_times(config):
@@ -303,17 +327,15 @@ def test_step_fills_coefficient_table_with_its_distinct_times(rng):
     times = step_times(config)
     assert len(times) == 4
     out = step_averaged_ssprk3(state, config, params)
-    # the step runs on the band: per |t| one band entry, copied from the one
-    # whole-grid entry that evaluates the trigonometry
+    # one band entry per |t|, which evaluates the trigonometry
     info = table.cache_info()
-    assert info.currsize == info.misses == 2 * len(times)
+    assert info.currsize == info.misses == len(times)
     key = propagator._table_key(GRID_12x8, params)
     for t in times:
-        for ncols in (GRID_12x8.ny, band_width(GRID_12x8.ny)):
-            table(key, ncols, t)
-    assert table.cache_info().misses == 2 * len(times)  # exactly those entries
+        table(key, t)
+    assert table.cache_info().misses == len(times)  # exactly those entries
     step_averaged_ssprk3(out, config, params)
-    assert table.cache_info().misses == 2 * len(times)
+    assert table.cache_info().misses == len(times)
 
 
 def test_cheb_step_sizes_each_distinct_time(rng):
@@ -331,7 +353,7 @@ def test_cheb_step_sizes_each_distinct_time(rng):
     info = table.cache_info()
     assert info.currsize == info.misses == len(times)
     key = propagator._table_key(GRID_12x8, params)
-    omega = propagator._couplings(key, GRID_12x8.ny).max_omega
+    omega = propagator._couplings(key).max_omega
     for t in times:
         assert len(table(t * omega, 1e-10)) - 1 == choose_npoly(t * omega, 1e-10)
     assert table.cache_info().misses == len(times)  # exactly those entries

@@ -16,13 +16,16 @@ of the machine hits both sides alike:
   times single-threaded steps at T = 0, 1 h and 8 h (exact route, auto M)
   and at T = 1 h on the Chebyshev route, after two warm-up steps: 6 rounds
   per side of 12 timed steps per case.  Each step records its wall time and
-  its minor page faults (`ru_minflt`).
+  its minor page faults (`ru_minflt`).  Next to the medians of all steps
+  pooled, each round's median is kept per side and case, and round r of
+  the base and of the change form a pair.
 - perfbench pairs.  `perfbench/run.py --workload W --seconds 36 --trace 0`
   of each tree, the side that runs first alternating from pair to pair.
 
 The output holds the machine line that perfbench prints, each side's median
 and quartiles per metric, the change/base ratio of the medians, and how many
-pairs the change won (lower is better for every metric).
+pairs (perfbench runs, or alternated step rounds) the change won (lower is
+better for every metric).
 """
 
 from __future__ import annotations
@@ -129,12 +132,22 @@ def step_rounds(trees: dict, env: dict) -> dict:
         result[key] = {
             "M": {side: runs[0]["M"] for side, runs in sides.items()},
             "degree": {side: runs[0]["degree"] for side, runs in sides.items()},
-            "step_ms": compare(*([x for run in sides[s] for x in run["ms"]]
-                                 for s in ("base", "change"))),
-            "faults_per_step": compare(*([x for run in sides[s] for x in run["faults"]]
-                                         for s in ("base", "change"))),
+            "step_ms": pooled_rounds(sides, "ms"),
+            "faults_per_step": pooled_rounds(sides, "faults"),
         }
     return result
+
+
+def pooled_rounds(sides: dict, field: str) -> dict:
+    """compare() of every step of every round, pooled per side, with each
+    round's median per side and the rounds the change won, round r of each
+    side forming a pair."""
+    rounds = {s: [statistics.median(run[field]) for run in sides[s]]
+              for s in ("base", "change")}
+    out = compare(*([x for run in sides[s] for x in run[field]] for s in ("base", "change")),
+                  list(zip(rounds["base"], rounds["change"])))
+    out["round_medians"] = rounds
+    return out
 
 
 def perfbench_pairs(trees: dict, workload: str, pairs: int, seed: int,
