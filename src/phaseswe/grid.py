@@ -292,13 +292,12 @@ def scratch(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None:
         buffers = _scratch.buffers = {}
-    rows, rest = shape[0], tuple(shape[1:])
-    key = (name, rest, np.dtype(dtype))
+    key = (name, tuple(shape[1:]), np.dtype(dtype))
     arr = buffers.get(key)
-    if arr is None or len(arr) < rows:
+    if arr is None or len(arr) < shape[0]:
         arr = buffers[key] = None  # free the smaller stack before making the larger
-        arr = buffers[key] = np.empty((rows,) + rest, dtype=dtype)
-    return arr[:rows]
+        arr = buffers[key] = np.empty(shape, dtype=dtype)
+    return arr[: shape[0]]
 
 
 def band_to_physical(grid: SpectralGrid, compact: np.ndarray,
