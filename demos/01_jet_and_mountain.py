@@ -12,7 +12,6 @@ import numpy as np
 from phaseswe import (State, apply_linear, apply_nonlinear, balanced_jet,
                       default_config, energy_norm, make_grid, make_step_config,
                       mountain, physics_params, run, to_physical)
-from phaseswe.grid import from_band, take_band
 
 grid = make_grid(64, 64, 4.0e7, 4.0e7)
 case = default_config()
@@ -30,11 +29,12 @@ jet = balanced_jet(case, grid)
 scale = case.f * energy_norm(jet, flat)
 print("\nflat-bottom steadiness (energy norms, relative to f * |U|):")
 print("  |L U| / scale = %.3e" % (energy_norm(apply_linear(jet, flat), flat) / scale))
-# the nonlinearity maps the compact 2/3-band stack of U to that of N(U)
-band_n = apply_nonlinear(take_band(grid, (jet.u, jet.v, jet.eta)), grid, flat)
-nonlinear = State(grid, *from_band(grid, band_n))
+# a State is its compact 2/3-band stack q, and the nonlinearity maps the q
+# of U to that of N(U)
+nonlinear = State(grid, apply_nonlinear(jet.q, grid, flat))
 print("  |N(U)| / scale = %.3e" % (energy_norm(nonlinear, flat) / scale))
 
+# u, v and eta are read-only full spectra built from q
 u_phys = to_physical(grid, jet.u)
 eta_phys = to_physical(grid, jet.eta)
 print("  max |u| = %.3f m/s, eta range [%.2f, %.2f] m"

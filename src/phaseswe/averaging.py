@@ -10,15 +10,16 @@ rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 derivatives at the window edges, so the endpoint nodes carry zero weight.
 
 e^{Lt} acts mode by mode and N, like any nonlinear=, maps a (3, nx, kb)
-band stack (grid.take_band) to a band stack, so the core,
-band_averaged_tendency, runs every node term on U's band: one
+band stack to a band stack, so the core, band_averaged_tendency, runs every
+node term on U's band stack q (dynamics.State): one
 propagator.shift call on the calling thread computes every forward shift
 (from one L U and L^2 U on the exact route, one Chebyshev recurrence on the
 other) into a grid.scratch stack of the calling thread; then each node
 applies nonlinear and its own backward shift, into its row of a second
 scratch stack, and the weighted sum follows.  A failing forward shift is
 raised as a RuntimeError naming the window's largest |s|, a failing node
-term as one naming the node.  averaged_tendency wraps the core for States.
+term as one naming the node.  averaged_tendency wraps the core for States,
+passing state.q straight through.
 Node evaluations may run concurrently; the weighted reduction always runs
 in ascending node order on the calling thread, so results are bitwise
 identical for any worker count, and to the explicit loop of propagate calls.
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhysicsParams, State, apply_nonlinear
-from .grid import SpectralGrid, from_band, scratch, take_band
+from .grid import SpectralGrid, scratch
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
@@ -107,13 +108,10 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
                       propagator_spec: PropagatorSpec,
                       executor: Executor | None = None,
                       nonlinear=apply_nonlinear) -> State:
-    """band_averaged_tendency of the state's 2/3 band, as a State that is zero
-    outside the band and exactly Hermitian-symmetric."""
-    grid = state.grid
-    q = take_band(grid, (state.u, state.v, state.eta))
-    full = from_band(grid, band_averaged_tendency(
-        q, grid, quadrature, params, propagator_spec, executor, nonlinear))
-    return State(grid=grid, u=full[0], v=full[1], eta=full[2], t=state.t)
+    """band_averaged_tendency of the state's band stack, as a State."""
+    return State(state.grid, band_averaged_tendency(
+        state.q, state.grid, quadrature, params, propagator_spec, executor, nonlinear),
+        t=state.t)
 
 
 def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid,

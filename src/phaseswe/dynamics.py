@@ -10,15 +10,17 @@ where b is the bottom topography.  L acts diagonally per spectral mode as the
 eigenvalues {0, +i omega, -i omega}, omega = sqrt(f^2 + g H |k|^2).  L is
 skew-adjoint in the energy inner product H (u u' + v v') + g eta eta'.
 
-N is a band kernel: apply_nonlinear(q, grid, params) maps the compact
-(3, nx, kb) band stack of U (grid.take_band) to the band stack of N(U), zero
-outside the 2/3 band and the band of an exactly Hermitian field.  Its seven
-inverse and four forward transforms are one band_to_physical and one
-band_to_spectral call (numpy.fft), and every intermediate lives in the
-calling thread's grid.scratch arrays, written through out=: the (7, nx, kb)
-gradient stack, the (7, nx, ny) physical stack, one physical product and the
-(4, nx, kb) forward result, plus the transforms' own scratch.  The band
-stack it returns is the only array a call allocates.
+A State holds U as q, its compact (3, nx, kb) band stack (grid.take_band),
+kb = ceil(ny/3); u, v and eta are read-only full spectra built from q.  N is
+a band kernel: apply_nonlinear(q, grid, params) maps the band stack of U to
+that of N(U), zero outside the 2/3 band and the band of an exactly Hermitian
+field.  Its seven inverse and four forward transforms are one
+band_to_physical and one band_to_spectral call (numpy.fft), and every
+intermediate lives in the calling thread's grid.scratch arrays, written
+through out=: the (7, nx, kb) gradient stack, the (7, nx, ny) physical
+stack, one physical product and the (4, nx, kb) forward result, plus the
+transforms' own scratch.  The band stack it returns is the only array a
+call allocates.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import (SpectralGrid, band, band_to_physical, band_to_spectral,
-                   mirror_ky0, scratch)
+                   band_width, from_band, mirror_ky0, scratch)
 # to_physical and to_spectral stay module attributes: perfbench/tracing.py
 # patches them here
 from .grid import to_physical, to_spectral  # noqa: F401
@@ -88,40 +90,50 @@ def flat_bottom(grid: SpectralGrid, f: float, g: float, H: float) -> PhysicsPara
 
 @dataclass(frozen=True)
 class State:
-    """Spectral shallow-water state (u, v, eta) at model time t.
+    """Shallow-water state (u, v, eta) at model time t, held as q: the compact
+    complex (3, nx, kb) band stack of grid.take_band, kb = ceil(ny/3).
 
-    Arithmetic (+, -, scalar *) acts componentwise on the fields; the time
-    stamp of the left operand is kept.  Propagators and steppers set t
-    explicitly, so the stamp on intermediate combinations is bookkeeping only.
+    Any other shape, or a nonzero entry outside the 2/3 band, is a
+    ValueError, so every State is band-limited by type.  u, v and eta are
+    read-only full (nx, ny) spectra, built from q on each access by
+    grid.from_band.  Arithmetic (+, -, scalar *) acts on q and keeps the left
+    operand's time stamp; propagators and steppers set t explicitly.
     """
 
     grid: SpectralGrid
-    u: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
     t: float = 0.0
 
     def __post_init__(self):
-        shape = (self.grid.nx, self.grid.ny)
-        for name in ("u", "v", "eta"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128)
-            if arr.shape != shape:
-                raise ValueError(
-                    f"field {name} has shape {arr.shape}, expected {shape}")
-            object.__setattr__(self, name, arr)
+        nx, kb = self.grid.nx, band_width(self.grid.ny)
+        q = np.asarray(self.q, dtype=np.complex128)
+        if q.shape != (3, nx, kb):
+            raise ValueError(f"state band stack has shape {q.shape}, expected "
+                             f"(3, nx, kb) = {(3, nx, kb)}")
+        # on the band columns, the out-of-band modes are the kx rows nx/3 <= |wx|
+        if np.any(q[:, band_width(nx) : nx - band_width(nx) + 1]):
+            raise ValueError("state has nonzero modes outside the 2/3 band")
+        object.__setattr__(self, "q", q)
+
+    def _full(self, i: int) -> np.ndarray:
+        out = from_band(self.grid, self.q[i])
+        out.setflags(write=False)
+        return out
+
+    u = property(lambda self: self._full(0), doc="Read-only full spectrum of u.")
+    v = property(lambda self: self._full(1), doc="Read-only full spectrum of v.")
+    eta = property(lambda self: self._full(2), doc="Read-only full spectrum of eta.")
 
     def __add__(self, other: "State") -> "State":
         self._check_compatible(other)
-        return replace(self, u=self.u + other.u, v=self.v + other.v,
-                       eta=self.eta + other.eta)
+        return replace(self, q=self.q + other.q)
 
     def __sub__(self, other: "State") -> "State":
         self._check_compatible(other)
-        return replace(self, u=self.u - other.u, v=self.v - other.v,
-                       eta=self.eta - other.eta)
+        return replace(self, q=self.q - other.q)
 
     def __mul__(self, a: float) -> "State":
-        return replace(self, u=a * self.u, v=a * self.v, eta=a * self.eta)
+        return replace(self, q=a * self.q)
 
     __rmul__ = __mul__
 
@@ -134,13 +146,12 @@ class State:
 
 def apply_linear(state: State, params: PhysicsParams) -> State:
     """Tendency L U: rotation, pressure gradient, divergence.  Per-mode diagonal."""
-    kx2, ky2 = state.grid.wavenumber_mesh()
-    ikx = 1j * kx2
-    iky = 1j * ky2
-    du = params.f * state.v - params.g * (ikx * state.eta)
-    dv = -params.f * state.u - params.g * (iky * state.eta)
-    deta = -params.H * (ikx * state.u + iky * state.v)
-    return replace(state, u=du, v=dv, eta=deta)
+    bd = band(state.grid)
+    u, v, eta = state.q
+    du = params.f * v - params.g * (bd.ikx * eta)
+    dv = -params.f * u - params.g * (bd.iky * eta)
+    deta = -params.H * (bd.ikx * u + bd.iky * v)
+    return replace(state, q=np.stack((du, dv, deta)))
 
 
 def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
@@ -220,15 +231,18 @@ def max_frequency(grid: SpectralGrid, params: PhysicsParams) -> float:
 def energy_inner(a: State, b: State, params: PhysicsParams) -> float:
     """Energy inner product integral H (u u' + v v') + g eta eta' over the domain.
 
-    Evaluated from the spectral coefficients via Parseval; L is skew-adjoint
-    and e^{Lt} is an isometry under this product.  Works for complex
-    intermediate states as well (conjugate-linear in b).
+    Evaluated from the band stacks via Parseval: the full spectra's sum is
+    the band's with weight 1 on column ky = 0, which holds both kx and -kx,
+    and 2 on every other column, which stands for itself and its mirror
+    (ky = ny/2 lies outside the band).  L is skew-adjoint and e^{Lt} is an
+    isometry under this product.
     """
     a._check_compatible(b)
     g = a.grid
     npts = g.nx * g.ny
-    quad = (params.H * (np.vdot(b.u, a.u) + np.vdot(b.v, a.v))
-            + params.g * np.vdot(b.eta, a.eta))
+    weights = np.where(np.arange(a.q.shape[-1]) == 0, 1.0, 2.0)
+    coef = np.array([params.H, params.H, params.g])[:, None, None]
+    quad = np.vdot(b.q, coef * weights * a.q)
     return float(np.real(quad) * g.Lx * g.Ly / npts**2)
 
 

@@ -17,10 +17,10 @@ fields, shape (..., nx, ny).
 
 Every 2/3-band mode of a real field is fixed by the ky >= 0 band columns
 0 .. kb - 1, kb = ceil(ny/3): the other band modes are their conjugate
-mirrors.  The band kernels work on those columns alone, as compact
-(..., nx, kb) stacks: ``take_band`` cuts them out (zero outside the band),
-``from_band`` rebuilds the full Hermitian (nx, ny) layout (``mirror_ky0``
-makes column ky = 0 conjugate-symmetric), and
+mirrors.  The band kernels, and dynamics.State, work on those columns alone,
+as compact (..., nx, kb) stacks: ``take_band`` cuts them out (zero outside
+the band), ``from_band`` rebuilds the full Hermitian (nx, ny) layout
+(``mirror_ky0`` makes column ky = 0 conjugate-symmetric), and
 ``band_to_physical``/``band_to_spectral`` transform between the compact band
 and real physical fields without touching the columns the band leaves empty.
 Both write their result through ``out=`` when given one, and keep their

@@ -113,14 +113,19 @@ def cmd_sweep(cfg: RunConfig, t_list: list[float]) -> int:
         raise ConfigError("sweep needs reference_path pointing at a reference run")
     if not t_list:
         raise ConfigError("sweep needs a nonempty T list")
-    # every window is checked first, so a bad T is a config error before any run
+    # every window is checked first, so a bad T, or two windows that would
+    # write one directory, is a config error before any run
     windows = [window_config(cfg, T) for T in t_list]
+    subdirs = [os.path.join(cfg.output_dir, f"T_{T:g}s") for T in t_list]
+    for i, subdir in enumerate(subdirs):
+        if subdir in subdirs[:i]:
+            raise ConfigError(f"windows T = {t_list[subdirs.index(subdir)]!r} and "
+                              f"T = {t_list[i]!r} would both write {subdir}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = []
     failures = 0
     ref = None
-    for T, window in zip(t_list, windows):
-        subdir = os.path.join(cfg.output_dir, f"T_{T:g}s")
+    for T, window, subdir in zip(t_list, windows, subdirs):
         run_cfg = replace(window, output_dir=subdir)
         started = time.perf_counter()
         resolved_M = ""

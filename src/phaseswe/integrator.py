@@ -14,9 +14,10 @@ to the group-law round-off of the propagator.  The unaveraged reference is
 the same scheme with a zero-width window (T = 0, M = 0), the exact
 propagator, and a fine step (config.reference_config).
 
-N, like any nonlinear=, maps band stacks to band stacks and e^{Lt} acts mode
-by mode, so a step runs on compact (3, nx, kb) band stacks (grid.take_band)
-and rebuilds the full state once.
+A State is its compact (3, nx, kb) band stack q (dynamics.State); N, like
+any nonlinear=, maps band stacks to band stacks and e^{Lt} acts mode by
+mode, so a step runs on state.q from start to end and wraps the result in a
+State.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .config import is_multiple
 from .diagnostics import energy_mass, energy_mass_fields, physical_fields  # noqa: F401
 from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
 # to_physical stays a module attribute: perfbench/tracing.py patches it here
-from .grid import SpectralGrid, from_band, take_band, to_physical  # noqa: F401
+from .grid import SpectralGrid, to_physical  # noqa: F401
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
@@ -94,8 +95,8 @@ def _require_finite(q: np.ndarray, stage: int) -> None:
 
 def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams,
                          executor=None, nonlinear=apply_nonlinear) -> State:
-    """Advance one step of the transformed SSPRK3 scheme.  Only the 2/3 band
-    of the state is read; the result is exactly Hermitian and zero outside it."""
+    """Advance one step of the transformed SSPRK3 scheme on the state's band
+    stack."""
     grid, dt = state.grid, config.dt
     quad, spec = config.quadrature, config.propagator_spec
 
@@ -105,7 +106,7 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
     def A(q: np.ndarray) -> np.ndarray:
         return band_averaged_tendency(q, grid, quad, params, spec, executor, nonlinear)
 
-    un = take_band(grid, (state.u, state.v, state.eta))
+    un = state.q
     # e^{L dt} U^n and e^{L dt/2} U^n in one call: one L U^n and L^2 U^n,
     # or one Chebyshev recurrence
     e_dt_un, e_half_un = shift(un, grid, params, spec, (dt, 0.5 * dt))
@@ -115,7 +116,7 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
     _require_finite(u2, 2)
     out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2))
     _require_finite(out, 3)
-    return State(grid, *from_band(grid, out), t=state.t + dt)
+    return State(grid, out, t=state.t + dt)
 
 
 @dataclass
@@ -148,10 +149,9 @@ def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
         snapshot_every: float = 0.0, workers: int = 1) -> Trajectory:
     """Step from the initial state to t_end, recording snapshots and diagnostics.
 
-    The initial state must be zero outside the 2/3 band.  t_end must be a
-    nonnegative multiple of dt; snapshot_every must be a positive multiple of
-    dt, or 0 to record only the initial and final states.  The initial and
-    final states are always recorded.
+    t_end must be a nonnegative multiple of dt; snapshot_every must be a
+    positive multiple of dt, or 0 to record only the initial and final states,
+    which are always recorded.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
@@ -164,10 +164,6 @@ def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
     stride = round(snapshot_every / config.dt)
     if snapshot_every != 0.0 and stride <= 0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
-    outside = ~initial.grid.dealias_mask
-    if any(np.any(c[outside]) for c in (initial.u, initial.v, initial.eta)):
-        raise ValueError("initial state has modes outside the 2/3 band, which a step "
-                         "would drop; dealias it first")
 
     traj = Trajectory()
     traj.record(0, initial, params)

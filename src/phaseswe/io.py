@@ -16,7 +16,7 @@ import numpy as np
 from .diagnostics import ErrorReport, physical_fields
 from .dynamics import State
 # to_physical stays a module attribute: perfbench/tracing.py patches it here
-from .grid import make_grid, to_physical, to_spectral  # noqa: F401
+from .grid import make_grid, take_band, to_physical, to_spectral  # noqa: F401
 
 __all__ = [
     "snapshot_prefix",
@@ -97,22 +97,18 @@ def list_snapshot_steps(outdir: str) -> list[int]:
 
 
 def read_snapshot_state(outdir: str, step: int | None = None) -> State:
-    """Rebuild a spectral State from a written snapshot (default: the last one)."""
+    """Rebuild a State, the 2/3 band of the snapshot's spectra, from a written
+    snapshot (default: the last one)."""
     if step is None:
         steps = list_snapshot_steps(outdir)
         if not steps:
             raise ValueError(f"no snapshots found in {outdir}")
         step = steps[-1]
-    arrays = {}
-    meta = {}
-    for name in _FIELDS:
-        arrays[name], meta = read_snapshot_field(outdir, step, name)
+    arrays, metas = zip(*(read_snapshot_field(outdir, step, name) for name in _FIELDS))
+    meta = metas[-1]
     grid = make_grid(int(meta["nx"]), int(meta["ny"]),
                      float(meta["Lx"]), float(meta["Ly"]))
-    return State(grid=grid,
-                 u=to_spectral(grid, arrays["u"]),
-                 v=to_spectral(grid, arrays["v"]),
-                 eta=to_spectral(grid, arrays["eta"]),
+    return State(grid, take_band(grid, to_spectral(grid, np.stack(arrays))),
                  t=float(meta["time_seconds"]))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import PhysicsParams, State
-from .grid import SpectralGrid, dealias, to_spectral
+from .grid import SpectralGrid, take_band, to_spectral
 
 __all__ = [
     "band_limited_state",
@@ -29,13 +29,10 @@ __all__ = [
 
 def band_limited_state(grid: SpectralGrid, rng, vel_scale: float = 1.0,
                        eta_scale: float = 50.0, t: float = 0.0) -> State:
-    """Random Hermitian-symmetric state supported on the 2/3 band."""
-    def field(scale):
-        phys = scale * rng.standard_normal((grid.nx, grid.ny))
-        return dealias(grid, to_spectral(grid, phys))
-
-    return State(grid=grid, u=field(vel_scale), v=field(vel_scale),
-                 eta=field(eta_scale), t=t)
+    """Random state: the 2/3 band of a random real field per component."""
+    fields = [to_spectral(grid, scale * rng.standard_normal((grid.nx, grid.ny)))
+              for scale in (vel_scale, vel_scale, eta_scale)]
+    return State(grid, take_band(grid, fields), t=t)
 
 
 def wrap_indices(n: int) -> np.ndarray:
@@ -85,10 +82,9 @@ def nonlinear_tendency(state: State, params: PhysicsParams) -> State:
         return truncated_convolution(grid, a, b)
 
     u, v, depth = state.u, state.v, state.eta - params.b
-    return State(grid=grid,
-                 u=-(conv(u, ikx * u) + conv(v, iky * u)),
-                 v=-(conv(u, ikx * v) + conv(v, iky * v)),
-                 eta=-(ikx * conv(u, depth) + iky * conv(v, depth)),
+    return State(grid, take_band(grid, (-(conv(u, ikx * u) + conv(v, iky * u)),
+                                        -(conv(u, ikx * v) + conv(v, iky * v)),
+                                        -(ikx * conv(u, depth) + iky * conv(v, depth)))),
                  t=state.t)
 
 
@@ -103,7 +99,8 @@ def linear_mode_matrix(kx: float, ky: float, f: float, g: float,
 
 
 def _per_mode(state: State, params: PhysicsParams, matrix_fn) -> State:
-    # apply matrix_fn(per-mode generator) to (u, v, eta) one mode at a time
+    # apply matrix_fn(per-mode generator) to (u, v, eta) one mode at a time,
+    # on the full spectra
     grid = state.grid
     vec = np.stack([state.u, state.v, state.eta])
     out = np.empty_like(vec)
@@ -112,7 +109,7 @@ def _per_mode(state: State, params: PhysicsParams, matrix_fn) -> State:
             mat = linear_mode_matrix(grid.kx[i], grid.ky[j],
                                      params.f, params.g, params.H)
             out[:, i, j] = matrix_fn(mat) @ vec[:, i, j]
-    return State(grid=grid, u=out[0], v=out[1], eta=out[2], t=state.t)
+    return State(grid, take_band(grid, out), t=state.t)
 
 
 def linear_tendency(state: State, params: PhysicsParams) -> State:

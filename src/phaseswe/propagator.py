@@ -9,7 +9,7 @@ as the oracle for the iterative route.
 
 One kernel, shift(q, grid, params, spec, times), returns the stack
 (len(times), 3, nx, kb) of e^{Lt} q for a (3, nx, kb) stack q of the compact
-2/3 band of grid.take_band, kb = ceil(ny/3); it takes no other layout.  Each
+2/3 band, kb = ceil(ny/3), the layout of a State's q; it takes no other.  Each
 row is bitwise the shift of its time alone, and a call computes what its rows
 share once: L q and L^2 q on the exact route, one recurrence on the Chebyshev
 route.  Its tables hold band columns only and are cached per
@@ -17,9 +17,8 @@ route.  Its tables hold band columns only and are cached per
 c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 (c1 is
 odd, c2 even), so the trigonometry runs once per distinct |t| a run asks for
 (its node shifts, dt and dt/2).  propagate, exact_exp and cheb_exp apply
-shift to a State the way the averaged tendency and the stepper do: they
-read only its 2/3 band and return a State that is exactly Hermitian and
-zero outside the band.
+shift to a State's q, as the averaged tendency and the stepper do, and
+return the result as a State.
 
 The Chebyshev route approximates e^{l} for l on the spectral interval
 i[-Lambda, Lambda] by a degree-n polynomial evaluated matrix-free through
@@ -62,7 +61,7 @@ import numpy as np
 # apply_linear stays a module attribute: perfbench/tracing.py patches it here
 from .dynamics import (PhysicsParams, State, apply_linear,  # noqa: F401
                        dispersion_omega, max_frequency)
-from .grid import SpectralGrid, band, band_width, from_band, make_grid, scratch, take_band
+from .grid import SpectralGrid, band, band_width, make_grid, scratch
 
 __all__ = [
     "PropagatorSpec",
@@ -255,12 +254,10 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
 
 def propagate(t: float, state: State, params: PhysicsParams,
               spec: PropagatorSpec) -> State:
-    """Apply e^{Lt} by the route selected in spec to the state's 2/3 band;
-    the result is exactly Hermitian and zero outside the band, and its time
-    stamp advances by t."""
-    grid = state.grid
-    q = shift(take_band(grid, (state.u, state.v, state.eta)), grid, params, spec, (t,))[0]
-    return State(grid, *from_band(grid, q), t=state.t + t)
+    """Apply e^{Lt} by the route selected in spec to the state's band stack;
+    the time stamp advances by t."""
+    q = shift(state.q, state.grid, params, spec, (t,))[0]
+    return State(state.grid, q, t=state.t + t)
 
 
 def exact_exp(t: float, state: State, params: PhysicsParams) -> State:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dynamics import PhysicsParams, State, flat_bottom
-from .grid import SpectralGrid, dealias, to_spectral
+from .grid import SpectralGrid, band, dealias, take_band, to_spectral
 
 __all__ = ["mountain", "balanced_jet", "physics_params"]
 
@@ -46,25 +46,24 @@ def balanced_jet(cfg: RunConfig, grid: SpectralGrid) -> State:
     """Opposing Gaussian jets in discrete geostrophic balance, mean eta zero.
 
     u(y) = u0 [exp(-((y - Ly/4)/w)^2) - exp(-((y - 3Ly/4)/w)^2)], v = 0.
-    The velocity is dealiased before the balance is enforced, so the state is
-    band-limited and the balance holds exactly for every retained mode.
+    The balance is enforced on the velocity's 2/3 band, so it holds exactly
+    for every retained mode.
     """
     y = grid.y
     w = cfg.jet_width
     profile = cfg.u0 * (np.exp(-(((y - 0.25 * grid.Ly) / w) ** 2))
                         - np.exp(-(((y - 0.75 * grid.Ly) / w) ** 2)))
-    u_phys = np.broadcast_to(profile[None, :], (grid.nx, grid.ny))
-    cu = dealias(grid, to_spectral(grid, np.ascontiguousarray(u_phys)))
+    cu = to_spectral(grid, np.tile(profile, (grid.nx, 1)))
+    q = take_band(grid, (cu, np.zeros_like(cu), np.zeros_like(cu)))
     # the sampled Gaussian pair keeps a residual mean of order exp(-16) from
     # the unperiodized tails; remove it so the inertial mean mode stays quiet
-    cu[0, 0] = 0.0
+    q[0, 0, 0] = 0.0
 
-    ky2 = grid.ky[None, :] * np.ones((grid.nx, 1))
-    ceta = np.zeros_like(cu)
-    nonzero = ky2 != 0.0
+    iky = band(grid).iky
+    nonzero = iky != 0.0
     # discrete geostrophic balance i ky eta_hat = -(f/g) u_hat; mean eta = 0
-    ceta[nonzero] = -(cfg.f / cfg.g) * cu[nonzero] / (1j * ky2[nonzero])
-    return State(grid=grid, u=cu, v=np.zeros_like(cu), eta=ceta, t=0.0)
+    q[2][nonzero] = -(cfg.f / cfg.g) * q[0][nonzero] / iky[nonzero]
+    return State(grid, q, t=0.0)
 
 
 def physics_params(cfg: RunConfig, grid: SpectralGrid) -> PhysicsParams:

@@ -8,7 +8,7 @@ from phaseswe.config import default_config
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
                                   linf_error_eta, make_error_report, physical_fields)
 from phaseswe.dynamics import PhysicsParams, State, flat_bottom
-from phaseswe.grid import dealias, to_physical, to_spectral
+from phaseswe.grid import dealias, take_band, to_physical, to_spectral
 from phaseswe.oracles import band_limited_state
 from phaseswe.testcase import mountain
 
@@ -20,8 +20,7 @@ def flat(grid):
 
 
 def state_from_physical(grid, u, v, eta, t=0.0):
-    return State(grid=grid, u=to_spectral(grid, u), v=to_spectral(grid, v),
-                 eta=to_spectral(grid, eta), t=t)
+    return State(grid, take_band(grid, to_spectral(grid, np.stack((u, v, eta)))), t=t)
 
 
 def test_rest_state_energy_and_mass(grid32):

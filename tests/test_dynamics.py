@@ -11,8 +11,8 @@ from phaseswe.config import default_config
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
                                energy_norm, flat_bottom, max_frequency)
-from phaseswe.grid import (band, dealias, from_band, make_grid, take_band,
-                           to_physical, to_spectral)
+from phaseswe.grid import (band, dealias, from_band, make_grid, mirror_ky0,
+                           take_band, to_physical, to_spectral)
 from phaseswe.oracles import (band_limited_state, linear_tendency,
                               nonlinear_tendency, wrap_indices)
 from phaseswe.propagator import exact_exp
@@ -27,25 +27,18 @@ def flat(grid):
 
 def nonlinear_state(state, params):
     # N(U) of a State, through the band kernel
-    grid = state.grid
-    q = take_band(grid, (state.u, state.v, state.eta))
-    return State(grid, *from_band(grid, apply_nonlinear(q, grid, params)), t=state.t)
+    return State(state.grid, apply_nonlinear(state.q, state.grid, params), t=state.t)
 
 
 def test_linear_matches_per_mode_matrix(grid8, rng):
     params = flat(grid8)
-    # arbitrary complex coefficients: the identity is per mode, symmetry not needed
-    cu = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    cv = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    ceta = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    state = State(grid=grid8, u=cu, v=cv, eta=ceta)
-    out = apply_linear(state, params)
-    want = linear_tendency(state, params)
-
-    worst = max(np.max(np.abs(out.u - want.u)), np.max(np.abs(out.v - want.v)),
-                np.max(np.abs(out.eta - want.eta)))
-    scale = max(np.max(np.abs(out.u)), np.max(np.abs(out.v)), np.max(np.abs(out.eta)))
-    assert worst <= 1e-13 * scale
+    # arbitrary complex coefficients on the band: the identity is per mode;
+    # column ky = 0 is mirrored, as the oracle reads the full spectra
+    noise = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+    state = State(grid8, mirror_ky0(take_band(grid8, noise)))
+    out = apply_linear(state, params).q
+    want = linear_tendency(state, params).q
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(out))
 
 
 def test_nonlinear_matches_convolution_oracle(grid8, rng):
@@ -123,16 +116,19 @@ def test_energy_inner_is_an_inner_product(grid32, rng):
 
 
 def test_energy_inner_matches_physical_quadrature(grid32, rng):
-    params = flat(grid32)
-    a = band_limited_state(grid32, rng)
-    b = band_limited_state(grid32, rng)
-    fields = {}
-    for name, st in (("a", a), ("b", b)):
-        fields[name] = tuple(to_physical(grid32, c) for c in (st.u, st.v, st.eta))
-    (au, av, ae), (bu, bv, be) = fields["a"], fields["b"]
-    want = grid32.cell_area * float(
-        np.sum(params.H * (au * bu + av * bv) + params.g * ae * be))
-    assert energy_inner(a, b, params) == pytest.approx(want, rel=1e-12)
+    # the band Parseval weights, 1 on column ky = 0 and 2 elsewhere, against
+    # the physical-space Riemann sum; the 12 x 8 grid has Lx != Ly and f != 0,
+    # so a transposed weight or a swapped axis would show
+    grid12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
+    for grid, params in ((grid32, flat(grid32)),
+                         (grid12x8, flat_bottom(grid12x8, 1.3e-4, G0, H0))):
+        a = band_limited_state(grid, rng)
+        b = band_limited_state(grid, rng)
+        (au, av, ae), (bu, bv, be) = (to_physical(grid, np.stack((st.u, st.v, st.eta)))
+                                      for st in (a, b))
+        want = grid.cell_area * float(
+            np.sum(params.H * (au * bu + av * bv) + params.g * ae * be))
+        assert energy_inner(a, b, params) == pytest.approx(want, rel=1e-12)
 
 
 def test_energy_norm_is_propagation_invariant(grid32, rng):
@@ -158,16 +154,50 @@ def test_state_arithmetic(grid8, grid32, rng):
     a = band_limited_state(grid8, rng)
     b = band_limited_state(grid8, rng)
     s = a + b
+    assert np.array_equal(s.q, a.q + b.q)
     assert np.array_equal(s.u, a.u + b.u)
     assert np.array_equal((a - b).eta, a.eta - b.eta)
     assert np.array_equal((2.0 * a).v, 2.0 * a.v)
-    assert np.array_equal((a * 2.0).v, 2.0 * a.v)
+    assert np.array_equal((a * 2.0).q, 2.0 * a.q)
     other = band_limited_state(grid32, rng)
     with pytest.raises(ValueError, match="different grids"):
         a + other
-    with pytest.raises(ValueError, match="shape"):
-        State(grid=grid8, u=np.zeros((4, 4)), v=np.zeros((8, 8)),
-              eta=np.zeros((8, 8)))
+    for bad in (np.zeros((3, 8, 8)), np.zeros((2, 8, 3)), np.zeros((3, 8, 4))):
+        with pytest.raises(ValueError, match="shape"):
+            State(grid8, bad)
+
+    # the full spectra are read-only views of q, and their band is q
+    assert np.array_equal(take_band(grid8, (a.u, a.v, a.eta)), a.q)
+    with pytest.raises(ValueError, match="read-only"):
+        a.u[0, 0] = 1.0
+
+    # a nonzero entry outside the 2/3 band is rejected, on every row of
+    # every band column, at every even nx from 8 to 128
+    for nx in range(8, 130, 2):
+        grid = make_grid(nx, 8, 1.0e6, 1.0e6)
+        mask = band(grid).mask
+        State(grid, np.where(mask, 1.0 + 1.0j, 0.0)[None].repeat(3, axis=0))
+        for i, j in zip(*np.nonzero(~mask)):
+            q = np.zeros((3, nx, band(grid).kb), dtype=complex)
+            q[2, i, j] = 1e-300j
+            with pytest.raises(ValueError, match="outside the 2/3 band"):
+                State(grid, q)
+
+
+def test_spectra_outside_the_band_are_rejected(rng):
+    # a band-limited state plus nonzero modes outside the 2/3 band cannot be
+    # a State, neither as full spectra nor as their band columns, so no
+    # operator sees such modes; its take_band is the clean state's q
+    for grid in (make_grid(12, 8, 1.5e6, 1.0e6), make_grid(18, 12, 2.5e6, 1.5e6)):
+        state = band_limited_state(grid, rng)
+        noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
+        noise[:, grid.dealias_mask] = 0.0
+        noisy = np.stack((state.u, state.v, state.eta)) + noise
+        with pytest.raises(ValueError, match="shape"):
+            State(grid, noisy)
+        with pytest.raises(ValueError, match="outside the 2/3 band"):
+            State(grid, noisy[..., : band(grid).kb])
+        assert np.array_equal(take_band(grid, noisy), state.q)
 
 
 def test_nonlinear_checks_topography_shape(grid8, grid32, rng):
@@ -239,7 +269,7 @@ def test_nonlinear_ky0_column_is_exactly_hermitian(rng):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b = dealias(grid, to_spectral(grid, 30.0 * rng.standard_normal((grid.nx, grid.ny))))
         params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
-        out = apply_nonlinear(take_band(grid, (state.u, state.v, state.eta)), grid, params)
+        out = apply_nonlinear(state.q, grid, params)
         assert out.shape == (3, grid.nx, band(grid).kb)
         col = out[:, :, 0]
         assert np.array_equal(col[:, (-np.arange(grid.nx)) % grid.nx], np.conj(col))
@@ -249,7 +279,7 @@ def test_nonlinear_ky0_column_is_exactly_hermitian(rng):
 def test_nonlinear_rejects_other_stack_shapes(grid8, rng):
     state = band_limited_state(grid8, rng)
     params = flat(grid8)
-    q = take_band(grid8, (state.u, state.v, state.eta))
+    q = state.q
     for bad in (np.stack((state.u, state.v, state.eta)), q[:2], q[None], state):
         with pytest.raises(ValueError, match="band stack"):
             apply_nonlinear(bad, grid8, params)

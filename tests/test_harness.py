@@ -224,6 +224,20 @@ def test_sweep_requires_reference_and_tlist(tmp_path, small_cfg, capsys):
     assert "reference_path" in capsys.readouterr().err
 
 
+def test_sweep_rejects_windows_that_share_a_directory(tmp_path, small_cfg, capsys):
+    # each window writes T_{T:g}s, so a repeated T, or two that agree to the
+    # six digits of %g, would overwrite each other's outputs
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL_CFG + f"reference_path = {tmp_path / 'ref'}\n")
+    out = tmp_path / "sweep"
+    for tlist, clash in (("86400.21,86400.24,600", "T_86400.2s"), ("0,600,0", "T_0s")):
+        assert harness.main(["sweep", "--config", str(cfg), "--output", str(out),
+                             "--tlist", tlist]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and clash in err
+        assert not out.exists()
+
+
 def test_sweep_continues_after_a_failed_window(tmp_path, small_cfg, capsys,
                                                monkeypatch):
     ref = tmp_path / "ref"

@@ -1,7 +1,5 @@
 """Time stepper: stage formula, plain-SSPRK3 equivalence, convergence, runs."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,8 @@ from phaseswe.averaging import averaged_tendency, kernel_weights
 from phaseswe.config import default_config
 from phaseswe.dynamics import (State, apply_nonlinear, energy_norm, flat_bottom,
                                max_frequency)
-from phaseswe.grid import dealias, from_band, make_grid, take_band, to_spectral
 from phaseswe.integrator import (StepConfig, make_step_config, run,
                                  step_averaged_ssprk3)
-from phaseswe.oracles import band_limited_state
 from phaseswe.propagator import PropagatorSpec, choose_npoly, exact_exp
 from phaseswe.testcase import balanced_jet, physics_params
 
@@ -63,8 +59,7 @@ def test_zero_window_step_is_ssprk3_on_transformed_variable(problem32):
 
     def G(tau, w):
         moved = exact_exp(tau, w, params)
-        q = take_band(grid, (moved.u, moved.v, moved.eta))
-        tend = State(grid, *from_band(grid, apply_nonlinear(q, grid, params)))
+        tend = State(grid, apply_nonlinear(moved.q, grid, params))
         return exact_exp(-tau, tend, params)
 
     v0 = state
@@ -164,37 +159,3 @@ def test_mass_and_energy_over_runs(problem32):
     assert abs(avg.mass[-1] - avg.mass[0]) <= 1e-14 * abs(avg.mass[0])
     avg_rel = abs(avg.energy[-1] - avg.energy[0]) / abs(avg.energy[0])
     assert avg_rel <= 1e-4
-
-
-def noisy_problem(rng):
-    # a band-limited state plus nonzero modes outside the 2/3 band, over a
-    # mountain on an 18 x 12 grid with Lx != Ly
-    grid = make_grid(18, 12, 2.5e6, 1.5e6)
-    params = physics_params(replace(default_config(), r0=3.0e5, xc=4.0e5, yc=6.0e5), grid)
-    state = band_limited_state(grid, rng)
-    noise = [c - dealias(grid, c) for c in
-             (to_spectral(grid, rng.standard_normal((grid.nx, grid.ny))) for _ in range(3))]
-    assert all(np.any(c != 0.0) for c in noise)
-    noisy = State(grid=grid, u=state.u + noise[0], v=state.v + noise[1],
-                  eta=state.eta + noise[2])
-    return grid, params, state, noisy
-
-
-def test_out_of_band_input_leaves_step_unchanged(rng):
-    grid, params, state, noisy = noisy_problem(rng)
-    for route in ("exact", "chebyshev"):
-        for T, M in ((0.0, 0), (3600.0, 4)):
-            cfg = make_step_config(grid, params, dt=3600.0, T=T, M=M, propagator=route)
-            want = step_averaged_ssprk3(state, cfg, params)
-            got = step_averaged_ssprk3(noisy, cfg, params)
-            for name in ("u", "v", "eta"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert got.t == want.t == state.t + 3600.0
-
-
-def test_run_rejects_state_outside_the_band(rng):
-    grid, params, state, noisy = noisy_problem(rng)
-    cfg = make_step_config(grid, params, dt=3600.0)
-    with pytest.raises(ValueError, match="outside the 2/3 band"):
-        run(noisy, cfg, params, t_end=3600.0)
-    assert run(state, cfg, params, t_end=3600.0).steps == [0, 1]

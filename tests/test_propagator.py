@@ -8,7 +8,7 @@ import pytest
 from phaseswe import propagator
 from phaseswe.config import default_config
 from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
-from phaseswe.grid import band_width, from_band, make_grid, take_band, to_spectral
+from phaseswe.grid import band_width, make_grid
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_npoly,
@@ -51,9 +51,9 @@ def test_exact_exp_matches_dense_matrix_exponential(grid8, rng):
 def test_mean_mode_rotates_at_inertial_frequency(grid32):
     params = flat(grid32)
     n2 = grid32.nx * grid32.ny
-    u = np.zeros((32, 32), dtype=complex)
-    u[0, 0] = n2  # physical u = 1 everywhere
-    state = State(grid=grid32, u=u, v=np.zeros_like(u), eta=np.zeros_like(u))
+    q = np.zeros((3, 32, band_width(32)), dtype=complex)
+    q[0, 0, 0] = n2  # physical u = 1 everywhere
+    state = State(grid32, q)
     quarter = np.pi / (2.0 * F0)
     out = exact_exp(quarter, state, params)
     # u + i v rotates clockwise at f: after a quarter period (u, v) -> (0, -u)
@@ -199,7 +199,7 @@ def test_exp_tables_are_keyed_on_grid_and_physics_values(rng):
     cases = [(GRID_12x8, H0), (wide, H0), (GRID_12x8, 2.0 * H0)]
     for grid, depth in cases:
         params = flat_bottom(grid, F0, G0, depth)
-        s = State(grid=grid, u=state.u, v=state.v, eta=state.eta)
+        s = State(grid, state.q)
         for t in (900.0, -900.0):
             assert_matches_dense(exact_exp(t, s, params), s, params, t, 1e-12)
 
@@ -213,7 +213,7 @@ def shift_cases(rng):
         params = flat(grid)
         state = band_limited_state(grid, rng)
         lam = max_frequency(grid, params) * 3600.0
-        yield (grid, params, state, take_band(grid, (state.u, state.v, state.eta)), lam,
+        yield (grid, params, state, state.q, lam,
                (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)))
 
 
@@ -222,7 +222,7 @@ SHIFT_TIMES = (900.0, -1800.0, 3600.0, 900.0)  # both signs, unequal Chebyshev d
 
 def test_band_shift_is_bitwise_propagate(rng):
     # one shift of the band stack serves many s, and propagate is that shift
-    # between take_band and from_band; shift takes no other layout
+    # of the state's q; shift takes no other layout
     for grid, params, state, band, lam, specs in shift_cases(rng):
         before = band.copy()
         # every Chebyshev degree and the Lambda guard are sized from the
@@ -235,9 +235,7 @@ def test_band_shift_is_bitwise_propagate(rng):
             for s, row in zip(SHIFT_TIMES, on_band):
                 moved = propagate(s, state, params, spec)
                 assert moved.t == state.t + s
-                want = np.stack((moved.u, moved.v, moved.eta))
-                assert np.array_equal(from_band(grid, row), want)
-                assert np.array_equal(row, take_band(grid, want))
+                assert np.array_equal(row, moved.q)
         assert np.array_equal(band, before)
         whole = np.stack((state.u, state.v, state.eta))
         kb = band_width(grid.ny)
@@ -247,30 +245,6 @@ def test_band_shift_is_bitwise_propagate(rng):
                 shift(bad, grid, params, PropagatorSpec.exact(), (900.0,))
         with pytest.raises(ValueError, match="exceeds Lambda"):
             shift(band, grid, params, PropagatorSpec.chebyshev(lam), (900.0, 7200.0))
-
-
-def test_state_exponentials_read_only_the_band(rng):
-    # modes outside the 2/3 band are ignored, and the result is zero there
-    for grid in SHIFT_GRIDS:
-        params = flat(grid)
-        state = band_limited_state(grid, rng)
-        noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
-        noise[:, grid.dealias_mask] = 0.0
-        assert np.max(np.abs(noise)) > 0.0
-        noisy = State(grid, *(np.stack((state.u, state.v, state.eta)) + noise), t=state.t)
-        part = State(grid, *from_band(grid, take_band(grid, (noisy.u, noisy.v, noisy.eta))),
-                     t=state.t)
-        spec = PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0)
-        for fn in (lambda x: propagate(-1800.0, x, params, PropagatorSpec.exact()),
-                   lambda x: propagate(900.0, x, params, spec),
-                   lambda x: exact_exp(3600.0, x, params),
-                   lambda x: cheb_exp(-3600.0, x, params, spec),
-                   lambda x: cheb_exp(0.0, x, params, spec)):
-            got, want = fn(noisy), fn(part)
-            assert got.t == want.t
-            for name in ("u", "v", "eta"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-                assert not np.any(getattr(got, name)[~grid.dealias_mask])
 
 
 def test_multi_time_shift_rows_are_single_time_shifts(rng):
@@ -299,7 +273,7 @@ def test_cheb_zero_shift_is_a_copy(rng):
     # Lambda_s = 0 at s = 0: the identity, with no recurrence to size
     params = flat(GRID_12x8)
     state = band_limited_state(GRID_12x8, rng)
-    q = take_band(GRID_12x8, (state.u, state.v, state.eta))
+    q = state.q
     spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0)
     out = shift(q, GRID_12x8, params, spec, (0.0, 900.0, 0.0))
     for row in out[::2]:

@@ -216,9 +216,18 @@ def main(argv=None) -> int:
         return 0
     if not args.out:
         parser.error("--out is required")
+    # checked here, before the step rounds take their minutes
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
     pairs = {}
     for part in filter(None, args.pairs.split(",")):
         name, _, count = part.partition("=")
+        if name not in workloads:
+            parser.error(f"--pairs: unknown workload {name!r}; BENCHMARK.json has "
+                         f"{', '.join(workloads)}")
+        if not count.strip().isdigit() or int(count) < 1:
+            parser.error(f"--pairs: {name} needs a pair count of at least 1, "
+                         f"got {count!r}")
         pairs[name] = int(count)
 
     # one numpy thread, as perfbench runs
