@@ -8,7 +8,7 @@ from phaseswe.config import default_config
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
                                   linf_error_eta, make_error_report, physical_fields)
 from phaseswe.dynamics import PhysicsParams, State, flat_bottom
-from phaseswe.grid import dealias, take_band, to_physical, to_spectral
+from phaseswe.grid import take_band, to_physical, to_spectral
 from phaseswe.oracles import band_limited_state
 from phaseswe.testcase import mountain
 
