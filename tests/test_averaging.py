@@ -12,7 +12,7 @@ from phaseswe.averaging import (Quadrature, averaged_tendency,
                                 default_node_count, kernel_weights)
 from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_norm,
                                flat_bottom, max_frequency)
-from phaseswe.grid import dealias, make_grid, to_spectral
+from phaseswe.grid import band, dealias, make_grid, take_band, to_spectral
 from phaseswe.oracles import band_limited_state
 from phaseswe.propagator import PropagatorSpec, propagate, shift
 
@@ -136,6 +136,28 @@ def test_averaged_tendency_is_hermitian_and_band_limited(route, rng):
             assert np.array_equal(hermitian_mirror(c), np.conj(c))
             assert np.all(c[~grid.dealias_mask] == 0.0)
             assert np.any(c != 0.0)
+
+
+def test_out_of_band_input_leaves_averaged_tendency_unchanged(rng):
+    # full spectra with nonzero modes outside the 2/3 band cannot be a State
+    # as they are; take_band drops those modes, and the averaged tendency of
+    # the result is the clean state's, bit for bit
+    grid = make_grid(18, 12, 2.5e6, 1.5e6)
+    params = topography(grid)
+    state = band_limited_state(grid, rng)
+    noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
+    noise[:, grid.dealias_mask] = 0.0
+    assert all(np.any(c != 0.0) for c in noise)
+    noisy = np.stack((state.u, state.v, state.eta)) + noise
+    with pytest.raises(ValueError, match="outside the 2/3 band"):
+        State(grid, noisy[..., : band(grid).kb])
+    kept = State(grid, take_band(grid, noisy), t=state.t)
+    for spec in (PropagatorSpec.exact(),
+                 PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0)):
+        for quad in (kernel_weights(0.0, 0), kernel_weights(3600.0, 4)):
+            want = averaged_tendency(state, quad, params, spec)
+            got = averaged_tendency(kept, quad, params, spec)
+            assert np.array_equal(got.q, want.q)
 
 
 def test_zero_window_reduces_to_plain_nonlinearity(grid32, rng):

@@ -1,5 +1,7 @@
 """Time stepper: stage formula, plain-SSPRK3 equivalence, convergence, runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from phaseswe.averaging import averaged_tendency, kernel_weights
 from phaseswe.config import default_config
 from phaseswe.dynamics import (State, apply_nonlinear, energy_norm, flat_bottom,
                                max_frequency)
+from phaseswe.grid import band, make_grid, take_band, to_spectral
 from phaseswe.integrator import (StepConfig, make_step_config, run,
                                  step_averaged_ssprk3)
+from phaseswe.oracles import band_limited_state
 from phaseswe.propagator import PropagatorSpec, choose_npoly, exact_exp
 from phaseswe.testcase import balanced_jet, physics_params
 
@@ -138,6 +142,42 @@ def test_nonfinite_state_aborts_with_stage_index(problem32):
 
     with pytest.raises(RuntimeError, match="stage 1"):
         step_averaged_ssprk3(state, cfg, params, nonlinear=explode)
+
+
+def noisy_problem(rng):
+    # a band-limited state and its full spectra plus nonzero modes outside
+    # the 2/3 band, over a mountain on an 18 x 12 grid with Lx != Ly
+    grid = make_grid(18, 12, 2.5e6, 1.5e6)
+    params = physics_params(replace(default_config(), r0=3.0e5, xc=4.0e5, yc=6.0e5), grid)
+    state = band_limited_state(grid, rng)
+    noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
+    noise[:, grid.dealias_mask] = 0.0
+    assert all(np.any(c != 0.0) for c in noise)
+    return grid, params, state, np.stack((state.u, state.v, state.eta)) + noise
+
+
+def test_out_of_band_input_leaves_step_unchanged(rng):
+    # take_band drops the modes outside the band, and a step from the result
+    # is the clean state's step, bit for bit
+    grid, params, state, noisy = noisy_problem(rng)
+    kept = State(grid, take_band(grid, noisy), t=state.t)
+    for route in ("exact", "chebyshev"):
+        for T, M in ((0.0, 0), (3600.0, 4)):
+            cfg = make_step_config(grid, params, dt=3600.0, T=T, M=M, propagator=route)
+            want = step_averaged_ssprk3(state, cfg, params)
+            got = step_averaged_ssprk3(kept, cfg, params)
+            assert np.array_equal(got.q, want.q)
+            assert got.t == want.t == state.t + 3600.0
+
+
+def test_run_rejects_state_outside_the_band(rng):
+    # the band columns of the noisy spectra are refused when the State that
+    # run would take is built, so run never sees such modes
+    grid, params, state, noisy = noisy_problem(rng)
+    cfg = make_step_config(grid, params, dt=3600.0)
+    with pytest.raises(ValueError, match="outside the 2/3 band"):
+        run(State(grid, noisy[..., : band(grid).kb]), cfg, params, t_end=3600.0)
+    assert run(state, cfg, params, t_end=3600.0).steps == [0, 1]
 
 
 def test_mass_and_energy_over_runs(problem32):

@@ -8,7 +8,7 @@ import pytest
 from phaseswe import propagator
 from phaseswe.config import default_config
 from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
-from phaseswe.grid import band_width, make_grid
+from phaseswe.grid import band_width, make_grid, take_band, to_spectral
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import band_limited_state, bessel_cheb_coeffs, dense_exp
 from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_npoly,
@@ -245,6 +245,33 @@ def test_band_shift_is_bitwise_propagate(rng):
                 shift(bad, grid, params, PropagatorSpec.exact(), (900.0,))
         with pytest.raises(ValueError, match="exceeds Lambda"):
             shift(band, grid, params, PropagatorSpec.chebyshev(lam), (900.0, 7200.0))
+
+
+def test_state_exponentials_read_only_the_band(rng):
+    # modes outside the 2/3 band cannot reach the exponentials: their band
+    # columns are no State, take_band drops them, and every exponential of
+    # the result is the clean state's and zero outside the band
+    for grid in SHIFT_GRIDS:
+        params = flat(grid)
+        state = band_limited_state(grid, rng)
+        noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
+        noise[:, grid.dealias_mask] = 0.0
+        assert np.max(np.abs(noise)) > 0.0
+        noisy = np.stack((state.u, state.v, state.eta)) + noise
+        with pytest.raises(ValueError, match="outside the 2/3 band"):
+            State(grid, noisy[..., : band_width(grid.ny)], t=state.t)
+        kept = State(grid, take_band(grid, noisy), t=state.t)
+        spec = PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0)
+        for fn in (lambda x: propagate(-1800.0, x, params, PropagatorSpec.exact()),
+                   lambda x: propagate(900.0, x, params, spec),
+                   lambda x: exact_exp(3600.0, x, params),
+                   lambda x: cheb_exp(-3600.0, x, params, spec),
+                   lambda x: cheb_exp(0.0, x, params, spec)):
+            got, want = fn(kept), fn(state)
+            assert got.t == want.t
+            assert np.array_equal(got.q, want.q)
+            for name in ("u", "v", "eta"):
+                assert not np.any(getattr(got, name)[~grid.dealias_mask])
 
 
 def test_multi_time_shift_rows_are_single_time_shifts(rng):
