@@ -11,7 +11,7 @@ import numpy as np
 
 from phaseswe import (State, apply_linear, apply_nonlinear, balanced_jet,
                       default_config, energy_norm, make_grid, make_step_config,
-                      mountain, physics_params, run, to_physical)
+                      physics_params, run, to_physical)
 
 grid = make_grid(64, 64, 4.0e7, 4.0e7)
 case = default_config()
@@ -34,16 +34,16 @@ print("  |L U| / scale = %.3e" % (energy_norm(apply_linear(jet, flat), flat) / s
 nonlinear = State(grid, apply_nonlinear(jet.q, grid, flat))
 print("  |N(U)| / scale = %.3e" % (energy_norm(nonlinear, flat) / scale))
 
-# u, v and eta are read-only full spectra built from q
-u_phys = to_physical(grid, jet.u)
-eta_phys = to_physical(grid, jet.eta)
+# to_physical maps the band stack q to the physical (u, v, eta)
+u_phys, _v_phys, eta_phys = to_physical(grid, jet.q)
 print("  max |u| = %.3f m/s, eta range [%.2f, %.2f] m"
       % (np.abs(u_phys).max(), eta_phys.min(), eta_phys.max()))
 
 # the mountain: a cone of height b0 and radius r0 on the eastward jet,
-# spectrally truncated, so expect small Gibbs ripples around the base
-b = mountain(case, grid)
-b_phys = to_physical(grid, b)
+# spectrally truncated, so expect small Gibbs ripples around the base;
+# the physics keeps its physical field, b_phys, for the diagnostics
+rough = physics_params(case, grid)
+b_phys = rough.b_phys
 volume = grid.cell_area * b_phys.sum()
 cone = np.pi * case.r0**2 * case.b0 / 3.0
 print("\nmountain: b0 = %g m, r0 = %g km" % (case.b0, case.r0 / 1e3))
@@ -53,7 +53,6 @@ print("  volume %.4e m^3 vs exact cone %.4e (ratio %.4f)"
 
 # with the mountain in place the balance is broken and the flow evolves;
 # one simulated day with the plain (unaveraged) scheme
-rough = physics_params(case, grid)
 config = make_step_config(grid, rough, dt=900.0)
 traj = run(jet, config, rough, t_end=86400.0, snapshot_every=21600.0)
 

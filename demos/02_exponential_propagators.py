@@ -15,7 +15,7 @@ import numpy as np
 from phaseswe import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_npoly,
                       default_config, dispersion_omega, energy_norm, exact_exp,
                       make_grid, max_frequency, physics_params)
-from phaseswe.grid import take_band, to_spectral
+from phaseswe.grid import to_spectral
 from phaseswe.dynamics import State
 
 grid = make_grid(64, 64, 4.0e7, 4.0e7)
@@ -32,12 +32,11 @@ k1 = 2 * np.pi / grid.Lx
 print("  gravest gravity wave: omega = %.3e 1/s"
       % dispersion_omega((k1, 0.0), params))
 
-# a random state to push around: the 2/3 band (take_band) of three random
-# real fields, as one (3, nx, kb) stack; a State holds nothing else
+# a random state to push around: to_spectral gives the 2/3 band of three
+# random real fields as one (3, nx, kb) stack; a State holds nothing else
 rng = np.random.default_rng(3)
-def noise(scale):
-    return to_spectral(grid, scale * rng.standard_normal((64, 64)))
-state = State(grid, take_band(grid, (noise(1.0), noise(1.0), noise(50.0))))
+scales = np.array([1.0, 1.0, 50.0])[:, None, None]
+state = State(grid, to_spectral(grid, scales * rng.standard_normal((3, 64, 64))))
 norm = energy_norm(state, params)
 
 # exact route: group law and isometry hold to round-off

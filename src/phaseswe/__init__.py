@@ -6,8 +6,7 @@ integration (exact per-mode and matrix-free Chebyshev propagators), and a
 transformed SSPRK3 stepper.
 """
 
-from .grid import (SpectralGrid, make_grid, to_spectral, to_physical, dealias,
-                   integrate_product)
+from .grid import SpectralGrid, make_grid, to_spectral, to_physical
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
                        dispersion_omega, max_frequency, energy_inner,
                        energy_norm, flat_bottom)
@@ -25,8 +24,7 @@ from .testcase import mountain, balanced_jet, physics_params
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpectralGrid", "make_grid", "to_spectral", "to_physical", "dealias",
-    "integrate_product",
+    "SpectralGrid", "make_grid", "to_spectral", "to_physical",
     "PhysicsParams", "State", "apply_linear", "apply_nonlinear",
     "dispersion_omega", "max_frequency", "energy_inner", "energy_norm",
     "flat_bottom",

@@ -10,7 +10,6 @@ from .dynamics import PhysicsParams, State
 from .grid import SpectralGrid, to_physical
 
 __all__ = [
-    "physical_fields",
     "l2_error_normalized",
     "linf_error_eta",
     "energy_mass",
@@ -20,12 +19,6 @@ __all__ = [
 ]
 
 
-def physical_fields(state: State) -> np.ndarray:
-    """Physical (u, v, eta) of a spectral state as one (3, nx, ny) stack, from
-    one inverse transform of the stacked coefficients."""
-    return to_physical(state.grid, np.stack((state.u, state.v, state.eta)))
-
-
 def l2_error_normalized(test: State, ref: State) -> tuple[float, float]:
     """Physical-space relative L2 errors (eta, velocity) of test against ref.
 
@@ -33,7 +26,7 @@ def l2_error_normalized(test: State, ref: State) -> tuple[float, float]:
     an error rather than a silent division.
     """
     test._check_compatible(ref)
-    return _l2_errors(physical_fields(test), physical_fields(ref))
+    return _l2_errors(to_physical(test.grid, test.q), to_physical(ref.grid, ref.q))
 
 
 def _l2_errors(test_fields, ref_fields) -> tuple[float, float]:
@@ -52,7 +45,8 @@ def _l2_errors(test_fields, ref_fields) -> tuple[float, float]:
 def linf_error_eta(test: State, ref: State) -> float:
     """Max-norm eta error normalized by the max of the reference eta."""
     test._check_compatible(ref)
-    return _linf_error(physical_fields(test)[2], physical_fields(ref)[2])
+    return _linf_error(to_physical(test.grid, test.q[2]),
+                       to_physical(ref.grid, ref.q[2]))
 
 
 def _linf_error(teta: np.ndarray, reta: np.ndarray) -> float:
@@ -64,12 +58,12 @@ def _linf_error(teta: np.ndarray, reta: np.ndarray) -> float:
 
 def energy_mass(state: State, params: PhysicsParams) -> tuple[float, float]:
     """Total energy and mass of a spectral state; see energy_mass_fields."""
-    return energy_mass_fields(state.grid, params, *physical_fields(state))
+    return energy_mass_fields(state.grid, params, *to_physical(state.grid, state.q))
 
 
 def energy_mass_fields(grid: SpectralGrid, params: PhysicsParams, u: np.ndarray,
                        v: np.ndarray, eta: np.ndarray) -> tuple[float, float]:
-    """Total energy and mass from the physical fields of physical_fields.
+    """Total energy and mass from the physical (u, v, eta) of a state.
 
     mass   = integral of (H + eta - b)
     energy = integral of (1/2) (H + eta - b) (u^2 + v^2) + (1/2) g eta (eta + 2 H)
@@ -106,9 +100,10 @@ def make_error_report(test: State, ref: State, params: PhysicsParams,
     Each state is transformed once; the values equal those of
     l2_error_normalized, linf_error_eta and energy_mass."""
     test._check_compatible(ref)
-    fields, ref_fields = physical_fields(test), physical_fields(ref)
+    fields, ref_fields = to_physical(test.grid, test.q), to_physical(ref.grid, ref.q)
     l2_eta, l2_u = _l2_errors(fields, ref_fields)
-    e0, m0 = energy_mass_fields(initial.grid, params, *physical_fields(initial))
+    e0, m0 = energy_mass_fields(initial.grid, params,
+                                *to_physical(initial.grid, initial.q))
     e1, m1 = energy_mass_fields(test.grid, params, *fields)
     return ErrorReport(
         l2_eta=l2_eta,

@@ -10,17 +10,16 @@ where b is the bottom topography.  L acts diagonally per spectral mode as the
 eigenvalues {0, +i omega, -i omega}, omega = sqrt(f^2 + g H |k|^2).  L is
 skew-adjoint in the energy inner product H (u u' + v v') + g eta eta'.
 
-A State holds U as q, its compact (3, nx, kb) band stack (grid.take_band),
+A State holds U as q, its compact (3, nx, kb) band stack (grid module),
 kb = ceil(ny/3); u, v and eta are read-only full spectra built from q.  N is
 a band kernel: apply_nonlinear(q, grid, params) maps the band stack of U to
 that of N(U), zero outside the 2/3 band and the band of an exactly Hermitian
-field.  Its seven inverse and four forward transforms are one
-band_to_physical and one band_to_spectral call (numpy.fft), and every
-intermediate lives in the calling thread's grid.scratch arrays, written
-through out=: the (7, nx, kb) gradient stack, the (7, nx, ny) physical
-stack, one physical product and the (4, nx, kb) forward result, plus the
-transforms' own scratch.  The band stack it returns is the only array a
-call allocates.
+field.  Its seven inverse and four forward transforms are one to_physical
+and one to_spectral call (numpy.fft), and every intermediate lives in the
+calling thread's grid.scratch arrays, written through out=: the
+(7, nx, kb) gradient stack, the (7, nx, ny) physical stack, one physical
+product and the (4, nx, kb) forward result, plus the transforms' own
+scratch.  The band stack it returns is the only array a call allocates.
 """
 
 from __future__ import annotations
@@ -29,11 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import (SpectralGrid, band, band_to_physical, band_to_spectral,
-                   band_width, from_band, mirror_ky0, scratch)
-# to_physical and to_spectral stay module attributes: perfbench/tracing.py
-# patches them here
-from .grid import to_physical, to_spectral  # noqa: F401
+from .grid import (SpectralGrid, band, band_width, from_band, mirror_ky0, scratch,
+                   to_physical, to_spectral)
 
 __all__ = [
     "PhysicsParams",
@@ -54,8 +50,7 @@ class PhysicsParams:
     b is the spectral field of a real topography, already dealiased where it
     matters; its physical maximum must stay below the mean depth H.  b_phys,
     the physical topography, is computed once here for that check, by the
-    same half-spectrum inverse as grid.to_physical, and kept for the
-    diagnostics.
+    irfft2 of its ky >= 0 half, and kept for the diagnostics.
     """
 
     f: float
@@ -91,13 +86,15 @@ def flat_bottom(grid: SpectralGrid, f: float, g: float, H: float) -> PhysicsPara
 @dataclass(frozen=True)
 class State:
     """Shallow-water state (u, v, eta) at model time t, held as q: the compact
-    complex (3, nx, kb) band stack of grid.take_band, kb = ceil(ny/3).
+    complex (3, nx, kb) band stack of grid.to_spectral, kb = ceil(ny/3).
 
     Any other shape, or a nonzero entry outside the 2/3 band, is a
-    ValueError, so every State is band-limited by type.  u, v and eta are
-    read-only full (nx, ny) spectra, built from q on each access by
-    grid.from_band.  Arithmetic (+, -, scalar *) acts on q and keeps the left
-    operand's time stamp; propagators and steppers set t explicitly.
+    ValueError, so every State is band-limited by type.  q is kept as a
+    read-only view of the array passed in (not a copy, and the caller's
+    array keeps its own write flag).  u, v and eta are read-only full
+    (nx, ny) spectra, built from q on each access by grid.from_band.
+    Arithmetic (+, -, scalar *) acts on q and keeps the left operand's time
+    stamp; propagators and steppers set t explicitly.
     """
 
     grid: SpectralGrid
@@ -113,6 +110,8 @@ class State:
         # on the band columns, the out-of-band modes are the kx rows nx/3 <= |wx|
         if np.any(q[:, band_width(nx) : nx - band_width(nx) + 1]):
             raise ValueError("state has nonzero modes outside the 2/3 band")
+        q = q.view()
+        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
     def _full(self, i: int) -> np.ndarray:
@@ -186,8 +185,8 @@ def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
     np.multiply(bd.iky, c[0], out=c[4])
     np.multiply(bd.ikx, c[1], out=c[5])
     np.multiply(bd.iky, c[1], out=c[6])
-    phys = band_to_physical(grid, c, out=scratch("apply_nonlinear.phys", (7, nx, ny),
-                                                 np.float64))
+    phys = to_physical(grid, c, out=scratch("apply_nonlinear.phys", (7, nx, ny),
+                                            np.float64))
     u, v, depth, ux, uy, vx, vy = phys
 
     # the four products overwrite the gradients, each after their last use
@@ -200,7 +199,7 @@ def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
     np.negative(uy, out=uy)
     np.multiply(u, depth, out=vx)
     np.multiply(v, depth, out=vy)
-    du, dv, flux_x, flux_y = band_to_spectral(
+    du, dv, flux_x, flux_y = to_spectral(
         grid, phys[3:], out=scratch("apply_nonlinear.products", (4, nx, kb)))
     # -(i kx flux_x + i ky flux_y) in c[3], then everything dealiased
     np.multiply(bd.ikx, flux_x, out=c[3])

@@ -23,6 +23,7 @@ State.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,9 @@ from .averaging import (Quadrature, band_averaged_tendency, default_node_count,
 from .averaging import averaged_tendency  # noqa: F401
 from .config import is_multiple
 # energy_mass stays a module attribute: perfbench/tracing.py patches it here
-from .diagnostics import energy_mass, energy_mass_fields, physical_fields  # noqa: F401
+from .diagnostics import energy_mass, energy_mass_fields  # noqa: F401
 from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
-# to_physical stays a module attribute: perfbench/tracing.py patches it here
-from .grid import SpectralGrid, to_physical  # noqa: F401
+from .grid import SpectralGrid, to_physical
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
@@ -133,7 +133,7 @@ class Trajectory:
     max_speed: list[float] = field(default_factory=list)
 
     def record(self, step: int, state: State, params: PhysicsParams) -> None:
-        phys = physical_fields(state)
+        phys = to_physical(state.grid, state.q)
         en, ms = energy_mass_fields(state.grid, params, *phys)
         speed = np.hypot(phys[0], phys[1])
         self.times.append(state.t)
@@ -170,8 +170,10 @@ def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
     if n_steps == 0:
         return traj
 
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    # leaving the pool waits for its threads, so no node of a failed step
+    # still runs, or writes into this thread's scratch, once run returns
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as executor:
         state = initial
         for i in range(1, n_steps + 1):
             try:
@@ -180,7 +182,4 @@ def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
                 raise RuntimeError(f"step {i} (t = {state.t:.6g} s) failed: {exc}") from exc
             if i == n_steps or (stride > 0 and i % stride == 0):
                 traj.record(i, state, params)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
     return traj

@@ -13,10 +13,9 @@ import os
 
 import numpy as np
 
-from .diagnostics import ErrorReport, physical_fields
+from .diagnostics import ErrorReport
 from .dynamics import State
-# to_physical stays a module attribute: perfbench/tracing.py patches it here
-from .grid import make_grid, take_band, to_physical, to_spectral  # noqa: F401
+from .grid import make_grid, to_physical, to_spectral
 
 __all__ = [
     "snapshot_prefix",
@@ -38,11 +37,12 @@ def snapshot_prefix(step: int) -> str:
 def write_snapshot(outdir: str, step: int, state: State,
                    phys: np.ndarray | None = None) -> None:
     """Write u, v, eta physical fields for one snapshot plus sidecars; phys is
-    the state's physical_fields stack if the caller has it (Trajectory.fields)."""
+    the state's physical (3, nx, ny) stack if the caller has it
+    (Trajectory.fields)."""
     g = state.grid
     prefix = snapshot_prefix(step)
     if phys is None:
-        phys = physical_fields(state)
+        phys = to_physical(g, state.q)
     for name, field in zip(_FIELDS, phys):
         data = np.ascontiguousarray(field, dtype="<f8")
         base = os.path.join(outdir, f"{prefix}_{name}")
@@ -108,7 +108,7 @@ def read_snapshot_state(outdir: str, step: int | None = None) -> State:
     meta = metas[-1]
     grid = make_grid(int(meta["nx"]), int(meta["ny"]),
                      float(meta["Lx"]), float(meta["Ly"]))
-    return State(grid, take_band(grid, to_spectral(grid, np.stack(arrays))),
+    return State(grid, to_spectral(grid, np.stack(arrays)),
                  t=float(meta["time_seconds"]))
 
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import PhysicsParams, State
-from .grid import SpectralGrid, take_band, to_spectral
+from .grid import SpectralGrid, band_width, to_spectral
 
 __all__ = [
-    "band_limited_state",
     "wrap_indices",
+    "full_band_mask",
+    "take_band",
+    "band_limited_state",
     "truncated_convolution",
     "nonlinear_tendency",
     "linear_mode_matrix",
@@ -27,17 +29,35 @@ __all__ = [
 ]
 
 
-def band_limited_state(grid: SpectralGrid, rng, vel_scale: float = 1.0,
-                       eta_scale: float = 50.0, t: float = 0.0) -> State:
-    """Random state: the 2/3 band of a random real field per component."""
-    fields = [to_spectral(grid, scale * rng.standard_normal((grid.nx, grid.ny)))
-              for scale in (vel_scale, vel_scale, eta_scale)]
-    return State(grid, take_band(grid, fields), t=t)
-
-
 def wrap_indices(n: int) -> np.ndarray:
     """Signed integer wavenumbers in FFT order: 0, 1, ..., n/2 - 1, -n/2, ..., -1."""
     return np.fft.fftfreq(n, d=1.0 / n).astype(int)
+
+
+def full_band_mask(grid: SpectralGrid) -> np.ndarray:
+    """The 2/3 band on the full (nx, ny) layout: |wrap| < n/3 in both directions."""
+    wx, wy = wrap_indices(grid.nx), wrap_indices(grid.ny)
+    return (3 * np.abs(wx)[:, None] < grid.nx) & (3 * np.abs(wy)[None, :] < grid.ny)
+
+
+def take_band(grid: SpectralGrid, fields) -> np.ndarray:
+    """The 2/3-band modes of k full (nx, ny) spectra (a stack or a sequence)
+    as one compact (k, nx, kb) band stack, zero outside the band: the
+    oracles work on full spectra, the package on band stacks."""
+    fields = np.asarray(fields, dtype=np.complex128)
+    if fields.ndim != 3 or fields.shape[1:] != (grid.nx, grid.ny):
+        raise ValueError(f"spectral fields have shape {fields.shape}, expected "
+                         f"(k, nx, ny) = (k, {grid.nx}, {grid.ny})")
+    kept = np.where(full_band_mask(grid), fields, 0.0)
+    return np.ascontiguousarray(kept[..., : band_width(grid.ny)])
+
+
+def band_limited_state(grid: SpectralGrid, rng, vel_scale: float = 1.0,
+                       eta_scale: float = 50.0, t: float = 0.0) -> State:
+    """Random state: the 2/3 band of a random real field per component."""
+    fields = [scale * rng.standard_normal((grid.nx, grid.ny))
+              for scale in (vel_scale, vel_scale, eta_scale)]
+    return State(grid, to_spectral(grid, np.stack(fields)), t=t)
 
 
 def truncated_convolution(grid: SpectralGrid, ca: np.ndarray,

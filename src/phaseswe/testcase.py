@@ -18,13 +18,14 @@ import numpy as np
 
 from .config import RunConfig
 from .dynamics import PhysicsParams, State, flat_bottom
-from .grid import SpectralGrid, band, dealias, take_band, to_spectral
+from .grid import SpectralGrid, band, from_band, to_spectral
 
 __all__ = ["mountain", "balanced_jet", "physics_params"]
 
 
 def mountain(cfg: RunConfig, grid: SpectralGrid) -> np.ndarray:
-    """Spectral cone topography b0 (1 - min(r, r0)/r0), dealiased at construction.
+    """Spectral cone topography b0 (1 - min(r, r0)/r0): the full (nx, ny)
+    spectrum of its 2/3 band, so it is dealiased at construction.
 
     r is the periodic distance to the centre.  Truncation leaves small Gibbs
     ripples; the undershoot is visible in the physical field, not hidden.
@@ -39,7 +40,7 @@ def mountain(cfg: RunConfig, grid: SpectralGrid) -> np.ndarray:
     dy = np.minimum(dy, grid.Ly - dy)
     r = np.hypot(dx, dy)
     b_phys = cfg.b0 * (1.0 - np.minimum(r, cfg.r0) / cfg.r0)
-    return dealias(grid, to_spectral(grid, b_phys))
+    return from_band(grid, to_spectral(grid, b_phys))
 
 
 def balanced_jet(cfg: RunConfig, grid: SpectralGrid) -> State:
@@ -53,8 +54,8 @@ def balanced_jet(cfg: RunConfig, grid: SpectralGrid) -> State:
     w = cfg.jet_width
     profile = cfg.u0 * (np.exp(-(((y - 0.25 * grid.Ly) / w) ** 2))
                         - np.exp(-(((y - 0.75 * grid.Ly) / w) ** 2)))
-    cu = to_spectral(grid, np.tile(profile, (grid.nx, 1)))
-    q = take_band(grid, (cu, np.zeros_like(cu), np.zeros_like(cu)))
+    q = np.zeros((3, grid.nx, band(grid).kb), dtype=np.complex128)
+    to_spectral(grid, np.tile(profile, (grid.nx, 1)), out=q[0])
     # the sampled Gaussian pair keeps a residual mean of order exp(-16) from
     # the unperiodized tails; remove it so the inertial mean mode stays quiet
     q[0, 0, 0] = 0.0

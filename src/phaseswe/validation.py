@@ -18,12 +18,11 @@ import numpy as np
 from .config import RunConfig, default_config, reference_config, window_config
 from .diagnostics import l2_error_normalized
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
-                       energy_norm, max_frequency)
-from .grid import (dealias, integrate_product, make_grid, mirror_ky0, take_band,
-                   to_physical, to_spectral)
+                       energy_inner, energy_norm, max_frequency)
+from .grid import from_band, make_grid, mirror_ky0, to_physical, to_spectral
 from .integrator import make_step_config, run, step_averaged_ssprk3
 from .oracles import (band_limited_state, bessel_cheb_coeffs, linear_tendency,
-                      nonlinear_tendency, truncated_convolution)
+                      nonlinear_tendency, take_band, truncated_convolution)
 from .propagator import PropagatorSpec, cheb_coeffs, cheb_exp, exact_exp
 from .testcase import balanced_jet, physics_params
 
@@ -67,14 +66,18 @@ def _max_rel(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> f
 
 
 def check_roundtrip(rng) -> CheckResult:
-    """Forward then inverse transform, and Parseval against a Riemann sum."""
-    grid = make_grid(64, 64, 4.0e7, 4.0e7)
-    f = rng.standard_normal((64, 64))
-    err = _max_rel(to_physical(grid, to_spectral(grid, f)), f)
-    g2 = rng.standard_normal((64, 64))
-    riemann = float(np.sum(f * g2) * grid.cell_area)
-    spec = integrate_product(grid, to_spectral(grid, f), to_spectral(grid, g2))
-    perr = abs(spec - riemann) / abs(riemann)
+    """Forward then inverse transform of band-limited fields, and Parseval
+    (energy_inner) against the physical-space Riemann sum."""
+    grid, _cfg, params = _case_problem(64, flat=True)
+    f, g2 = rng.standard_normal((2, 64, 64))
+    a = State(grid, to_spectral(grid, np.stack((f, g2, f - g2))))
+    b = State(grid, to_spectral(grid, np.stack((g2, f, f + g2))))
+    phys_a, phys_b = to_physical(grid, a.q), to_physical(grid, b.q)
+    err = _max_rel(to_physical(grid, to_spectral(grid, phys_a)), phys_a)
+    coef = (params.H, params.H, params.g)
+    riemann = grid.cell_area * sum(c * float(np.sum(x * y))
+                                   for c, x, y in zip(coef, phys_a, phys_b))
+    perr = abs(energy_inner(a, b, params) - riemann) / abs(riemann)
     return CheckResult("transform round-trip + Parseval",
                        err <= 1e-13 and perr <= 1e-12,
                        f"roundtrip {err:.2e}, parseval {perr:.2e}")
@@ -94,12 +97,12 @@ def check_small_grid_oracles(rng) -> CheckResult:
     product = nonlinear = linear = 0.0
     for nx, ny, Lx, Ly, (f, g, H), b_amp in _SMALL_CASES:
         grid = make_grid(nx, ny, Lx, Ly)
-        b = dealias(grid, to_spectral(grid, b_amp * rng.standard_normal((nx, ny))))
+        b = from_band(grid, to_spectral(grid, b_amp * rng.standard_normal((nx, ny))))
         params = PhysicsParams(f=f, g=g, H=H, b=b)
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
 
-        phys = to_physical(grid, state.u) * to_physical(grid, state.eta)
-        product = max(product, _max_rel(dealias(grid, to_spectral(grid, phys)),
+        phys = to_physical(grid, state.q[0]) * to_physical(grid, state.q[2])
+        product = max(product, _max_rel(from_band(grid, to_spectral(grid, phys)),
                                         truncated_convolution(grid, state.u, state.eta)))
 
         got = apply_nonlinear(state.q, grid, params)

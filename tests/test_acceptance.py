@@ -138,7 +138,7 @@ def test_mean_elevation_is_conserved_per_step():
     case = default_config()
     rough = physics_params(case, grid)
     jet = balanced_jet(case, grid)
-    scale = float(np.sqrt(np.mean(to_physical(grid, jet.eta) ** 2)))
+    scale = float(np.sqrt(np.mean(to_physical(grid, jet.q[2]) ** 2)))
     cfg = make_step_config(grid, rough, dt=3600.0, T=3600.0)
     npts = grid.nx * grid.ny
     state = jet

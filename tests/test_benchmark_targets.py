@@ -47,7 +47,10 @@ def test_traced_step_records_nonlinear_spans():
         got = integrator.step_averaged_ssprk3(state, step_cfg, params)
     calls = tracer.summary().calls
     assert calls["integrator.step"] == 1
-    # three averaged tendencies of three live nodes (the endpoints weigh 0)
+    # three averaged tendencies of three live nodes (the endpoints weigh 0),
+    # each one inverse and one forward transform, looked up in dynamics
+    # where the tracer wraps them
     assert calls["dynamics.apply_nonlinear"] == 9
+    assert calls["grid.to_physical"] == calls["grid.to_spectral"] == 9
     for name in ("u", "v", "eta"):
         assert np.array_equal(getattr(got, name), getattr(want, name))

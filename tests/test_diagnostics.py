@@ -6,9 +6,9 @@ import pytest
 from phaseswe import diagnostics
 from phaseswe.config import default_config
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
-                                  linf_error_eta, make_error_report, physical_fields)
+                                  linf_error_eta, make_error_report)
 from phaseswe.dynamics import PhysicsParams, State, flat_bottom
-from phaseswe.grid import take_band, to_physical, to_spectral
+from phaseswe.grid import to_physical, to_spectral
 from phaseswe.oracles import band_limited_state
 from phaseswe.testcase import mountain
 
@@ -20,7 +20,7 @@ def flat(grid):
 
 
 def state_from_physical(grid, u, v, eta, t=0.0):
-    return State(grid, take_band(grid, to_spectral(grid, np.stack((u, v, eta)))), t=t)
+    return State(grid, to_spectral(grid, np.stack((u, v, eta))), t=t)
 
 
 def test_rest_state_energy_and_mass(grid32):
@@ -107,6 +107,7 @@ def test_error_report_assembly(grid32):
 
 
 def test_error_report_transforms_each_state_once(grid32, rng, monkeypatch):
+    # one stacked to_physical of each state's whole (3, nx, kb) band stack
     case = default_config()
     params = PhysicsParams(f=case.f, g=case.g, H=case.H, b=mountain(case, grid32))
     initial, test, ref = (band_limited_state(grid32, rng) for _ in range(3))
@@ -115,29 +116,14 @@ def test_error_report_transforms_each_state_once(grid32, rng, monkeypatch):
     e1, m1 = energy_mass(test, params)
     calls = []
 
-    def counted(state):
-        calls.append(state)
-        return physical_fields(state)
+    def counted(grid, arr, *args, **kwargs):
+        calls.append(arr)
+        return to_physical(grid, arr, *args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "physical_fields", counted)
+    monkeypatch.setattr(diagnostics, "to_physical", counted)
     report = make_error_report(test, ref, params, initial)
     assert len(calls) == 3
-    assert {id(s) for s in calls} == {id(initial), id(test), id(ref)}
+    assert {id(q) for q in calls} == {id(initial.q), id(test.q), id(ref.q)}
     assert (report.l2_eta, report.l2_u) == l2 and report.linf_eta == linf
     assert report.energy_drift == abs(e1 - e0) / abs(e0)
     assert report.mass_drift == abs(m1 - m0) / abs(m0)
-
-
-def test_physical_fields_is_one_stacked_transform(grid32, rng, monkeypatch):
-    state = band_limited_state(grid32, rng)
-    want = physical_fields(state)
-    calls = []
-
-    def counted(grid, arr):
-        calls.append(np.shape(arr))
-        return to_physical(grid, arr)
-
-    monkeypatch.setattr(diagnostics, "to_physical", counted)
-    got = physical_fields(state)
-    assert calls == [(3, 32, 32)]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -11,10 +11,9 @@ from phaseswe.config import default_config
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
                                energy_norm, flat_bottom, max_frequency)
-from phaseswe.grid import (band, dealias, from_band, make_grid, mirror_ky0,
-                           take_band, to_physical, to_spectral)
-from phaseswe.oracles import (band_limited_state, linear_tendency,
-                              nonlinear_tendency, wrap_indices)
+from phaseswe.grid import band, from_band, make_grid, mirror_ky0, to_spectral
+from phaseswe.oracles import (band_limited_state, full_band_mask, linear_tendency,
+                              nonlinear_tendency, take_band, wrap_indices)
 from phaseswe.propagator import exact_exp
 from phaseswe.testcase import balanced_jet, physics_params
 
@@ -47,7 +46,7 @@ def test_nonlinear_matches_convolution_oracle(grid8, rng):
     for grid in (grid8, make_grid(12, 8, 1.5e6, 1.0e6)):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
-        b = dealias(grid, to_spectral(grid, b_phys))
+        b = from_band(grid, to_spectral(grid, b_phys))
         params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
         out = nonlinear_state(state, params)
         want = nonlinear_tendency(state, params)
@@ -117,14 +116,15 @@ def test_energy_inner_is_an_inner_product(grid32, rng):
 
 def test_energy_inner_matches_physical_quadrature(grid32, rng):
     # the band Parseval weights, 1 on column ky = 0 and 2 elsewhere, against
-    # the physical-space Riemann sum; the 12 x 8 grid has Lx != Ly and f != 0,
-    # so a transposed weight or a swapped axis would show
+    # the physical-space Riemann sum of the full spectra's ifft2; the 12 x 8
+    # grid has Lx != Ly and f != 0, so a transposed weight or a swapped axis
+    # would show
     grid12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
     for grid, params in ((grid32, flat(grid32)),
                          (grid12x8, flat_bottom(grid12x8, 1.3e-4, G0, H0))):
         a = band_limited_state(grid, rng)
         b = band_limited_state(grid, rng)
-        (au, av, ae), (bu, bv, be) = (to_physical(grid, np.stack((st.u, st.v, st.eta)))
+        (au, av, ae), (bu, bv, be) = (np.fft.ifft2(np.stack((st.u, st.v, st.eta))).real
                                       for st in (a, b))
         want = grid.cell_area * float(
             np.sum(params.H * (au * bu + av * bv) + params.g * ae * be))
@@ -145,7 +145,7 @@ def test_params_validation(grid8, rng):
         PhysicsParams(f=F0, g=0.0, H=H0, b=zeros)
     with pytest.raises(ValueError, match="H"):
         PhysicsParams(f=F0, g=G0, H=-1.0, b=zeros)
-    tall = to_spectral(grid8, np.full((8, 8), 2.0 * H0))
+    tall = from_band(grid8, to_spectral(grid8, np.full((8, 8), 2.0 * H0)))
     with pytest.raises(ValueError, match="peak"):
         PhysicsParams(f=F0, g=G0, H=H0, b=tall)
 
@@ -184,14 +184,29 @@ def test_state_arithmetic(grid8, grid32, rng):
                 State(grid, q)
 
 
+def test_state_q_is_a_read_only_view(grid32, rng):
+    # a write into q would break the band invariant that State checks once;
+    # q is a view of the caller's array, which keeps its own write flag
+    for grid in (grid32, make_grid(12, 8, 1.5e6, 1.0e6)):
+        q = band_limited_state(grid, rng).q.copy()
+        state = State(grid, q)
+        assert np.shares_memory(state.q, q) and q.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.q[0, grid.nx // 2, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.q[...] = 0.0
+        q[0, 0, 0] = 2.0
+        assert state.q[0, 0, 0] == 2.0
+
+
 def test_spectra_outside_the_band_are_rejected(rng):
     # a band-limited state plus nonzero modes outside the 2/3 band cannot be
     # a State, neither as full spectra nor as their band columns, so no
     # operator sees such modes; its take_band is the clean state's q
     for grid in (make_grid(12, 8, 1.5e6, 1.0e6), make_grid(18, 12, 2.5e6, 1.5e6)):
         state = band_limited_state(grid, rng)
-        noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
-        noise[:, grid.dealias_mask] = 0.0
+        noise = np.fft.fft2(rng.standard_normal((3, grid.nx, grid.ny)))
+        noise[:, full_band_mask(grid)] = 0.0
         noisy = np.stack((state.u, state.v, state.eta)) + noise
         with pytest.raises(ValueError, match="shape"):
             State(grid, noisy)
@@ -214,11 +229,10 @@ def test_wrap_indices_helper_matches_fft_layout():
 def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
     # one inverse call for the seven band fields (u, v, eta - b and the four
     # gradients), on the compact (7, nx, kb) band columns, and one forward
-    # call for the four real products; the full-grid transforms go unused.
-    # Both write through out= into the calling thread's scratch, so a second
-    # call reuses the first call's arrays
-    calls = {name: [] for name in ("band_to_physical", "band_to_spectral",
-                                   "to_physical", "to_spectral")}
+    # call for the four real products, each looked up in the dynamics module,
+    # where a tracer can wrap it.  Both write through out= into the calling
+    # thread's scratch, so a second call reuses the first call's arrays
+    calls = {name: [] for name in ("to_physical", "to_spectral")}
 
     def counted(name, fn):
         def wrapper(grid, arr, *args, **kwargs):
@@ -233,13 +247,12 @@ def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
     first = nonlinear_state(state, rough)
     kb = 11  # band columns 0 <= wy < 32/3
     shapes = {name: [c[:2] for c in got] for name, got in calls.items()}
-    assert shapes["band_to_physical"] == [((7, 32, kb), True)]
-    assert shapes["band_to_spectral"] == [((4, 32, 32), False)]
-    assert calls["to_physical"] == calls["to_spectral"] == []
-    outs = [calls[name][0][2] for name in ("band_to_physical", "band_to_spectral")]
+    assert shapes["to_physical"] == [((7, 32, kb), True)]
+    assert shapes["to_spectral"] == [((4, 32, 32), False)]
+    outs = [calls[name][0][2] for name in ("to_physical", "to_spectral")]
     assert outs[0].shape == (7, 32, 32) and outs[1].shape == (4, 32, kb)
     second = nonlinear_state(state, rough)
-    for name, out in zip(("band_to_physical", "band_to_spectral"), outs):
+    for name, out in zip(("to_physical", "to_spectral"), outs):
         assert len(calls[name]) == 2 and np.shares_memory(calls[name][1][2], out)
     for name in ("u", "v", "eta"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
@@ -251,7 +264,8 @@ def test_band_kernel_matches_convolution_oracle_on_anisotropic_grids(rng):
     for grid in (make_grid(12, 18, 1.5e6, 2.5e6), make_grid(18, 12, 2.5e6, 1.5e6)):
         assert band(grid).kb == grid.ny // 3
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
-        b = dealias(grid, to_spectral(grid, 30.0 * rng.standard_normal((grid.nx, grid.ny))))
+        b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
+        b = from_band(grid, to_spectral(grid, b_phys))
         params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
         out = nonlinear_state(state, params)
         want = nonlinear_tendency(state, params)
@@ -267,7 +281,8 @@ def test_nonlinear_ky0_column_is_exactly_hermitian(rng):
     # exactly real field and from_band loses nothing
     for grid in (make_grid(32, 32, 4.0e7, 4.0e7), make_grid(18, 12, 2.5e6, 1.5e6)):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
-        b = dealias(grid, to_spectral(grid, 30.0 * rng.standard_normal((grid.nx, grid.ny))))
+        b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
+        b = from_band(grid, to_spectral(grid, b_phys))
         params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
         out = apply_nonlinear(state.q, grid, params)
         assert out.shape == (3, grid.nx, band(grid).kb)

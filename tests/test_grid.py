@@ -1,4 +1,4 @@
-"""Grid construction, transforms, dealiasing, quadrature."""
+"""Grid construction, the 2/3 band and its transforms."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from phaseswe.grid import (band, band_to_physical, band_to_spectral, dealias,
-                           from_band, integrate_product, make_grid, scratch,
-                           take_band, to_physical, to_spectral)
-from phaseswe.oracles import (band_limited_state, truncated_convolution,
-                              wrap_indices)
+from phaseswe.grid import (band, from_band, make_grid, mirror_ky0, scratch,
+                           to_physical, to_spectral)
+from phaseswe.oracles import (band_limited_state, full_band_mask, take_band,
+                              truncated_convolution, wrap_indices)
 
 
 def test_make_grid_validates_arguments():
@@ -41,24 +40,33 @@ def test_wavenumbers_follow_fft_ordering():
 
 
 def test_dealias_mask_keeps_two_thirds_band():
+    # the oracles' full-grid mask from the wrap indices, and the band's mask
+    # on its columns 0 .. kb - 1
     g = make_grid(8, 8, 1.0, 1.0)
     wx = wrap_indices(8)
     expected = (3 * np.abs(wx)[:, None] < 8) & (3 * np.abs(wx)[None, :] < 8)
-    assert np.array_equal(g.dealias_mask, expected)
-    # |wrap| <= 2 in each direction: a 5x5 block survives
-    assert int(g.dealias_mask.sum()) == 25
-    assert g.dealias_mask[2, 2]
-    assert not g.dealias_mask[3, 0]
-    assert not g.dealias_mask[0, 4]
+    assert np.array_equal(full_band_mask(g), expected)
+    mask = band(g).mask
+    assert np.array_equal(mask, expected[:, :3])
+    # |wrap| <= 2 in each direction: a 5x5 block survives, 5x3 of it on the
+    # band columns
+    assert int(expected.sum()) == 25 and int(mask.sum()) == 15
+    assert mask[2, 2]
+    assert not mask[3, 0]
+    assert not expected[0, 4]
 
     g12 = make_grid(12, 12, 1.0, 1.0)
-    assert int(g12.dealias_mask.sum()) == 49  # |wrap| <= 3: 4 = 12/3 would alias
+    # |wrap| <= 3: 4 = 12/3 would alias
+    assert int(full_band_mask(g12).sum()) == 49 and int(band(g12).mask.sum()) == 28
 
 
 def test_transform_roundtrip(grid32, rng):
-    phys = rng.standard_normal((32, 32))
+    # both ways round, on band-limited fields
+    q = band_limited_state(grid32, rng).q
+    phys = to_physical(grid32, q)
     back = to_physical(grid32, to_spectral(grid32, phys))
     assert np.max(np.abs(back - phys)) <= 1e-13 * np.max(np.abs(phys))
+    assert np.max(np.abs(to_spectral(grid32, phys) - q)) <= 1e-13 * np.max(np.abs(q))
 
 
 def test_to_spectral_rejects_bad_input(grid32, rng):
@@ -68,18 +76,24 @@ def test_to_spectral_rejects_bad_input(grid32, rng):
         to_spectral(grid32, np.zeros((16, 32)))
     with pytest.raises(ValueError, match="shape"):
         to_physical(grid32, np.zeros((32, 16), dtype=complex))
+    with pytest.raises(ValueError, match="band stack"):
+        to_physical(grid32, np.zeros((32, 32), dtype=complex))
 
 
 @pytest.mark.parametrize("shape", [(12, 8), (12, 18), (18, 12), (32, 32)])
 def test_to_spectral_is_exactly_hermitian(shape, rng):
-    # the ky > ny/2 columns, the kx < 0 halves of columns 0 and ny/2 and the
-    # four self-conjugate modes are set from the rest, not transformed
+    # to_spectral mirrors the kx < 0 half of column ky = 0, so the full
+    # spectrum from_band rebuilds from it is exactly Hermitian; it is fft2
+    # of the field masked by the oracles' 2/3 mask, which the band's mask
+    # restricts to the band columns (Lx != Ly, and nx != ny but for 32 x 32)
     g = make_grid(*shape, 1.5e6, 2.5e6)
     phys = rng.standard_normal((2, g.nx, g.ny))
-    c = to_spectral(g, phys)
+    c = from_band(g, to_spectral(g, phys))
     mx, my = (-np.arange(g.nx)) % g.nx, (-np.arange(g.ny)) % g.ny
     assert np.array_equal(c[:, mx][:, :, my], np.conj(c))
-    want = scipy.fft.fft2(phys)
+    mask = full_band_mask(g)
+    assert np.array_equal(band(g).mask, mask[:, : band(g).kb])
+    want = np.where(mask, np.fft.fft2(phys), 0.0)
     assert np.max(np.abs(c - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -92,15 +106,15 @@ def test_band_transforms_are_bitwise_scipy_fft(shape, rng):
     kb = band(g).kb
     c = rng.standard_normal((7, g.nx, kb)) + 1j * rng.standard_normal((7, g.nx, kb))
     out = np.empty((7, g.nx, g.ny))
-    assert band_to_physical(g, c, out=out) is out
+    assert to_physical(g, c, out=out) is out
     assert np.array_equal(out, scipy.fft.irfft(scipy.fft.ifft(c, axis=-2), n=g.ny, axis=-1))
-    assert np.array_equal(band_to_physical(g, c), out)
+    assert np.array_equal(to_physical(g, c), out)
     phys = rng.standard_normal((4, g.nx, g.ny))
     spec = np.empty((4, g.nx, kb), dtype=complex)
-    assert band_to_spectral(g, phys, out=spec) is spec
-    assert np.array_equal(spec, scipy.fft.fft(scipy.fft.rfft(phys, axis=-1)[..., :kb],
-                                              axis=-2))
-    assert np.array_equal(band_to_spectral(g, phys), spec)
+    assert to_spectral(g, phys, out=spec) is spec
+    want = mirror_ky0(scipy.fft.fft(scipy.fft.rfft(phys, axis=-1)[..., :kb], axis=-2))
+    assert np.array_equal(spec, np.where(band(g).mask, want, 0.0))
+    assert np.array_equal(to_spectral(g, phys), spec)
 
 
 def test_scratch_is_reused_per_thread_and_never_shared():
@@ -136,21 +150,16 @@ def test_constant_field_maps_to_mean_mode(grid32):
     assert np.max(np.abs(off)) <= 1e-10 * abs(c[0, 0])
 
 
-def test_integrate_product_matches_riemann_sum(grid32, rng):
-    a = rng.standard_normal((32, 32))
-    b = rng.standard_normal((32, 32))
-    got = integrate_product(grid32, to_spectral(grid32, a), to_spectral(grid32, b))
-    want = grid32.cell_area * float(np.sum(a * b))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
 def test_dealias_is_idempotent_projection(grid32, rng):
-    c = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    once = dealias(grid32, c)
-    assert np.array_equal(dealias(grid32, once), once)
-    assert np.linalg.norm(once) <= np.linalg.norm(c)
-    assert np.array_equal(once[grid32.dealias_mask], c[grid32.dealias_mask])
-    assert np.all(once[~grid32.dealias_mask] == 0.0)
+    # to_spectral keeps the 2/3 band alone, so to_physical after it is the
+    # orthogonal projection onto band-limited fields: applied twice it
+    # changes nothing, and what it drops is orthogonal to what it keeps
+    f = rng.standard_normal((32, 32))
+    once = to_physical(grid32, to_spectral(grid32, f))
+    twice = to_physical(grid32, to_spectral(grid32, once))
+    assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
+    assert np.linalg.norm(once) <= np.linalg.norm(f)
+    assert abs(float(np.sum((f - once) * once))) <= 1e-13 * float(np.sum(f * f))
 
 
 def test_physical_product_equals_truncated_convolution(grid8, rng):
@@ -158,10 +167,9 @@ def test_physical_product_equals_truncated_convolution(grid8, rng):
     for grid in (grid8, make_grid(12, 8, 1.5e6, 1.0e6)):
         sa = band_limited_state(grid, rng)
         sb = band_limited_state(grid, rng)
-        ca, cb = sa.u, sb.u
-        prod = to_spectral(grid, to_physical(grid, ca) * to_physical(grid, cb))
-        got = dealias(grid, prod)
-        want = truncated_convolution(grid, ca, cb)
+        prod = to_physical(grid, sa.q[0]) * to_physical(grid, sb.q[0])
+        got = from_band(grid, to_spectral(grid, prod))
+        want = truncated_convolution(grid, sa.u, sb.u)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, grid.nx
 
@@ -174,26 +182,25 @@ def test_stacked_transforms_equal_per_slice_calls(rng):
     g = GRID_12x8
     phys = rng.standard_normal((2, 3, g.nx, g.ny))
     spec = to_spectral(g, phys)
-    assert spec.shape == phys.shape
+    assert spec.shape == (2, 3, g.nx, band(g).kb)
     for index in np.ndindex(phys.shape[:2]):
         assert np.array_equal(spec[index], to_spectral(g, phys[index]))
     back = to_physical(g, spec)
     assert back.shape == phys.shape
     for index in np.ndindex(phys.shape[:2]):
         assert np.array_equal(back[index], to_physical(g, spec[index]))
-    assert np.array_equal(dealias(g, spec)[1, 2], dealias(g, spec[1, 2]))
     with pytest.raises(ValueError, match="shape"):
         to_physical(g, np.zeros((3, g.ny, g.nx), dtype=complex))
 
 
 def test_inverse_equals_real_part_of_full_inverse(rng):
-    # the formula the benchmark checks its pinned states with; to_physical
-    # reads only the ky >= 0 half, Nyquist column included
+    # the formula the benchmark checks its pinned states with, on the full
+    # spectra State.u, v and eta rebuild; to_physical reads only the band
     g = GRID_12x8
     c = to_spectral(g, rng.standard_normal((2, 3, g.nx, g.ny)))
     got = to_physical(g, c)
-    want = np.fft.ifft2(c).real
-    assert got.dtype == np.float64 and got.shape == c.shape
+    want = np.fft.ifft2(from_band(g, c)).real
+    assert got.dtype == np.float64 and got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -203,8 +210,8 @@ def test_band_columns_hold_the_two_thirds_band(shape):
     b = band(g)
     assert b.kb == -(-g.ny // 3)
     # every band mode is in the columns or the mirror of one that is
-    assert np.array_equal(b.mask, g.dealias_mask[:, : b.kb])
-    assert not np.any(g.dealias_mask[:, b.kb : g.ny - b.kb + 1])
+    assert np.array_equal(b.mask, full_band_mask(g)[:, : b.kb])
+    assert not np.any(full_band_mask(g)[:, b.kb : g.ny - b.kb + 1])
     assert np.array_equal(b.ikx, np.broadcast_to(1j * g.kx[:, None], b.mask.shape))
     assert np.array_equal(b.iky, np.broadcast_to(1j * g.ky[None, : b.kb], b.mask.shape))
 
@@ -212,26 +219,22 @@ def test_band_columns_hold_the_two_thirds_band(shape):
 @pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12)])
 def test_band_round_trip_and_transforms(shape, rng):
     g = make_grid(*shape, 1.5e6, 2.5e6)
-    coeffs = np.stack([band_limited_state(g, rng).u for _ in range(3)])
-    compact = take_band(g, coeffs)
+    compact = np.stack([band_limited_state(g, rng).q[0] for _ in range(3)])
     assert compact.shape == (3, g.nx, band(g).kb)
-    # the rebuild restores the band-limited field to its round-off
-    # Hermitian defect, and is itself exactly Hermitian
+    # the rebuild is exactly Hermitian and cuts back to the band stack
     full = from_band(g, compact)
-    scale = np.max(np.abs(coeffs))
-    assert np.max(np.abs(full - coeffs)) <= 1e-14 * scale
     mx, my = (-np.arange(g.nx)) % g.nx, (-np.arange(g.ny)) % g.ny
     assert np.array_equal(full[:, mx][:, :, my], np.conj(full))
     assert np.array_equal(take_band(g, full), compact)
 
-    phys = to_physical(g, coeffs)
-    got = band_to_physical(g, compact)
+    # the band transforms against numpy's full-grid ones
+    phys = np.fft.ifft2(full).real
+    got = to_physical(g, compact)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - phys)) <= 1e-14 * np.max(np.abs(phys))
-    spec = band_to_spectral(g, phys)
-    want = to_spectral(g, phys)[..., : band(g).kb]
-    assert np.max(np.abs(spec - want)) <= 1e-12 * np.max(np.abs(want))
+    spec = to_spectral(g, phys)
+    assert np.max(np.abs(spec - compact)) <= 1e-12 * np.max(np.abs(compact))
     with pytest.raises(ValueError, match="real"):
-        band_to_spectral(g, phys + 0j)
+        to_spectral(g, phys + 0j)
     with pytest.raises(ValueError, match="band stack"):
-        band_to_physical(g, coeffs)
+        to_physical(g, full)

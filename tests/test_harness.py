@@ -166,8 +166,9 @@ def test_reference_on_another_domain_is_rejected(tmp_path, small_cfg, capsys):
 
 
 def test_run_transforms_each_recorded_state_once(tmp_path, small_cfg, monkeypatch):
-    # physical_fields resolves to_physical in diagnostics; io and integrator
-    # keep the name too, so a transform there would be counted as well
+    # Trajectory.record transforms each recorded state's band stack once;
+    # io and diagnostics look the name up too, so a transform there would be
+    # counted as well
     calls = []
 
     def counted(grid, arr):
@@ -179,7 +180,7 @@ def test_run_transforms_each_recorded_state_once(tmp_path, small_cfg, monkeypatc
     out = tmp_path / "out"
     assert harness.main(["run", "--config", str(small_cfg), "--output", str(out)]) == 0
     assert list_snapshot_steps(str(out)) == [0, 1, 2, 3]
-    assert calls == [(3, 16, 16)] * 4
+    assert calls == [(3, 16, 6)] * 4  # kb = ceil(16/3)
 
 
 def test_run_failure_exits_1(tmp_path, small_cfg, capsys):

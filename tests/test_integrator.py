@@ -1,18 +1,21 @@
 """Time stepper: stage formula, plain-SSPRK3 equivalence, convergence, runs."""
 
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from phaseswe import integrator
 from phaseswe.averaging import averaged_tendency, kernel_weights
 from phaseswe.config import default_config
 from phaseswe.dynamics import (State, apply_nonlinear, energy_norm, flat_bottom,
                                max_frequency)
-from phaseswe.grid import band, make_grid, take_band, to_spectral
+from phaseswe.grid import band, make_grid
 from phaseswe.integrator import (StepConfig, make_step_config, run,
                                  step_averaged_ssprk3)
-from phaseswe.oracles import band_limited_state
+from phaseswe.oracles import band_limited_state, full_band_mask, take_band
 from phaseswe.propagator import PropagatorSpec, choose_npoly, exact_exp
 from phaseswe.testcase import balanced_jet, physics_params
 
@@ -132,6 +135,37 @@ def test_run_with_workers_matches_serial(problem32):
     assert serial.energy == threaded.energy
 
 
+def test_failed_run_leaves_no_node_running(problem32, monkeypatch):
+    # one node fails at once while the others sleep; run must wait for them,
+    # or a sleeper would write into scratch that the caller's next run reuses
+    grid, params, state = problem32
+    cfg = make_step_config(grid, params, dt=1800.0, T=1800.0, M=2)
+    lock = threading.Lock()
+    calls, running = [0], [0]
+
+    def nonlinear(q, g, p):
+        with lock:
+            calls[0] += 1
+            first = calls[0] == 1
+            running[0] += 1
+        try:
+            if first:
+                raise ValueError("node failure")
+            time.sleep(0.2)
+            return apply_nonlinear(q, g, p)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def step(state, config, params, executor=None):
+        return step_averaged_ssprk3(state, config, params, executor, nonlinear=nonlinear)
+
+    monkeypatch.setattr(integrator, "step_averaged_ssprk3", step)
+    with pytest.raises(RuntimeError, match="node failure"):
+        run(state, cfg, params, t_end=1800.0, workers=2)
+    assert calls[0] >= 2 and running[0] == 0
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nonfinite_state_aborts_with_stage_index(problem32):
     grid, params, state = problem32
@@ -150,8 +184,8 @@ def noisy_problem(rng):
     grid = make_grid(18, 12, 2.5e6, 1.5e6)
     params = physics_params(replace(default_config(), r0=3.0e5, xc=4.0e5, yc=6.0e5), grid)
     state = band_limited_state(grid, rng)
-    noise = to_spectral(grid, rng.standard_normal((3, grid.nx, grid.ny)))
-    noise[:, grid.dealias_mask] = 0.0
+    noise = np.fft.fft2(rng.standard_normal((3, grid.nx, grid.ny)))
+    noise[:, full_band_mask(grid)] = 0.0
     assert all(np.any(c != 0.0) for c in noise)
     return grid, params, state, np.stack((state.u, state.v, state.eta)) + noise
 

@@ -23,7 +23,7 @@ def test_snapshot_roundtrip_bitwise(tmp_path, grid32, rng):
     outdir = str(tmp_path)
     write_snapshot(outdir, 12, state)
 
-    eta_phys = to_physical(grid32, state.eta)
+    eta_phys = to_physical(grid32, state.q[2])
     data, meta = read_snapshot_field(outdir, 12, "eta")
     assert np.array_equal(data, eta_phys)
     assert meta["field"] == "eta"
@@ -39,7 +39,7 @@ def test_snapshot_binary_layout(tmp_path, grid32, rng):
     write_snapshot(str(tmp_path), 0, state)
     raw = (tmp_path / "snap_0000000_u.f64").read_bytes()
     assert len(raw) == 32 * 32 * 8
-    u_phys = to_physical(grid32, state.u)
+    u_phys = to_physical(grid32, state.q[0])
     assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(32, 32), u_phys)
     # row-major: the first ny values are the first x row
     assert np.array_equal(np.frombuffer(raw[:32 * 8], dtype="<f8"), u_phys[0])
