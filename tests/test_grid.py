@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from phaseswe.dynamics import State, energy_inner, flat_bottom
 from phaseswe.grid import (band, from_band, make_grid, mirror_ky0, scratch,
                            to_physical, to_spectral)
 from phaseswe.oracles import (band_limited_state, full_band_mask, take_band,
@@ -148,6 +149,21 @@ def test_constant_field_maps_to_mean_mode(grid32):
     off = c.copy()
     off[0, 0] = 0.0
     assert np.max(np.abs(off)) <= 1e-10 * abs(c[0, 0])
+
+
+def test_integrate_product_matches_riemann_sum(grid32, rng):
+    # the domain integral of a product of band-limited fields, read off their
+    # band spectra by energy_inner's Parseval weights (eta alone, g = 1),
+    # against the physical-space Riemann sum; 12 x 8 has Lx != Ly
+    for grid in (grid32, make_grid(12, 8, 1.5e6, 1.0e6)):
+        params = flat_bottom(grid, 0.0, 1.0, 1.0)
+        a, b = (to_physical(grid, to_spectral(grid, f))
+                for f in rng.standard_normal((2, grid.nx, grid.ny)))
+        zero = np.zeros((grid.nx, grid.ny))
+        sa, sb = (State(grid, to_spectral(grid, np.stack((zero, zero, f))))
+                  for f in (a, b))
+        want = grid.cell_area * float(np.sum(a * b))
+        assert energy_inner(sa, sb, params) == pytest.approx(want, rel=1e-12)
 
 
 def test_dealias_is_idempotent_projection(grid32, rng):
