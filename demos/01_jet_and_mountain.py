@@ -39,9 +39,10 @@ u_phys, _v_phys, eta_phys = to_physical(grid, jet.q)
 print("  max |u| = %.3f m/s, eta range [%.2f, %.2f] m"
       % (np.abs(u_phys).max(), eta_phys.min(), eta_phys.max()))
 
-# the mountain: a cone of height b0 and radius r0 on the eastward jet,
-# spectrally truncated, so expect small Gibbs ripples around the base;
-# the physics keeps its physical field, b_phys, for the diagnostics
+# the mountain: a cone of height b0 and radius r0 on the eastward jet;
+# the physics keeps its 2/3 band b for the dynamics and that band's
+# physical field b_phys for the diagnostics, so expect small Gibbs ripples
+# around the base
 rough = physics_params(case, grid)
 b_phys = rough.b_phys
 volume = grid.cell_area * b_phys.sum()

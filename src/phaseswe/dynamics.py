@@ -11,8 +11,8 @@ eigenvalues {0, +i omega, -i omega}, omega = sqrt(f^2 + g H |k|^2).  L is
 skew-adjoint in the energy inner product H (u u' + v v') + g eta eta'.
 
 A State holds U as q, its compact (3, nx, kb) band stack (grid module),
-kb = ceil(ny/3); u, v and eta are read-only full spectra built from q.  N is
-a band kernel: apply_nonlinear(q, grid, params) maps the band stack of U to
+kb = ceil(ny/3), and PhysicsParams holds b as its (nx, kb) band.  N is a
+band kernel: apply_nonlinear(q, grid, params) maps the band stack of U to
 that of N(U), zero outside the 2/3 band and the band of an exactly Hermitian
 field.  Its seven inverse and four forward transforms are one to_physical
 and one to_spectral call (numpy.fft), and every intermediate lives in the
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import (SpectralGrid, band, band_width, from_band, mirror_ky0, scratch,
-                   to_physical, to_spectral)
+from .grid import (SpectralGrid, band, band_width, from_band, scratch, to_physical,
+                   to_spectral)
 
 __all__ = [
     "PhysicsParams",
@@ -45,32 +45,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Physical constants and bottom topography.
+    """Physical constants and the bottom topography on a grid.
 
-    b is the spectral field of a real topography, already dealiased where it
-    matters; its physical maximum must stay below the mean depth H.  b_phys,
-    the physical topography, is computed once here for that check, by the
-    irfft2 of its ky >= 0 half, and kept for the diagnostics.
+    b_phys is passed as the real physical topography (nx, ny) and kept as
+    the physical field of its 2/3 band b = to_spectral(grid, b_phys), the
+    (nx, kb) band stack the dynamics reads, so the diagnostics see the same
+    topography.  Both are read-only, and b_phys must peak below the depth H.
     """
 
+    grid: SpectralGrid = field(repr=False)
     f: float
     g: float
     H: float
-    b: np.ndarray = field(repr=False)
-    b_phys: np.ndarray = field(init=False, repr=False, compare=False)
+    b_phys: np.ndarray = field(repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.g > 0:
             raise ValueError(f"g must be positive, got {self.g}")
         if not self.H > 0:
             raise ValueError(f"H must be positive, got {self.H}")
-        b = np.asarray(self.b, dtype=np.complex128)
-        object.__setattr__(self, "b", b)
-        if b.ndim != 2:
-            raise ValueError(f"b must be a 2D spectral field, got shape {b.shape}")
-        b_phys = np.fft.irfft2(b[:, : b.shape[1] // 2 + 1], s=b.shape)
-        b_phys.setflags(write=False)
-        object.__setattr__(self, "b_phys", b_phys)
+        b = to_spectral(self.grid, self.b_phys)
+        b_phys = to_physical(self.grid, b)
+        for name, arr in (("b", b), ("b_phys", b_phys)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         bmax = float(b_phys.max())
         if bmax >= self.H:
             raise ValueError(
@@ -79,8 +78,7 @@ class PhysicsParams:
 
 def flat_bottom(grid: SpectralGrid, f: float, g: float, H: float) -> PhysicsParams:
     """PhysicsParams with b identically zero."""
-    return PhysicsParams(f=f, g=g, H=H,
-                         b=np.zeros((grid.nx, grid.ny), dtype=np.complex128))
+    return PhysicsParams(grid, f, g, H, np.zeros((grid.nx, grid.ny)))
 
 
 @dataclass(frozen=True)
@@ -158,29 +156,27 @@ def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
     """Band stack of N(U), momentum advection and flux-form continuity, for
     the state U whose (3, nx, kb) band stack is q.
 
-    Products are formed in physical space; inputs are truncated to the 2/3
-    band |wrap| < n/3 (a no-op on band-limited states) and the result is
-    dealiased, so no product of two retained modes aliases back into the
-    band: this is the truncated convolution.  The mean eta tendency is exactly
-    zero, both continuity terms being divergences.  Column ky = 0 is mirrored
-    (mirror_ky0): the result is the band of an exactly Hermitian field.
+    q must be zero outside the 2/3 band, as a State's q, its shifts and their
+    sums are; nothing here truncates it again.  Products are formed in
+    physical space and to_spectral keeps their 2/3 band, so no product of two
+    retained modes aliases back into the band: the truncated convolution.
+    The mean eta tendency is exactly zero, both continuity terms being
+    divergences.  The result is the band of an exactly Hermitian field:
+    to_spectral mirrors column ky = 0, and i kx keeps the mirror.
     """
     bd = band(grid)
-    if np.shape(q) != (3, grid.nx, bd.kb):
-        raise ValueError(f"apply_nonlinear needs a (3, nx, kb) = "
-                         f"{(3, grid.nx, bd.kb)} band stack, got shape {np.shape(q)}")
-    if params.b.shape != (grid.nx, grid.ny):
-        raise ValueError(f"topography shape {params.b.shape} does not match grid "
-                         f"{(grid.nx, grid.ny)}")
-
     nx, ny, kb = grid.nx, grid.ny, bd.kb
-    # (u, v, eta - b) truncated to the band, then the four velocity gradients;
-    # c[3] holds eta - b until its gradient overwrites it
+    if np.shape(q) != (3, nx, kb):
+        raise ValueError(f"apply_nonlinear needs a (3, nx, kb) = "
+                         f"{(3, nx, kb)} band stack, got shape {np.shape(q)}")
+    if params.b.shape != (nx, kb):
+        raise ValueError(f"topography band shape {params.b.shape} does not match "
+                         f"the grid's (nx, kb) = {(nx, kb)}")
+
+    # (u, v, eta - b), then the four velocity gradients
     c = scratch("apply_nonlinear.c", (7, nx, kb))
-    c[:3] = 0.0
-    np.subtract(q[2], params.b[:, :kb], out=c[3])
-    for dst, coeffs in zip(c, (q[0], q[1], c[3])):
-        np.copyto(dst, coeffs, where=bd.mask)
+    c[:2] = q[:2]
+    np.subtract(q[2], params.b, out=c[2])
     np.multiply(bd.ikx, c[0], out=c[3])
     np.multiply(bd.iky, c[0], out=c[4])
     np.multiply(bd.ikx, c[1], out=c[5])
@@ -199,16 +195,15 @@ def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
     np.negative(uy, out=uy)
     np.multiply(u, depth, out=vx)
     np.multiply(v, depth, out=vy)
-    du, dv, flux_x, flux_y = to_spectral(
-        grid, phys[3:], out=scratch("apply_nonlinear.products", (4, nx, kb)))
-    # -(i kx flux_x + i ky flux_y) in c[3], then everything dealiased
-    np.multiply(bd.ikx, flux_x, out=c[3])
-    c[3] += np.multiply(bd.iky, flux_y, out=c[4])
-    np.negative(c[3], out=c[3])
-    out = np.zeros((3, nx, kb), dtype=np.complex128)
-    for dst, coeffs in zip(out, (du, dv, c[3])):
-        np.copyto(dst, coeffs, where=bd.mask)
-    return mirror_ky0(out)
+    products = to_spectral(grid, phys[3:],
+                           out=scratch("apply_nonlinear.products", (4, nx, kb)))
+    # du and dv, then -(i kx flux_x + i ky flux_y)
+    out = np.empty((3, nx, kb), dtype=np.complex128)
+    out[:2] = products[:2]
+    np.multiply(bd.ikx, products[2], out=out[2])
+    out[2] += np.multiply(bd.iky, products[3], out=c[4])
+    np.negative(out[2], out=out[2])
+    return out
 
 
 def dispersion_omega(kappa, params: PhysicsParams) -> np.ndarray:

@@ -10,18 +10,17 @@ Spectra have one layout: the compact 2/3 band.  The solver keeps the modes
 |wrap| < n/3 per direction (Orszag's 2/3 rule), and every such mode of a
 real field is fixed by the ky >= 0 band columns 0 .. kb - 1, kb = ceil(ny/3):
 the other band modes are their conjugate mirrors.  So a spectral field, and
-dynamics.State, is a complex (..., nx, kb) band stack, zero outside the band
-(``band(grid).mask``) and with column ky = 0 conjugate-symmetric in kx
-(``mirror_ky0``).  ``to_spectral`` maps real physical fields (..., nx, ny)
-to their band stacks and ``to_physical`` maps band stacks back, real by
-construction; ``from_band`` rebuilds the full Hermitian (..., nx, ny)
-spectrum of a band stack, for topography and for read-only views.  The
-transforms are ``numpy.fft``, write their result through ``out=`` when
-given one, and keep their intermediate spectra in ``scratch`` arrays:
-reusable stacks of the calling thread, one per (name, trailing shape,
-dtype), grown to the most rows asked for (one row per averaging node, say),
-so a kernel that passes its own scratch as ``out`` allocates nothing per
-call and threads never share one.
+dynamics.State, is a complex (..., nx, kb) band stack, zero on the kx rows
+outside the band and with column ky = 0 conjugate-symmetric in kx
+(``mirror_ky0``).  ``to_spectral`` maps real fields (..., nx, ny) to their
+band stacks and is the one place that truncates; ``to_physical`` maps band
+stacks back, real by construction; ``from_band`` rebuilds a band stack's
+full Hermitian (..., nx, ny) spectrum.  The transforms are ``numpy.fft``,
+write their result through ``out=`` when given one, and keep their
+intermediate spectra in ``scratch`` arrays: reusable stacks of the calling
+thread, one per (name, trailing shape, dtype), grown to the most rows asked
+for (one row per averaging node, say), so a kernel that passes its own
+scratch as ``out`` allocates nothing per call and threads never share one.
 """
 
 from __future__ import annotations
@@ -117,31 +116,29 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> SpectralGrid:
 
 
 class Band(NamedTuple):
-    """The ky >= 0 band columns of a grid: their count kb = ceil(ny/3), the
-    2/3 mask on them and i kx, i ky, each a read-only (nx, kb) array."""
+    """The ky >= 0 band columns of a grid: their count kb = ceil(ny/3) and
+    i kx, i ky on them, each a read-only (nx, kb) array."""
 
     kb: int
-    mask: np.ndarray
     ikx: np.ndarray
     iky: np.ndarray
 
 
-def band_width(ny: int) -> int:
-    """kb = ceil(ny/3): the columns 0 <= wy < ny/3 of the 2/3 band."""
-    return -(-ny // 3)
+def band_width(n: int) -> int:
+    """ceil(n/3), the wavenumbers 0 <= w < n/3 kept along an axis of n points
+    (kb = band_width(ny) band columns).  2/3 rule: keep |wrap| < n/3, exact
+    in integer arithmetic.  Two kept modes then sum to |wrap| < 2n/3, so their
+    product's wrap-around image lands outside the band; keeping |wrap| = n/3
+    would let it alias back in."""
+    return -(-n // 3)
 
 
 @lru_cache(maxsize=8)
 def _band(nx: int, ny: int, Lx: float, Ly: float) -> Band:
     grid = make_grid(nx, ny, Lx, Ly)
     kb = band_width(ny)
-    # 2/3 rule: keep |wrap| < n/3, exact in integer arithmetic.  Two kept
-    # modes then sum to |wrap| < 2n/3, so their product's wrap-around image
-    # lands outside the band; keeping |wrap| = n/3 would let it alias back in.
-    mask = ((3 * np.abs(_wrap_indices(nx))[:, None] < nx)
-            & (3 * np.abs(_wrap_indices(ny))[None, :kb] < ny))
     kx2, ky2 = np.broadcast_arrays(grid.kx[:, None], grid.ky[None, :kb])
-    arrays = (mask, 1j * kx2, 1j * ky2)
+    arrays = (1j * kx2, 1j * ky2)
     for arr in arrays:
         arr.setflags(write=False)
     return Band(kb, *arrays)
@@ -235,7 +232,8 @@ def to_spectral(grid: SpectralGrid, phys: np.ndarray,
     half = np.fft.rfft(phys.astype(np.float64, copy=False), axis=-1, out=scratch(
         "to_spectral", phys.shape[:-1] + (grid.ny // 2 + 1,)))
     out = mirror_ky0(np.fft.fft(half[..., : band_width(grid.ny)], axis=-2, out=out))
-    # on the band columns, the out-of-band modes are the kx rows nx/3 <= |wx|
+    # the 2/3 rule (band_width): the band columns keep wy < ny/3, and on them
+    # the out-of-band modes are the kx rows nx/3 <= |wx|
     kbx = band_width(grid.nx)
     out[..., kbx : grid.nx - kbx + 1, :] = 0.0
     return out

@@ -193,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, workers=args.workers)
         if args.output is not None:
             cfg = replace(cfg, output_dir=args.output)
+        # before any step; RunConfig admits "" for configs never written
+        if args.command != "validate" and not cfg.output_dir:
+            raise ConfigError(f"{args.command} needs a nonempty output_dir")
         if args.command == "sweep":
             try:
                 t_list = [float(part) for part in args.tlist.split(",") if part.strip()]

@@ -98,7 +98,7 @@ def list_snapshot_steps(outdir: str) -> list[int]:
 
 def read_snapshot_state(outdir: str, step: int | None = None) -> State:
     """Rebuild a State, the 2/3 band of the snapshot's spectra, from a written
-    snapshot (default: the last one)."""
+    snapshot (default: the last one) whose sidecars agree on time and grid."""
     if step is None:
         steps = list_snapshot_steps(outdir)
         if not steps:
@@ -106,6 +106,11 @@ def read_snapshot_state(outdir: str, step: int | None = None) -> State:
         step = steps[-1]
     arrays, metas = zip(*(read_snapshot_field(outdir, step, name) for name in _FIELDS))
     meta = metas[-1]
+    for name, other in zip(_FIELDS, metas):
+        for key in ("time_seconds", "nx", "ny", "Lx", "Ly"):
+            if other[key] != meta[key]:
+                raise ValueError(f"snapshot {step}: {name} has {key} = {other[key]}, "
+                                 f"eta has {meta[key]}")
     grid = make_grid(int(meta["nx"]), int(meta["ny"]),
                      float(meta["Lx"]), float(meta["Ly"]))
     return State(grid, to_spectral(grid, np.stack(arrays)),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import PhysicsParams, State
-from .grid import SpectralGrid, band_width, to_spectral
+from .grid import SpectralGrid, band_width, from_band, to_spectral
 
 __all__ = [
     "wrap_indices",
@@ -101,7 +101,7 @@ def nonlinear_tendency(state: State, params: PhysicsParams) -> State:
     def conv(a, b):
         return truncated_convolution(grid, a, b)
 
-    u, v, depth = state.u, state.v, state.eta - params.b
+    u, v, depth = state.u, state.v, state.eta - from_band(grid, params.b)
     return State(grid, take_band(grid, (-(conv(u, ikx * u) + conv(v, iky * u)),
                                         -(conv(u, ikx * v) + conv(v, iky * v)),
                                         -(ikx * conv(u, depth) + iky * conv(v, depth)))),

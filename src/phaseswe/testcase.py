@@ -17,18 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import PhysicsParams, State, flat_bottom
-from .grid import SpectralGrid, band, from_band, to_spectral
+from .dynamics import PhysicsParams, State
+from .grid import SpectralGrid, band, to_spectral
 
 __all__ = ["mountain", "balanced_jet", "physics_params"]
 
 
 def mountain(cfg: RunConfig, grid: SpectralGrid) -> np.ndarray:
-    """Spectral cone topography b0 (1 - min(r, r0)/r0): the full (nx, ny)
-    spectrum of its 2/3 band, so it is dealiased at construction.
+    """Physical cone topography b0 (1 - min(r, r0)/r0), shape (nx, ny).
 
-    r is the periodic distance to the centre.  Truncation leaves small Gibbs
-    ripples; the undershoot is visible in the physical field, not hidden.
+    r is the periodic distance to the centre.  PhysicsParams keeps the cone's
+    2/3 band, whose truncation leaves small Gibbs ripples; the undershoot is
+    visible in its b_phys, not hidden.
     """
     if not cfg.r0 < min(grid.Lx, grid.Ly) / 2.0:
         raise ValueError(f"mountain radius {cfg.r0} must be below half the domain")
@@ -39,8 +39,7 @@ def mountain(cfg: RunConfig, grid: SpectralGrid) -> np.ndarray:
     dx = np.minimum(dx, grid.Lx - dx)
     dy = np.minimum(dy, grid.Ly - dy)
     r = np.hypot(dx, dy)
-    b_phys = cfg.b0 * (1.0 - np.minimum(r, cfg.r0) / cfg.r0)
-    return from_band(grid, to_spectral(grid, b_phys))
+    return cfg.b0 * (1.0 - np.minimum(r, cfg.r0) / cfg.r0)
 
 
 def balanced_jet(cfg: RunConfig, grid: SpectralGrid) -> State:
@@ -68,8 +67,6 @@ def balanced_jet(cfg: RunConfig, grid: SpectralGrid) -> State:
 
 
 def physics_params(cfg: RunConfig, grid: SpectralGrid) -> PhysicsParams:
-    """PhysicsParams for the case: the cone topography, or a flat bottom
-    (bitwise zeros) when b0 = 0."""
-    if cfg.b0 == 0:
-        return flat_bottom(grid, cfg.f, cfg.g, cfg.H)
-    return PhysicsParams(f=cfg.f, g=cfg.g, H=cfg.H, b=mountain(cfg, grid))
+    """PhysicsParams for the case: the cone topography, a flat bottom
+    (bitwise zeros, as flat_bottom's) when b0 = 0."""
+    return PhysicsParams(grid, cfg.f, cfg.g, cfg.H, mountain(cfg, grid))

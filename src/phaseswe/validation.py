@@ -97,8 +97,7 @@ def check_small_grid_oracles(rng) -> CheckResult:
     product = nonlinear = linear = 0.0
     for nx, ny, Lx, Ly, (f, g, H), b_amp in _SMALL_CASES:
         grid = make_grid(nx, ny, Lx, Ly)
-        b = from_band(grid, to_spectral(grid, b_amp * rng.standard_normal((nx, ny))))
-        params = PhysicsParams(f=f, g=g, H=H, b=b)
+        params = PhysicsParams(grid, f, g, H, b_amp * rng.standard_normal((nx, ny)))
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
 
         phys = to_physical(grid, state.q[0]) * to_physical(grid, state.q[2])

@@ -12,7 +12,7 @@ from phaseswe.averaging import (Quadrature, averaged_tendency,
                                 default_node_count, kernel_weights)
 from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_norm,
                                flat_bottom, max_frequency)
-from phaseswe.grid import band, from_band, make_grid, to_spectral
+from phaseswe.grid import band, make_grid
 from phaseswe.oracles import band_limited_state, full_band_mask, take_band
 from phaseswe.propagator import PropagatorSpec, propagate, shift
 
@@ -88,7 +88,7 @@ def topography(grid):
     # a smooth ridge of amplitude 200 m, not aligned with either axis
     x, y = grid.x[:, None], grid.y[None, :]
     ridge = 200.0 * np.cos(2.0 * np.pi * (x / grid.Lx + y / grid.Ly))
-    return PhysicsParams(f=F0, g=G0, H=H0, b=from_band(grid, to_spectral(grid, ridge)))
+    return PhysicsParams(grid, F0, G0, H0, ridge)
 
 
 def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
@@ -232,8 +232,7 @@ def test_each_thread_has_its_own_workspace(grid32, rng):
     # apply_nonlinear and the Chebyshev recurrence keep every intermediate in
     # the calling thread's scratch arrays; four threads running both at once
     # on different inputs must reproduce the serial results bitwise
-    b = from_band(grid32, to_spectral(grid32, 30.0 * rng.standard_normal((32, 32))))
-    params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
+    params = PhysicsParams(grid32, F0, G0, H0, 30.0 * rng.standard_normal((32, 32)))
     spec = PropagatorSpec.chebyshev(max_frequency(grid32, params) * 3600.0)
     inputs = [band_limited_state(grid32, rng).q for _ in range(8)]
 

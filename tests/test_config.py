@@ -131,3 +131,19 @@ def test_construction_and_replace_are_validated():
         RunConfig(nx=9)
     with pytest.raises(ConfigError, match="workers"):
         dataclasses.replace(default_config(), workers=0)
+
+
+def test_empty_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # an empty output_dir used to run every step and only then fail in
+    # os.makedirs(''), exit 1; now each writing command exits 2 before a step
+    from phaseswe import harness
+
+    cfg = tmp_path / "empty_out.cfg"
+    cfg.write_text("nx = 8\nny = 8\ndt = 3600\nt_end = 3600\noutput_dir =\n"
+                   "reference_path = ref\n")
+    monkeypatch.chdir(tmp_path)
+    for command in (["run"], ["reference"], ["sweep", "--tlist", "0"]):
+        assert harness.main([*command, "--config", str(cfg)]) == 2
+        assert "nonempty output_dir" in capsys.readouterr().err
+        assert harness.main([*command, "--output", ""]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["empty_out.cfg"]

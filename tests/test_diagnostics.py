@@ -7,10 +7,10 @@ from phaseswe import diagnostics
 from phaseswe.config import default_config
 from phaseswe.diagnostics import (ErrorReport, energy_mass, l2_error_normalized,
                                   linf_error_eta, make_error_report)
-from phaseswe.dynamics import PhysicsParams, State, flat_bottom
+from phaseswe.dynamics import State, flat_bottom
 from phaseswe.grid import to_physical, to_spectral
 from phaseswe.oracles import band_limited_state
-from phaseswe.testcase import mountain
+from phaseswe.testcase import physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
 
@@ -33,14 +33,13 @@ def test_rest_state_energy_and_mass(grid32):
 
 def test_rest_state_over_mountain(grid64):
     case = default_config()
-    b = mountain(case, grid64)
-    params = PhysicsParams(f=case.f, g=case.g, H=case.H, b=b)
+    params = physics_params(case, grid64)
     zeros = np.zeros((64, 64))
     rest = state_from_physical(grid64, zeros, zeros, zeros)
     energy, mass = energy_mass(rest, params)
     assert energy == 0.0
     # the mountain displaces exactly its own volume, given by the mean mode
-    volume = float(b[0, 0].real) / (64 * 64) * grid64.Lx * grid64.Ly
+    volume = float(params.b[0, 0].real) / (64 * 64) * grid64.Lx * grid64.Ly
     want = case.H * grid64.Lx * grid64.Ly - volume
     assert mass == pytest.approx(want, rel=1e-13)
 
@@ -109,7 +108,7 @@ def test_error_report_assembly(grid32):
 def test_error_report_transforms_each_state_once(grid32, rng, monkeypatch):
     # one stacked to_physical of each state's whole (3, nx, kb) band stack
     case = default_config()
-    params = PhysicsParams(f=case.f, g=case.g, H=case.H, b=mountain(case, grid32))
+    params = physics_params(case, grid32)
     initial, test, ref = (band_limited_state(grid32, rng) for _ in range(3))
     l2, linf = l2_error_normalized(test, ref), linf_error_eta(test, ref)
     e0, m0 = energy_mass(initial, params)

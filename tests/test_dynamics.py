@@ -46,8 +46,7 @@ def test_nonlinear_matches_convolution_oracle(grid8, rng):
     for grid in (grid8, make_grid(12, 8, 1.5e6, 1.0e6)):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
-        b = from_band(grid, to_spectral(grid, b_phys))
-        params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
+        params = PhysicsParams(grid, F0, G0, H0, b_phys)
         out = nonlinear_state(state, params)
         want = nonlinear_tendency(state, params)
         for name in ("u", "v", "eta"):
@@ -140,14 +139,35 @@ def test_energy_norm_is_propagation_invariant(grid32, rng):
 
 
 def test_params_validation(grid8, rng):
-    zeros = np.zeros((8, 8), dtype=complex)
+    zeros = np.zeros((8, 8))
     with pytest.raises(ValueError, match="g"):
-        PhysicsParams(f=F0, g=0.0, H=H0, b=zeros)
+        PhysicsParams(grid8, F0, 0.0, H0, zeros)
     with pytest.raises(ValueError, match="H"):
-        PhysicsParams(f=F0, g=G0, H=-1.0, b=zeros)
-    tall = from_band(grid8, to_spectral(grid8, np.full((8, 8), 2.0 * H0)))
+        PhysicsParams(grid8, F0, G0, -1.0, zeros)
     with pytest.raises(ValueError, match="peak"):
-        PhysicsParams(f=F0, g=G0, H=H0, b=tall)
+        PhysicsParams(grid8, F0, G0, H0, np.full((8, 8), 2.0 * H0))
+    with pytest.raises(ValueError, match="shape"):
+        PhysicsParams(grid8, F0, G0, H0, np.zeros((32, 32)))
+    with pytest.raises(ValueError, match="real"):
+        PhysicsParams(grid8, F0, G0, H0, zeros.astype(complex))
+
+
+@pytest.mark.parametrize("shape", [(12, 8), (12, 18), (18, 12)])
+def test_topography_is_the_band_of_its_physical_field(shape, rng):
+    # b is the 2/3 band of the raw field: on the full layout, fft2 under the
+    # oracles' own mask; b_phys is that band's physical field, and both are
+    # read-only (Lx != Ly and nx != ny, so a swapped axis would show)
+    grid = make_grid(*shape, 1.5e6, 2.5e6)
+    raw = 30.0 * rng.standard_normal(shape)
+    params = PhysicsParams(grid, F0, G0, H0, raw)
+    want = np.where(full_band_mask(grid), np.fft.fft2(raw), 0.0)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(from_band(grid, params.b) - want)) <= 1e-12 * scale
+    b_phys = np.fft.ifft2(want).real
+    assert np.max(np.abs(params.b_phys - b_phys)) <= 1e-12 * np.max(np.abs(b_phys))
+    for arr in (params.b, params.b_phys):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 def test_state_arithmetic(grid8, grid32, rng):
@@ -175,7 +195,7 @@ def test_state_arithmetic(grid8, grid32, rng):
     # every band column, at every even nx from 8 to 128
     for nx in range(8, 130, 2):
         grid = make_grid(nx, 8, 1.0e6, 1.0e6)
-        mask = band(grid).mask
+        mask = full_band_mask(grid)[:, : band(grid).kb]
         State(grid, np.where(mask, 1.0 + 1.0j, 0.0)[None].repeat(3, axis=0))
         for i, j in zip(*np.nonzero(~mask)):
             q = np.zeros((3, nx, band(grid).kb), dtype=complex)
@@ -217,7 +237,7 @@ def test_spectra_outside_the_band_are_rejected(rng):
 
 def test_nonlinear_checks_topography_shape(grid8, grid32, rng):
     state = band_limited_state(grid8, rng)
-    wrong = PhysicsParams(f=F0, g=G0, H=H0, b=np.zeros((32, 32), dtype=complex))
+    wrong = flat(grid32)  # a (32, kb) band topography against an 8 x 8 state
     with pytest.raises(ValueError, match="topography"):
         nonlinear_state(state, wrong)
 
@@ -240,9 +260,10 @@ def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
             return fn(grid, arr, *args, **kwargs)
         return wrapper
 
+    # PhysicsParams transforms its topography once, before the count starts
+    rough = physics_params(default_config(), grid32)
     for name in calls:
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
-    rough = physics_params(default_config(), grid32)
     state = band_limited_state(grid32, rng)
     first = nonlinear_state(state, rough)
     kb = 11  # band columns 0 <= wy < 32/3
@@ -265,8 +286,7 @@ def test_band_kernel_matches_convolution_oracle_on_anisotropic_grids(rng):
         assert band(grid).kb == grid.ny // 3
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
-        b = from_band(grid, to_spectral(grid, b_phys))
-        params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
+        params = PhysicsParams(grid, F0, G0, H0, b_phys)
         out = nonlinear_state(state, params)
         want = nonlinear_tendency(state, params)
         for name in ("u", "v", "eta"):
@@ -282,8 +302,7 @@ def test_nonlinear_ky0_column_is_exactly_hermitian(rng):
     for grid in (make_grid(32, 32, 4.0e7, 4.0e7), make_grid(18, 12, 2.5e6, 1.5e6)):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
-        b = from_band(grid, to_spectral(grid, b_phys))
-        params = PhysicsParams(f=F0, g=G0, H=H0, b=b)
+        params = PhysicsParams(grid, F0, G0, H0, b_phys)
         out = apply_nonlinear(state.q, grid, params)
         assert out.shape == (3, grid.nx, band(grid).kb)
         col = out[:, :, 0]

@@ -40,14 +40,14 @@ def test_wavenumbers_follow_fft_ordering():
     assert g.cell_area == pytest.approx(g.dx * g.dy)
 
 
-def test_dealias_mask_keeps_two_thirds_band():
-    # the oracles' full-grid mask from the wrap indices, and the band's mask
-    # on its columns 0 .. kb - 1
+def test_dealias_mask_keeps_two_thirds_band(rng):
+    # the oracles' full-grid mask from the wrap indices, and the modes that
+    # to_spectral keeps of a random field: its band columns 0 .. kb - 1
     g = make_grid(8, 8, 1.0, 1.0)
     wx = wrap_indices(8)
     expected = (3 * np.abs(wx)[:, None] < 8) & (3 * np.abs(wx)[None, :] < 8)
     assert np.array_equal(full_band_mask(g), expected)
-    mask = band(g).mask
+    mask = to_spectral(g, rng.standard_normal((8, 8))) != 0
     assert np.array_equal(mask, expected[:, :3])
     # |wrap| <= 2 in each direction: a 5x5 block survives, 5x3 of it on the
     # band columns
@@ -58,7 +58,9 @@ def test_dealias_mask_keeps_two_thirds_band():
 
     g12 = make_grid(12, 12, 1.0, 1.0)
     # |wrap| <= 3: 4 = 12/3 would alias
-    assert int(full_band_mask(g12).sum()) == 49 and int(band(g12).mask.sum()) == 28
+    kept = to_spectral(g12, rng.standard_normal((12, 12))) != 0
+    assert int(full_band_mask(g12).sum()) == 49 and int(kept.sum()) == 28
+    assert np.array_equal(kept, full_band_mask(g12)[:, : band(g12).kb])
 
 
 def test_transform_roundtrip(grid32, rng):
@@ -93,7 +95,8 @@ def test_to_spectral_is_exactly_hermitian(shape, rng):
     mx, my = (-np.arange(g.nx)) % g.nx, (-np.arange(g.ny)) % g.ny
     assert np.array_equal(c[:, mx][:, :, my], np.conj(c))
     mask = full_band_mask(g)
-    assert np.array_equal(band(g).mask, mask[:, : band(g).kb])
+    kept = np.broadcast_to(mask[:, : band(g).kb], (2, g.nx, band(g).kb))
+    assert np.array_equal(to_spectral(g, phys) != 0, kept)
     want = np.where(mask, np.fft.fft2(phys), 0.0)
     assert np.max(np.abs(c - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -114,7 +117,7 @@ def test_band_transforms_are_bitwise_scipy_fft(shape, rng):
     spec = np.empty((4, g.nx, kb), dtype=complex)
     assert to_spectral(g, phys, out=spec) is spec
     want = mirror_ky0(scipy.fft.fft(scipy.fft.rfft(phys, axis=-1)[..., :kb], axis=-2))
-    assert np.array_equal(spec, np.where(band(g).mask, want, 0.0))
+    assert np.array_equal(spec, np.where(full_band_mask(g)[:, :kb], want, 0.0))
     assert np.array_equal(to_spectral(g, phys), spec)
 
 
@@ -221,15 +224,17 @@ def test_inverse_equals_real_part_of_full_inverse(rng):
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12), (32, 32)])
-def test_band_columns_hold_the_two_thirds_band(shape):
+def test_band_columns_hold_the_two_thirds_band(shape, rng):
     g = make_grid(*shape, 1.5e6, 2.5e6)
     b = band(g)
     assert b.kb == -(-g.ny // 3)
-    # every band mode is in the columns or the mirror of one that is
-    assert np.array_equal(b.mask, full_band_mask(g)[:, : b.kb])
+    # every band mode is in the columns or the mirror of one that is, and
+    # to_spectral keeps exactly the band modes of the columns
+    mask = full_band_mask(g)[:, : b.kb]
+    assert np.array_equal(to_spectral(g, rng.standard_normal((g.nx, g.ny))) != 0, mask)
     assert not np.any(full_band_mask(g)[:, b.kb : g.ny - b.kb + 1])
-    assert np.array_equal(b.ikx, np.broadcast_to(1j * g.kx[:, None], b.mask.shape))
-    assert np.array_equal(b.iky, np.broadcast_to(1j * g.ky[None, : b.kb], b.mask.shape))
+    assert np.array_equal(b.ikx, np.broadcast_to(1j * g.kx[:, None], mask.shape))
+    assert np.array_equal(b.iky, np.broadcast_to(1j * g.ky[None, : b.kb], mask.shape))
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12)])

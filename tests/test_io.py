@@ -56,6 +56,29 @@ def test_read_snapshot_state_rebuilds_spectral_state(tmp_path, grid32, rng):
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("field,key,value", [
+    ("u", "time_seconds", "451.0"),
+    ("v", "nx", "16"),
+    ("u", "ny", "64"),
+    ("v", "Lx", "1.0"),
+    ("u", "Ly", "2.0"),
+])
+def test_read_snapshot_state_rejects_sidecars_that_disagree(tmp_path, grid32, rng,
+                                                           field, key, value):
+    # eta's sidecar alone used to fix the grid and the time, so a u/v/eta set
+    # from two writes was read as one state; a changed nx or ny no longer
+    # matches the field's own data, which is caught first, naming its file
+    write_snapshot(str(tmp_path), 3, band_limited_state(grid32, rng, t=450.0))
+    meta = tmp_path / f"snap_0000003_{field}.meta"
+    lines = meta.read_text().splitlines()
+    meta.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} =")
+                            else line + "\n" for line in lines))
+    match = (f"snap_0000003_{field}.f64 has 1024 values" if key in ("nx", "ny")
+             else f"{field} has {key} = {value}, eta has")
+    with pytest.raises(ValueError, match=match):
+        read_snapshot_state(str(tmp_path), 3)
+
+
 def test_list_snapshot_steps_and_latest(tmp_path, grid32, rng):
     outdir = str(tmp_path)
     for step in (5, 0, 12):

@@ -7,7 +7,7 @@ import pytest
 
 from phaseswe.config import ConfigError, RunConfig, default_config
 from phaseswe.dynamics import PhysicsParams, flat_bottom
-from phaseswe.grid import band, make_grid, to_physical
+from phaseswe.grid import from_band, make_grid, to_physical, to_spectral
 from phaseswe.testcase import balanced_jet, mountain, physics_params
 
 
@@ -34,9 +34,9 @@ def test_case_validation():
 
 
 def test_mountain_volume_peak_and_position(grid64):
+    # the physics keeps the cone's 2/3 band; its ripples are checked here
     case = default_config()
-    b = mountain(case, grid64)
-    b_phys = to_physical(grid64, b[:, : band(grid64).kb])
+    b_phys = physics_params(case, grid64).b_phys
 
     volume = grid64.cell_area * float(b_phys.sum())
     cone = np.pi * case.r0**2 * case.b0 / 3.0
@@ -49,6 +49,14 @@ def test_mountain_volume_peak_and_position(grid64):
     assert abs(grid64.y[j] - case.yc) <= grid64.dy
     # truncation ripple may undershoot zero but only mildly
     assert float(b_phys.min()) >= -0.1 * case.b0
+
+
+def test_mountain_b_phys_is_the_irfft2_of_its_band(grid64):
+    # the physical topography was once the irfft2 of the full spectrum's
+    # ky >= 0 half; to_physical of the band gives the same bits
+    params = physics_params(default_config(), grid64)
+    half = from_band(grid64, params.b)[:, : 64 // 2 + 1]
+    assert np.array_equal(params.b_phys, np.fft.irfft2(half, s=(64, 64)))
 
 
 def test_mountain_radius_must_fit_the_domain():
@@ -83,7 +91,8 @@ def test_physics_params_wiring(grid64):
     case = default_config()
     rough = physics_params(case, grid64)
     assert isinstance(rough, PhysicsParams)
-    assert np.array_equal(rough.b, mountain(case, grid64))
+    assert np.array_equal(rough.b, to_spectral(grid64, mountain(case, grid64)))
+    assert np.array_equal(rough.b_phys, to_physical(grid64, rough.b))
     smooth = physics_params(replace(case, b0=0.0), grid64)
     flat = flat_bottom(grid64, case.f, case.g, case.H)
     assert smooth.b.dtype == flat.b.dtype and smooth.b.tobytes() == flat.b.tobytes()

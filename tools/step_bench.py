@@ -17,8 +17,10 @@ of the machine hits both sides alike:
   and at T = 1 h on the Chebyshev route, after two warm-up steps: 6 rounds
   per side of 12 timed steps per case.  Each step records its wall time and
   its minor page faults (`ru_minflt`).  Next to the medians of all steps
-  pooled, each round's median is kept per side and case, and round r of
-  the base and of the change form a pair.
+  pooled, each round's median and minimum are kept per side and case.
+  Round r of the base and of the change form a pair, and the change wins it
+  when its round minimum is lower: on a shared machine a round's minimum
+  follows the load less than its median does.
 - perfbench pairs.  `perfbench/run.py --workload W --seconds 36 --trace 0`
   of each tree, the side that runs first alternating from pair to pair.
 
@@ -140,13 +142,15 @@ def step_rounds(trees: dict, env: dict) -> dict:
 
 def pooled_rounds(sides: dict, field: str) -> dict:
     """compare() of every step of every round, pooled per side, with each
-    round's median per side and the rounds the change won, round r of each
-    side forming a pair."""
-    rounds = {s: [statistics.median(run[field]) for run in sides[s]]
-              for s in ("base", "change")}
+    round's median and minimum per side and the rounds the change won on
+    their minima, round r of each side forming a pair."""
+    medians, minima = ({s: [fn(run[field]) for run in sides[s]]
+                        for s in ("base", "change")}
+                       for fn in (statistics.median, min))
     out = compare(*([x for run in sides[s] for x in run[field]] for s in ("base", "change")),
-                  list(zip(rounds["base"], rounds["change"])))
-    out["round_medians"] = rounds
+                  list(zip(minima["base"], minima["change"])))
+    out["round_medians"] = medians
+    out["round_minima"] = minima
     return out
 
 
