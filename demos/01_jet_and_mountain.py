@@ -31,7 +31,7 @@ print("\nflat-bottom steadiness (energy norms, relative to f * |U|):")
 print("  |L U| / scale = %.3e" % (energy_norm(apply_linear(jet, flat), flat) / scale))
 # a State is its compact 2/3-band stack q, and the nonlinearity maps the q
 # of U to that of N(U)
-nonlinear = State(grid, apply_nonlinear(jet.q, grid, flat))
+nonlinear = State(grid, apply_nonlinear(jet.q, flat))
 print("  |N(U)| / scale = %.3e" % (energy_norm(nonlinear, flat) / scale))
 
 # to_physical maps the band stack q to the physical (u, v, eta)

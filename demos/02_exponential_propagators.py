@@ -22,7 +22,7 @@ grid = make_grid(64, 64, 4.0e7, 4.0e7)
 case = replace(default_config(), b0=0.0)   # flat bottom
 params = physics_params(case, grid)
 
-lam_max = max_frequency(grid, params)
+lam_max = max_frequency(params)
 print("dispersion on the default grid:")
 print("  slowest (mean) mode:  omega = f = %g 1/s -> period %.1f h"
       % (params.f, 2 * np.pi / params.f / 3600))

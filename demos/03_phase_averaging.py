@@ -20,7 +20,7 @@ from phaseswe import (PropagatorSpec, State, apply_nonlinear, averaged_tendency,
 grid = make_grid(64, 64, 4.0e7, 4.0e7)
 case = default_config()
 params = physics_params(case, grid)
-lam_max = max_frequency(grid, params)
+lam_max = max_frequency(params)
 
 # quadrature for a one-hour half-window; the bump kernel vanishes smoothly
 # at the window edges so the endpoint nodes carry zero weight
@@ -39,7 +39,7 @@ print("  weight sum = %.17g" % quad.w.sum())
 state = balanced_jet(case, grid)
 spec = PropagatorSpec.exact()
 # the nonlinearity maps the compact 2/3-band stack q of U to that of N(U)
-plain = State(grid, apply_nonlinear(state.q, grid, params))
+plain = State(grid, apply_nonlinear(state.q, params))
 plain_norm = energy_norm(plain, params)
 print("\naveraged vs plain nonlinear tendency on the perturbed jet:")
 for T in (60.0, 900.0, 3600.0, 14400.0):

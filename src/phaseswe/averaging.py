@@ -9,9 +9,10 @@ rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 2019), normalised to sum exactly to one.  The bump vanishes with all
 derivatives at the window edges, so the endpoint nodes carry zero weight.
 
-e^{Lt} acts mode by mode and N, like any nonlinear=, maps a (3, nx, kb)
-band stack to a band stack, so the core, band_averaged_tendency, runs every
-node term on U's band stack q (dynamics.State): one
+e^{Lt} acts mode by mode and N, like any nonlinear(q, params), maps a
+(3, nx, kb) band stack to a band stack on params.grid, so the core,
+band_averaged_tendency(q, quadrature, params, spec, ...), runs every node
+term on U's band stack q (dynamics.State): one
 propagator.shift call on the calling thread computes every forward shift
 (from one L U and L^2 U on the exact route, one Chebyshev recurrence on the
 other) into a grid.scratch stack of the calling thread; then each node
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PhysicsParams, State, apply_nonlinear
-from .grid import SpectralGrid, scratch
+from .grid import scratch
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
@@ -47,9 +48,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadrature:
-    """Symmetric averaging nodes s and weights w over the window [-T, T]."""
+    """Symmetric averaging nodes s and weights w over the window [-T, T];
+    == is identity."""
 
     T: float
     M: int
@@ -110,24 +112,22 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
                       nonlinear=apply_nonlinear) -> State:
     """band_averaged_tendency of the state's band stack, as a State."""
     return State(state.grid, band_averaged_tendency(
-        state.q, state.grid, quadrature, params, propagator_spec, executor, nonlinear),
-        t=state.t)
+        state.q, quadrature, params, propagator_spec, executor, nonlinear), t=state.t)
 
 
-def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid,
-                           quadrature: Quadrature, params: PhysicsParams,
-                           propagator_spec: PropagatorSpec,
+def band_averaged_tendency(q: np.ndarray, quadrature: Quadrature,
+                           params: PhysicsParams, propagator_spec: PropagatorSpec,
                            executor: Executor | None = None,
                            nonlinear=apply_nonlinear) -> np.ndarray:
     """The averaged tendency's band stack, for the state whose compact
-    (3, nx, kb) band stack is q.
+    (3, nx, kb) band stack on params.grid is q.
 
     Zero-weight nodes (the bump kernel's endpoints) are skipped.  With an
     executor the node terms run concurrently; the reduction runs in ascending
     node order either way, so the result is bitwise independent of the worker
     count.  nonlinear may be swapped out (a zero tendency, say, for the purely
     linear part of a scheme); like apply_nonlinear, it maps a band stack, the
-    node's shifted q, and (grid, params) to a band stack.
+    node's shifted q, and params to a band stack.
     """
     live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
     # every forward shift in one call on the calling thread, into its
@@ -136,7 +136,7 @@ def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid,
     moving = [i for i in live if quadrature.s[i] != 0.0]
     stack = scratch("band_averaged_tendency.forward", (len(moving),) + q.shape)
     try:
-        forward = dict(zip(moving, shift(q, grid, params, propagator_spec,
+        forward = dict(zip(moving, shift(q, params, propagator_spec,
                                          quadrature.s[moving], out=stack)))
     except Exception as exc:
         s_max = float(np.max(np.abs(quadrature.s[moving])))
@@ -151,9 +151,9 @@ def band_averaged_tendency(q: np.ndarray, grid: SpectralGrid,
         i = live[j]
         s = float(quadrature.s[i])
         try:
-            tend = nonlinear(forward.get(i, q), grid, params)
-            return tend if s == 0.0 else shift(tend, grid, params, propagator_spec,
-                                               (-s,), out=terms[j : j + 1])[0]
+            tend = nonlinear(forward.get(i, q), params)
+            return tend if s == 0.0 else shift(tend, params, propagator_spec, (-s,),
+                                               out=terms[j : j + 1])[0]
         except Exception as exc:
             k = i - quadrature.M
             raise RuntimeError(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhysicsParams, State
-from .grid import SpectralGrid, to_physical
+from .grid import to_physical
 
 __all__ = [
     "l2_error_normalized",
@@ -58,12 +58,13 @@ def _linf_error(teta: np.ndarray, reta: np.ndarray) -> float:
 
 def energy_mass(state: State, params: PhysicsParams) -> tuple[float, float]:
     """Total energy and mass of a spectral state; see energy_mass_fields."""
-    return energy_mass_fields(state.grid, params, *to_physical(state.grid, state.q))
+    return energy_mass_fields(params, *to_physical(state.grid, state.q))
 
 
-def energy_mass_fields(grid: SpectralGrid, params: PhysicsParams, u: np.ndarray,
-                       v: np.ndarray, eta: np.ndarray) -> tuple[float, float]:
-    """Total energy and mass from the physical (u, v, eta) of a state.
+def energy_mass_fields(params: PhysicsParams, u: np.ndarray, v: np.ndarray,
+                       eta: np.ndarray) -> tuple[float, float]:
+    """Total energy and mass from the physical (u, v, eta) of a state on
+    params.grid.
 
     mass   = integral of (H + eta - b)
     energy = integral of (1/2) (H + eta - b) (u^2 + v^2) + (1/2) g eta (eta + 2 H)
@@ -75,7 +76,7 @@ def energy_mass_fields(grid: SpectralGrid, params: PhysicsParams, u: np.ndarray,
     measures integration error rather than a moving reference level.
     """
     depth = params.H + eta - params.b_phys
-    area = grid.cell_area
+    area = params.grid.cell_area
     mass = float(np.sum(depth) * area)
     energy = float(np.sum(0.5 * depth * (u**2 + v**2)
                           + 0.5 * params.g * eta * (eta + 2.0 * params.H)) * area)
@@ -102,9 +103,8 @@ def make_error_report(test: State, ref: State, params: PhysicsParams,
     test._check_compatible(ref)
     fields, ref_fields = to_physical(test.grid, test.q), to_physical(ref.grid, ref.q)
     l2_eta, l2_u = _l2_errors(fields, ref_fields)
-    e0, m0 = energy_mass_fields(initial.grid, params,
-                                *to_physical(initial.grid, initial.q))
-    e1, m1 = energy_mass_fields(test.grid, params, *fields)
+    e0, m0 = energy_mass_fields(params, *to_physical(initial.grid, initial.q))
+    e1, m1 = energy_mass_fields(params, *fields)
     return ErrorReport(
         l2_eta=l2_eta,
         l2_u=l2_u,

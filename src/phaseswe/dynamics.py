@@ -9,22 +9,28 @@ where b is the bottom topography.  L acts diagonally per spectral mode as the
 3x3 block [[0, f, -i g kx], [-f, 0, -i g ky], [-i H kx, -i H ky, 0]] with
 eigenvalues {0, +i omega, -i omega}, omega = sqrt(f^2 + g H |k|^2).  L is
 skew-adjoint in the energy inner product H (u u' + v v') + g eta eta'.
+Its per-mode couplings on the band are cached per (grid, f, g, H), and one
+kernel, _add_linear, applies them: apply_linear here and both exponential
+routes of the propagator module.
 
-A State holds U as q, its compact (3, nx, kb) band stack (grid module),
-kb = ceil(ny/3), and PhysicsParams holds b as its (nx, kb) band.  N is a
-band kernel: apply_nonlinear(q, grid, params) maps the band stack of U to
-that of N(U), zero outside the 2/3 band and the band of an exactly Hermitian
-field.  Its seven inverse and four forward transforms are one to_physical
-and one to_spectral call (numpy.fft), and every intermediate lives in the
-calling thread's grid.scratch arrays, written through out=: the
-(7, nx, kb) gradient stack, the (7, nx, ny) physical stack, one physical
-product and the (4, nx, kb) forward result, plus the transforms' own
-scratch.  The band stack it returns is the only array a call allocates.
+PhysicsParams is the physical system, (grid, f, g, H, b), and every band
+kernel reads its grid from there.  A State holds U as q, its compact
+(3, nx, kb) band stack (grid module), kb = ceil(ny/3), and PhysicsParams
+holds b as its (nx, kb) band.  N is a band kernel: apply_nonlinear(q,
+params) maps the band stack of U to that of N(U), zero outside the 2/3 band
+and the band of an exactly Hermitian field.  Its seven inverse and four
+forward transforms are one to_physical and one to_spectral call
+(numpy.fft), and every intermediate lives in the calling thread's
+grid.scratch arrays, written through out=: the (7, nx, kb) gradient stack,
+the (7, nx, ny) physical stack, one physical product and the (4, nx, kb)
+forward result, plus the transforms' own scratch.  The band stack it
+returns is the only array a call allocates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,9 +49,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicsParams:
-    """Physical constants and the bottom topography on a grid.
+    """Physical constants and the bottom topography on a grid; == is identity.
 
     b_phys is passed as the real physical topography (nx, ny) and kept as
     the physical field of its 2/3 band b = to_spectral(grid, b_phys), the
@@ -81,10 +87,11 @@ def flat_bottom(grid: SpectralGrid, f: float, g: float, H: float) -> PhysicsPara
     return PhysicsParams(grid, f, g, H, np.zeros((grid.nx, grid.ny)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Shallow-water state (u, v, eta) at model time t, held as q: the compact
     complex (3, nx, kb) band stack of grid.to_spectral, kb = ceil(ny/3).
+    == is identity.
 
     Any other shape, or a nonzero entry outside the 2/3 band, is a
     ValueError, so every State is band-limited by type.  q is kept as a
@@ -135,24 +142,78 @@ class State:
     __rmul__ = __mul__
 
     def _check_compatible(self, other: "State") -> None:
-        if self.grid is not other.grid and (
-                (self.grid.nx, self.grid.ny, self.grid.Lx, self.grid.Ly)
-                != (other.grid.nx, other.grid.ny, other.grid.Lx, other.grid.Ly)):
-            raise ValueError("states live on different grids")
+        if self.grid != other.grid:
+            raise ValueError(f"states live on different grids: {self.grid} "
+                             f"and {other.grid}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Couplings:
+    """Per-mode entries of L on the band: the scalar f, the (nx, kb) couplings
+    -g i kx, -g i ky, -H i kx, -H i ky and omega, and the whole grid's max
+    omega.  == is identity, so a table cached per couplings keys on this one."""
+
+    f: float
+    gx: np.ndarray
+    gy: np.ndarray
+    hx: np.ndarray
+    hy: np.ndarray
+    omega: np.ndarray
+    max_omega: float
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=16)
+def _couplings(grid: SpectralGrid, f: float, g: float, H: float) -> _Couplings:
+    """Read-only couplings of L on the band columns."""
+    b = band(grid)
+    kx2, ky2 = grid.wavenumber_mesh()
+    omega = np.sqrt(f**2 + g * H * (kx2**2 + ky2**2))  # dispersion_omega, every mode
+    arrays = _frozen((-g) * b.ikx, (-g) * b.iky, (-H) * b.ikx, (-H) * b.iky,
+                     omega[:, : b.kb].copy())
+    return _Couplings(f, *arrays, float(np.max(omega)))
+
+
+def couplings(params: PhysicsParams) -> _Couplings:
+    """L's couplings for params, one cached table per (grid, f, g, H)."""
+    return _couplings(params.grid, float(params.f), float(params.g), float(params.H))
+
+
+def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray,
+                tmp: np.ndarray) -> None:
+    """out += L q for (3, nx, kb) band stacks, L given by its couplings;
+    into zeros, this is L q.  The products go through the (2, nx, kb)
+    scratch tmp: out[0] += f q1 + gx q2, out[1] += gy q2 - f q0 and
+    out[2] += hx q0 + hy q1, in that order of operations."""
+    a, b = tmp
+    np.multiply(cp.f, q[1], out=a)
+    np.multiply(cp.gx, q[2], out=b)
+    a += b
+    out[0] += a
+    np.multiply(cp.gy, q[2], out=a)
+    np.multiply(cp.f, q[0], out=b)
+    a -= b
+    out[1] += a
+    np.multiply(cp.hx, q[0], out=a)
+    np.multiply(cp.hy, q[1], out=b)
+    a += b
+    out[2] += a
 
 
 def apply_linear(state: State, params: PhysicsParams) -> State:
     """Tendency L U: rotation, pressure gradient, divergence.  Per-mode diagonal."""
-    bd = band(state.grid)
-    u, v, eta = state.q
-    du = params.f * v - params.g * (bd.ikx * eta)
-    dv = -params.f * u - params.g * (bd.iky * eta)
-    deta = -params.H * (bd.ikx * u + bd.iky * v)
-    return replace(state, q=np.stack((du, dv, deta)))
+    out = np.zeros_like(state.q)
+    _add_linear(couplings(params), state.q, out, np.empty_like(out[:2]))
+    return replace(state, q=out)
 
 
-def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
-                    params: PhysicsParams) -> np.ndarray:
+def apply_nonlinear(q: np.ndarray, params: PhysicsParams) -> np.ndarray:
     """Band stack of N(U), momentum advection and flux-form continuity, for
     the state U whose (3, nx, kb) band stack is q.
 
@@ -164,14 +225,12 @@ def apply_nonlinear(q: np.ndarray, grid: SpectralGrid,
     divergences.  The result is the band of an exactly Hermitian field:
     to_spectral mirrors column ky = 0, and i kx keeps the mirror.
     """
+    grid = params.grid
     bd = band(grid)
     nx, ny, kb = grid.nx, grid.ny, bd.kb
     if np.shape(q) != (3, nx, kb):
         raise ValueError(f"apply_nonlinear needs a (3, nx, kb) = "
                          f"{(3, nx, kb)} band stack, got shape {np.shape(q)}")
-    if params.b.shape != (nx, kb):
-        raise ValueError(f"topography band shape {params.b.shape} does not match "
-                         f"the grid's (nx, kb) = {(nx, kb)}")
 
     # (u, v, eta - b), then the four velocity gradients
     c = scratch("apply_nonlinear.c", (7, nx, kb))
@@ -216,10 +275,9 @@ def dispersion_omega(kappa, params: PhysicsParams) -> np.ndarray:
                                                        + np.asarray(ky)**2))
 
 
-def max_frequency(grid: SpectralGrid, params: PhysicsParams) -> float:
+def max_frequency(params: PhysicsParams) -> float:
     """Largest |eigenvalue| of L over all grid modes (attained at the Nyquist corner)."""
-    kx2, ky2 = grid.wavenumber_mesh()
-    return float(np.max(dispersion_omega((kx2, ky2), params)))
+    return couplings(params).max_omega
 
 
 def energy_inner(a: State, b: State, params: PhysicsParams) -> float:

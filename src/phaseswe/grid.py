@@ -49,15 +49,16 @@ __all__ = [
 class SpectralGrid:
     """Uniform doubly periodic grid with precomputed wavenumbers.
 
-    Build through :func:`make_grid`, which validates the arguments.
+    Build through :func:`make_grid`, which validates the arguments.  Grids
+    compare and hash by (nx, ny, Lx, Ly), which fix kx and ky.
     """
 
     nx: int
     ny: int
     Lx: float
     Ly: float
-    kx: np.ndarray = field(repr=False)
-    ky: np.ndarray = field(repr=False)
+    kx: np.ndarray = field(repr=False, compare=False)
+    ky: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -134,19 +135,14 @@ def band_width(n: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _band(nx: int, ny: int, Lx: float, Ly: float) -> Band:
-    grid = make_grid(nx, ny, Lx, Ly)
-    kb = band_width(ny)
+def band(grid: SpectralGrid) -> Band:
+    """The grid's band tables, cached per grid value and built on first use."""
+    kb = band_width(grid.ny)
     kx2, ky2 = np.broadcast_arrays(grid.kx[:, None], grid.ky[None, :kb])
     arrays = (1j * kx2, 1j * ky2)
     for arr in arrays:
         arr.setflags(write=False)
     return Band(kb, *arrays)
-
-
-def band(grid: SpectralGrid) -> Band:
-    """The grid's band tables, cached per (nx, ny, Lx, Ly) and built on first use."""
-    return _band(grid.nx, grid.ny, grid.Lx, grid.Ly)
 
 
 def _check_band(grid: SpectralGrid, arr: np.ndarray) -> None:

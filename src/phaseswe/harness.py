@@ -17,7 +17,7 @@ from .config import (ConfigError, RunConfig, default_config, format_config,
                      load_config, reference_config, window_config)
 from .diagnostics import make_error_report
 from .dynamics import PhysicsParams, State
-from .grid import SpectralGrid, make_grid
+from .grid import make_grid
 from .integrator import StepConfig, Trajectory, make_step_config, run
 from .io import (read_snapshot_state, write_diagnostics, write_error_report,
                  write_snapshot)
@@ -30,15 +30,15 @@ __all__ = ["build_problem", "step_config", "cmd_run", "cmd_reference", "cmd_swee
 
 def build_problem(cfg: RunConfig):
     """Grid, config, physics, and initial state for the configured jet +
-    mountain case.  The second slot is cfg itself, kept only because
-    perfbench/run.py unpacks four values."""
+    mountain case.  The first two slots, params.grid and cfg itself, are
+    kept only because perfbench/run.py unpacks four values."""
     grid = make_grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
     return grid, cfg, physics_params(cfg, grid), balanced_jet(cfg, grid)
 
 
-def step_config(cfg: RunConfig, grid: SpectralGrid, params: PhysicsParams) -> StepConfig:
+def step_config(cfg: RunConfig, params: PhysicsParams) -> StepConfig:
     """The configured stepper: dt, window T and M, propagator and tol."""
-    return make_step_config(grid, params, dt=cfg.dt, T=cfg.T, M=cfg.M,
+    return make_step_config(params.grid, params, dt=cfg.dt, T=cfg.T, M=cfg.M,
                             propagator=cfg.propagator, tol=cfg.tol)
 
 
@@ -54,10 +54,9 @@ def _write_run_outputs(outdir: str, cfg: RunConfig, traj: Trajectory) -> None:
 
 def _load_reference(path: str, final: State) -> State:
     ref = read_snapshot_state(path)
-    ref_grid, run_grid = ((g.nx, g.ny, g.Lx, g.Ly) for g in (ref.grid, final.grid))
-    if ref_grid != run_grid:
-        raise ValueError(f"reference grid (nx, ny, Lx, Ly) = {ref_grid} does not "
-                         f"match run grid {run_grid}")
+    if ref.grid != final.grid:
+        raise ValueError(f"reference grid {ref.grid} does not match run grid "
+                         f"{final.grid}")
     if abs(ref.t - final.t) > 1e-6 * max(1.0, abs(final.t)):
         raise ValueError(f"reference time {ref.t} does not match run final "
                          f"time {final.t}")
@@ -65,8 +64,8 @@ def _load_reference(path: str, final: State) -> State:
 
 
 def _execute(cfg: RunConfig) -> tuple[Trajectory, PhysicsParams, StepConfig]:
-    grid, _cfg, params, state0 = build_problem(cfg)
-    step_cfg = step_config(cfg, grid, params)
+    _grid, _cfg, params, state0 = build_problem(cfg)
+    step_cfg = step_config(cfg, params)
     traj = run(state0, step_cfg, params, cfg.t_end,
                snapshot_every=cfg.snapshot_every, workers=cfg.workers)
     _write_run_outputs(cfg.output_dir, cfg, traj)

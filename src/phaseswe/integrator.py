@@ -15,9 +15,10 @@ the same scheme with a zero-width window (T = 0, M = 0), the exact
 propagator, and a fine step (config.reference_config).
 
 A State is its compact (3, nx, kb) band stack q (dynamics.State); N, like
-any nonlinear=, maps band stacks to band stacks and e^{Lt} acts mode by
-mode, so a step runs on state.q from start to end and wraps the result in a
-State.
+any nonlinear(q, params), maps band stacks to band stacks and e^{Lt} acts
+mode by mode, so a step runs on state.q from start to end and wraps the
+result in a State.  Every kernel reads the grid from params, and a step
+rejects a state on another grid.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepConfig:
-    """Time step, averaging quadrature, and propagator route for one stepper."""
+    """Time step, averaging quadrature, and propagator route for one stepper;
+    == is identity."""
 
     dt: float
     quadrature: Quadrature
@@ -66,21 +68,24 @@ class StepConfig:
 def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
                      T: float = 0.0, M: int | None = None,
                      propagator: str = "exact", tol: float = 1e-10) -> StepConfig:
-    """Resolve a stepper configuration for the given grid and physics.
+    """Resolve a stepper configuration for the physics params.
 
-    M = None picks the default node count from the fastest mode.  For the
-    Chebyshev route, Lambda covers the largest exponential argument a step
-    requests, max(dt, T): the stages shift by dt and +-dt/2, and every live
-    node by |s_k| < T.  Each exponential is sized to its own argument from
-    tol; the spec's n_poly is the degree at Lambda.
+    grid must be params.grid; it is kept only because perfbench/run.py
+    passes it.  M = None picks the default node count from the fastest mode.
+    For the Chebyshev route, Lambda covers the largest exponential argument
+    a step requests, max(dt, T): the stages shift by dt and +-dt/2, and
+    every live node by |s_k| < T.  Each exponential is sized to its own
+    argument from tol; the spec's n_poly is the degree at Lambda.
     """
+    if grid != params.grid:
+        raise ValueError(f"grid {grid} does not match the physics' grid {params.grid}")
     if M is None:
-        M = default_node_count(T, max_frequency(grid, params))
+        M = default_node_count(T, max_frequency(params))
     quad = kernel_weights(T, M)
     if propagator == "exact":
         spec = PropagatorSpec.exact()
     elif propagator == "chebyshev":
-        lam = max_frequency(grid, params) * max(dt, T)
+        lam = max_frequency(params) * max(dt, T)
         spec = PropagatorSpec.chebyshev(lam, tol=tol)
     else:
         raise ValueError(f"unknown propagator {propagator!r}")
@@ -96,27 +101,29 @@ def _require_finite(q: np.ndarray, stage: int) -> None:
 def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams,
                          executor=None, nonlinear=apply_nonlinear) -> State:
     """Advance one step of the transformed SSPRK3 scheme on the state's band
-    stack."""
-    grid, dt = state.grid, config.dt
-    quad, spec = config.quadrature, config.propagator_spec
+    stack, which must live on params.grid."""
+    if state.grid != params.grid:
+        raise ValueError(f"state grid {state.grid} does not match the physics' "
+                         f"grid {params.grid}")
+    dt, quad, spec = config.dt, config.quadrature, config.propagator_spec
 
     def E(s: float, q: np.ndarray) -> np.ndarray:
-        return shift(q, grid, params, spec, (s,))[0]
+        return shift(q, params, spec, (s,))[0]
 
     def A(q: np.ndarray) -> np.ndarray:
-        return band_averaged_tendency(q, grid, quad, params, spec, executor, nonlinear)
+        return band_averaged_tendency(q, quad, params, spec, executor, nonlinear)
 
     un = state.q
     # e^{L dt} U^n and e^{L dt/2} U^n in one call: one L U^n and L^2 U^n,
     # or one Chebyshev recurrence
-    e_dt_un, e_half_un = shift(un, grid, params, spec, (dt, 0.5 * dt))
+    e_dt_un, e_half_un = shift(un, params, spec, (dt, 0.5 * dt))
     u1 = e_dt_un + dt * E(dt, A(un))
     _require_finite(u1, 1)
     u2 = 0.75 * e_half_un + 0.25 * E(-0.5 * dt, u1 + dt * A(u1))
     _require_finite(u2, 2)
     out = (1.0 / 3.0) * e_dt_un + (2.0 / 3.0) * E(0.5 * dt, u2 + dt * A(u2))
     _require_finite(out, 3)
-    return State(grid, out, t=state.t + dt)
+    return State(state.grid, out, t=state.t + dt)
 
 
 @dataclass
@@ -134,7 +141,7 @@ class Trajectory:
 
     def record(self, step: int, state: State, params: PhysicsParams) -> None:
         phys = to_physical(state.grid, state.q)
-        en, ms = energy_mass_fields(state.grid, params, *phys)
+        en, ms = energy_mass_fields(params, *phys)
         speed = np.hypot(phys[0], phys[1])
         self.times.append(state.t)
         self.steps.append(step)

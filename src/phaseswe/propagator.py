@@ -7,13 +7,14 @@ Per mode, L satisfies L^3 = -omega^2 L, so the exponential has the closed form
 with the omega -> 0 limit I + t L.  This is exact (to round-off) and serves
 as the oracle for the iterative route.
 
-One kernel, shift(q, grid, params, spec, times), returns the stack
+One kernel, shift(q, params, spec, times), returns the stack
 (len(times), 3, nx, kb) of e^{Lt} q for a (3, nx, kb) stack q of the compact
-2/3 band, kb = ceil(ny/3), the layout of a State's q; it takes no other.  Each
-row is bitwise the shift of its time alone, and a call computes what its rows
-share once: L q and L^2 q on the exact route, one recurrence on the Chebyshev
-route.  Its tables hold band columns only and are cached per
-(nx, ny, Lx, Ly, f, g, H): L's per-mode couplings and omega, and per |t|
+2/3 band of params.grid, kb = ceil(ny/3), the layout of a State's q; it
+takes no other.  Each row is bitwise the shift of its time alone, and a call
+computes what its rows share once: L q and L^2 q on the exact route, one
+recurrence on the Chebyshev route.  Its tables hold band columns only: L's
+per-mode couplings and omega, cached per (grid, f, g, H) in the dynamics
+module, which also applies them (_add_linear), and per couplings and |t|
 c1(t) = sin(omega t)/omega and c2(t) = (1 - cos omega t)/omega^2 (c1 is
 odd, c2 even), so the trigonometry runs once per distinct |t| a run asks for
 (its node shifts, dt and dt/2).  propagate, exact_exp and cheb_exp apply
@@ -41,7 +42,7 @@ degree choose_npoly(Lambda_t, tol), the coefficients cached per
 (Lambda_t, tol).  The spec's Lambda only bounds the arguments.  The
 recurrence operator (2 t/Lambda_t) L = sign(t) S, S = (2/max_omega) L, is
 then the same for every |t| up to sign, and Q_k(-S) = (-1)^k Q_k(S), so one
-recurrence in S, from one cached read-only table per table key, serves every
+recurrence in S, from one cached read-only table per couplings, serves every
 time of a call: the sign of t negates the odd coefficients, and each row
 accumulates up to its own degree.  Both routes write through out= into the
 calling thread's grid.scratch arrays (L q and L^2 q, or the recurrence's
@@ -51,17 +52,16 @@ and a call allocates only the stack it returns, or nothing when given out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import (PhysicsParams, State, _add_linear, _Couplings, _frozen,
+                       couplings)
 # apply_linear stays a module attribute: perfbench/tracing.py patches it here
-from .dynamics import (PhysicsParams, State, apply_linear,  # noqa: F401
-                       dispersion_omega, max_frequency)
-from .grid import SpectralGrid, band, band_width, make_grid, scratch
+from .dynamics import apply_linear  # noqa: F401
+from .grid import band_width, scratch
 
 __all__ = [
     "PropagatorSpec",
@@ -112,95 +112,32 @@ class PropagatorSpec:
         return choose_npoly(self.Lambda, self.tol)
 
 
-# Table sizes.  A step asks for at most M + 2 distinct |t| (the live node
-# shifts, dt and dt/2), each an entry of two real (nx, kb) arrays, so a
-# step's whole set stays cached for M up to 126.
-_COUPLING_TABLES = 16
+# A step asks for at most M + 2 distinct |t| (the live node shifts, dt and
+# dt/2), each an entry of two real (nx, kb) arrays, so a step's whole set
+# stays cached for M up to 126.
 _COEFF_TABLES = 128
 
 
-class _Couplings(NamedTuple):
-    """Per-mode entries of L on the band: the scalar f, the (nx, kb) couplings
-    -g i kx, -g i ky, -H i kx, -H i ky and omega, and the whole grid's max omega."""
-
-    f: float
-    gx: np.ndarray
-    gy: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
-    omega: np.ndarray
-    max_omega: float
-
-
-def _table_key(grid: SpectralGrid, params: PhysicsParams) -> tuple:
-    """The values L depends on: (nx, ny, Lx, Ly, f, g, H)."""
-    return (grid.nx, grid.ny, grid.Lx, grid.Ly,
-            float(params.f), float(params.g), float(params.H))
-
-
-def _frozen(*arrays) -> tuple:
-    """The arrays, made read-only."""
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=_COUPLING_TABLES)
-def _couplings(key: tuple) -> _Couplings:
-    """Read-only couplings of L on the band columns, for the key of _table_key."""
-    nx, ny, Lx, Ly, f, g, H = key
-    grid = make_grid(nx, ny, Lx, Ly)
-    b = band(grid)
-    kx2, ky2 = grid.wavenumber_mesh()
-    # max_frequency and dispersion_omega read only f, g and H from their params
-    params = SimpleNamespace(f=f, g=g, H=H)
-    omega = dispersion_omega((kx2, ky2[:, : b.kb]), params)
-    arrays = _frozen((-g) * b.ikx, (-g) * b.iky, (-H) * b.ikx, (-H) * b.iky, omega)
-    return _Couplings(f, *arrays, max_frequency(grid, params))
-
-
-@lru_cache(maxsize=_COUPLING_TABLES)
-def _recurrence(key: tuple) -> _Couplings:
+@lru_cache(maxsize=16)
+def _recurrence(cp: _Couplings) -> _Couplings:
     """Read-only couplings of S = (2/max_omega) L on the band columns: with
     Lambda_t = |t| max_omega, the recurrence operator (2 t/Lambda_t) L of
     every e^{Lt} with t > 0, and -S that of every t < 0."""
-    cp = _couplings(key)
     c = 2.0 / cp.max_omega
     arrays = _frozen(c * cp.gx, c * cp.gy, c * cp.hx, c * cp.hy)
-    return cp._replace(f=c * cp.f, **dict(zip(("gx", "gy", "hx", "hy"), arrays)))
+    return replace(cp, f=c * cp.f, **dict(zip(("gx", "gy", "hx", "hy"), arrays)))
 
 
 @lru_cache(maxsize=_COEFF_TABLES)
-def _exp_coeffs(key: tuple, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
+def _exp_coeffs(cp: _Couplings, abs_t: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only c1(|t|) = sin(omega t)/omega and c2(|t|) = (1 - cos omega t)/omega^2,
     with the omega = 0 limits |t| and t^2/2, on the band columns.  c1 is odd
     in t and c2 even, so one entry serves e^{Lt} and e^{-Lt}."""
-    om = _couplings(key).omega
+    om = cp.omega
     safe = np.where(om > 0.0, om, 1.0)
     c1 = np.where(om > 0.0, np.sin(om * abs_t) / safe, abs_t)
     c2 = np.where(om > 0.0, (1.0 - np.cos(om * abs_t)) / safe**2, 0.5 * abs_t * abs_t)
     return _frozen(c1, c2)
-
-
-def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray,
-                tmp: np.ndarray) -> None:
-    """out += L q for (3, nx, kb) band stacks, L given by its couplings;
-    into zeros, this is L q.  The products go through the (2, nx, kb)
-    scratch tmp: out[0] += f q1 + gx q2, out[1] += gy q2 - f q0 and
-    out[2] += hx q0 + hy q1, in that order of operations."""
-    a, b = tmp
-    np.multiply(cp.f, q[1], out=a)
-    np.multiply(cp.gx, q[2], out=b)
-    a += b
-    out[0] += a
-    np.multiply(cp.gy, q[2], out=a)
-    np.multiply(cp.f, q[0], out=b)
-    a -= b
-    out[1] += a
-    np.multiply(cp.hx, q[0], out=a)
-    np.multiply(cp.hy, q[1], out=b)
-    a += b
-    out[2] += a
 
 
 def _closed_form(coeffs, t: float, q: np.ndarray, lu: np.ndarray,
@@ -216,19 +153,20 @@ def _closed_form(coeffs, t: float, q: np.ndarray, lu: np.ndarray,
         combine(out[i], tmp, out=out[i])
 
 
-def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
-          spec: PropagatorSpec, times, out: np.ndarray | None = None) -> np.ndarray:
+def shift(q: np.ndarray, params: PhysicsParams, spec: PropagatorSpec, times,
+          out: np.ndarray | None = None) -> np.ndarray:
     """The stack (len(times), 3, nx, kb) of e^{Lt} q, one row per t in times,
-    for a (3, nx, kb) band stack q, which is not modified; written into out
-    if given, else a new array.  Every row is bitwise the row a call with its
-    time alone gives.  On the exact route L q and L^2 q are computed once per
-    call; on the Chebyshev route one recurrence serves every row, and t = 0
-    is a copy of q."""
+    for a (3, nx, kb) band stack q of params.grid, which is not modified;
+    written into out if given, else a new array.  Every row is bitwise the
+    row a call with its time alone gives.  On the exact route L q and L^2 q
+    are computed once per call; on the Chebyshev route one recurrence serves
+    every row, and t = 0 is a copy of q."""
+    grid = params.grid
     expected = (3, grid.nx, band_width(grid.ny))
     if q.shape != expected:
         raise ValueError(f"shift needs a (3, nx, kb) band stack, {expected} for the "
                          f"{grid.nx} x {grid.ny} grid, got shape {q.shape}")
-    key = _table_key(grid, params)
+    cp = couplings(params)
     times = [float(t) for t in times]
     if out is None:
         out = np.empty((len(times),) + q.shape, dtype=np.complex128)
@@ -238,9 +176,8 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
     if not times:
         return out
     if spec.kind == "chebyshev":
-        _cheb_rows(key, q, times, spec, out)
+        _cheb_rows(cp, q, times, spec, out)
         return out
-    cp = _couplings(key)
     lu, llu = scratch("shift.lu", q.shape), scratch("shift.llu", q.shape)
     tmp = scratch("shift.tmp", (2,) + q.shape[1:])
     lu.fill(0.0)
@@ -248,7 +185,7 @@ def shift(q: np.ndarray, grid: SpectralGrid, params: PhysicsParams,
     _add_linear(cp, q, lu, tmp)
     _add_linear(cp, lu, llu, tmp)
     for row, t in zip(out, times):
-        _closed_form(_exp_coeffs(key, abs(t)), t, q, lu, llu, row, tmp[0])
+        _closed_form(_exp_coeffs(cp, abs(t)), t, q, lu, llu, row, tmp[0])
     return out
 
 
@@ -256,7 +193,7 @@ def propagate(t: float, state: State, params: PhysicsParams,
               spec: PropagatorSpec) -> State:
     """Apply e^{Lt} by the route selected in spec to the state's band stack;
     the time stamp advances by t."""
-    q = shift(state.q, state.grid, params, spec, (t,))[0]
+    q = shift(state.q, params, spec, (t,))[0]
     return State(state.grid, q, t=state.t + t)
 
 
@@ -331,7 +268,7 @@ def _sized_coeffs(Lambda: float, tol: float) -> np.ndarray:
     return cheb_coeffs(Lambda, choose_npoly(Lambda, tol))
 
 
-def _cheb_rows(key: tuple, q: np.ndarray, times: list[float],
+def _cheb_rows(cp: _Couplings, q: np.ndarray, times: list[float],
                spec: PropagatorSpec, out: np.ndarray) -> None:
     """out[j] = e^{L t_j} q through the Chebyshev recurrence on
     i[-Lambda_t, Lambda_t], Lambda_t = |t_j| max_omega; t_j = 0 is a copy.
@@ -343,7 +280,7 @@ def _cheb_rows(key: tuple, q: np.ndarray, times: list[float],
     own degree n in the same order as a recurrence of its own.  Q_{k+1}
     overwrites Q_{k-1}'s buffer; the two and one scratch stack are the
     calling thread's, so node threads may shift concurrently."""
-    max_omega = _couplings(key).max_omega
+    max_omega = cp.max_omega
     rows = []  # (coefficients with the sign of t folded in, output row)
     for row, t in zip(out, times):
         if t == 0.0:
@@ -362,7 +299,7 @@ def _cheb_rows(key: tuple, q: np.ndarray, times: list[float],
     if not rows:
         return
     rows.sort(key=lambda r: len(r[0]), reverse=True)
-    rc = _recurrence(key)
+    rc = _recurrence(cp)
     q_prev, q_k, tmp = (scratch(name, q.shape) for name in ("cheb.prev", "cheb.k", "cheb.tmp"))
     for a, row in rows:
         np.multiply(q, a[0], out=row)

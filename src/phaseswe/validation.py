@@ -104,7 +104,7 @@ def check_small_grid_oracles(rng) -> CheckResult:
         product = max(product, _max_rel(from_band(grid, to_spectral(grid, phys)),
                                         truncated_convolution(grid, state.u, state.eta)))
 
-        got = apply_nonlinear(state.q, grid, params)
+        got = apply_nonlinear(state.q, params)
         want = nonlinear_tendency(state, params).q
         nonlinear = max(nonlinear, *map(_max_rel, got, want))
 
@@ -155,7 +155,7 @@ def check_cheb_vs_exact(rng) -> CheckResult:
     """Chebyshev route against the exact route, forward 1 h and back 30 min,
     on ten states."""
     grid, _cfg, flat = _case_problem(64, flat=True)
-    spec = PropagatorSpec.chebyshev(max_frequency(grid, flat) * 3600.0, tol=1e-12)
+    spec = PropagatorSpec.chebyshev(max_frequency(flat) * 3600.0, tol=1e-12)
     worst = 0.0
     for _ in range(10):
         state = band_limited_state(grid, rng)
@@ -249,13 +249,13 @@ def check_window_sweep(cfg: RunConfig) -> CheckResult:
     reference, each run set up as `phaseswe reference` and `sweep` set it up."""
     from .harness import build_problem, step_config  # harness imports this module
 
-    grid, _cfg, params, jet = build_problem(cfg)
-    ref = run(jet, step_config(reference_config(cfg), grid, params), params,
+    _grid, _cfg, params, jet = build_problem(cfg)
+    ref = run(jet, step_config(reference_config(cfg), params), params,
               cfg.t_end).states[-1]
     T_list = [h * 3600.0 for h in WINDOW_HOURS]
     errs = []
     for T in T_list:
-        step_cfg = step_config(window_config(cfg, T), grid, params)
+        step_cfg = step_config(window_config(cfg, T), params)
         final = run(jet, step_cfg, params, cfg.t_end, workers=cfg.workers).states[-1]
         errs.append(l2_error_normalized(final, ref))
     errs_eta, errs_u = zip(*errs)

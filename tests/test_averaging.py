@@ -6,8 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from phaseswe import dynamics, propagator
 from phaseswe import grid as grid_module
-from phaseswe import propagator
 from phaseswe.averaging import (Quadrature, averaged_tendency,
                                 default_node_count, kernel_weights)
 from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_norm,
@@ -25,7 +25,7 @@ def flat(grid):
 
 def nonlinear_state(state, params):
     # N(U) of a State, through the band kernel
-    return State(state.grid, apply_nonlinear(state.q, state.grid, params), t=state.t)
+    return State(state.grid, apply_nonlinear(state.q, params), t=state.t)
 
 
 def test_weights_sum_to_one_and_are_symmetric():
@@ -98,7 +98,7 @@ def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
     cases = [(grid, params, spec)
              for grid, params in ((grid32, flat(grid32)), (grid12x8, topography(grid12x8)))
              for spec in (PropagatorSpec.exact(),
-                          PropagatorSpec.chebyshev(max_frequency(grid, params) * 1800.0))]
+                          PropagatorSpec.chebyshev(max_frequency(params) * 1800.0))]
     for grid, params, spec in cases:
         state = band_limited_state(grid, rng)
         quad = kernel_weights(1800.0, 3)
@@ -129,7 +129,7 @@ def test_averaged_tendency_is_hermitian_and_band_limited(route, rng):
     for grid in (make_grid(12, 18, 1.5e6, 2.5e6), make_grid(18, 12, 2.5e6, 1.5e6)):
         params = topography(grid)
         spec = (PropagatorSpec.exact() if route == "exact" else
-                PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0))
+                PropagatorSpec.chebyshev(max_frequency(params) * 3600.0))
         got = averaged_tendency(band_limited_state(grid, rng), kernel_weights(3600.0, 4),
                                 params, spec)
         for c in (got.u, got.v, got.eta):
@@ -153,7 +153,7 @@ def test_out_of_band_input_leaves_averaged_tendency_unchanged(rng):
         State(grid, noisy[..., : band(grid).kb])
     kept = State(grid, take_band(grid, noisy), t=state.t)
     for spec in (PropagatorSpec.exact(),
-                 PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0)):
+                 PropagatorSpec.chebyshev(max_frequency(params) * 3600.0)):
         for quad in (kernel_weights(0.0, 0), kernel_weights(3600.0, 4)):
             want = averaged_tendency(state, quad, params, spec)
             got = averaged_tendency(kept, quad, params, spec)
@@ -183,7 +183,7 @@ def test_wide_window_differs_from_plain_nonlinearity(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
     plain = nonlinear_state(state, params)
-    lam = max_frequency(grid32, params)
+    lam = max_frequency(params)
     T = 4.0 * np.pi / lam  # several periods of the fastest wave
     wide = averaged_tendency(state, kernel_weights(T, 16), params,
                              PropagatorSpec.exact())
@@ -211,11 +211,11 @@ def test_pool_filling_empty_tables_matches_serial(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
     quad = kernel_weights(3600.0, 16)
-    lam = max_frequency(grid32, params) * 3600.0
+    lam = max_frequency(params) * 3600.0
     for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
         serial = averaged_tendency(state, quad, params, spec)
         for _ in range(3):
-            for table in (propagator._couplings, propagator._exp_coeffs,
+            for table in (dynamics._couplings, propagator._exp_coeffs,
                           propagator._recurrence, propagator._sized_coeffs):
                 table.cache_clear()
             interval = sys.getswitchinterval()
@@ -233,12 +233,12 @@ def test_each_thread_has_its_own_workspace(grid32, rng):
     # the calling thread's scratch arrays; four threads running both at once
     # on different inputs must reproduce the serial results bitwise
     params = PhysicsParams(grid32, F0, G0, H0, 30.0 * rng.standard_normal((32, 32)))
-    spec = PropagatorSpec.chebyshev(max_frequency(grid32, params) * 3600.0)
+    spec = PropagatorSpec.chebyshev(max_frequency(params) * 3600.0)
     inputs = [band_limited_state(grid32, rng).q for _ in range(8)]
 
     def work(q):
-        return (apply_nonlinear(q, grid32, params),
-                shift(q, grid32, params, spec, (900.0, -1800.0, 3600.0)))
+        return (apply_nonlinear(q, params),
+                shift(q, params, spec, (900.0, -1800.0, 3600.0)))
 
     serial = [work(q) for q in inputs]
     interval = sys.getswitchinterval()
@@ -260,7 +260,7 @@ def test_node_failure_reports_node_index(grid32, rng):
     state = band_limited_state(grid32, rng)
     quad = kernel_weights(1800.0, 3)
 
-    def broken(q, g, p):
+    def broken(q, p):
         raise ValueError("boom")
 
     with pytest.raises(RuntimeError, match=r"averaging node k = -2 .*boom"):
@@ -289,7 +289,7 @@ def test_forward_shift_failure_names_the_window(grid32, rng):
     # the live nodes reach |s| = 1200 s, beyond a Lambda sized for 900 s
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
-    spec = PropagatorSpec.chebyshev(max_frequency(grid32, params) * 900.0)
+    spec = PropagatorSpec.chebyshev(max_frequency(params) * 900.0)
     with pytest.raises(RuntimeError,
                        match=r"forward shifts .*\|s\| up to 1200 s.*exceeds Lambda"):
         averaged_tendency(state, kernel_weights(1800.0, 3), params, spec)

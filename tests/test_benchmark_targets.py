@@ -39,8 +39,8 @@ def test_traced_step_records_nonlinear_spans():
 
     tracing = load_tracing()
     cfg = RunConfig(nx=16, ny=16, dt=600.0, T=600.0, M=2)
-    grid, _cfg, params, state = build_problem(cfg)
-    step_cfg = step_config(cfg, grid, params)
+    _grid, _cfg, params, state = build_problem(cfg)
+    step_cfg = step_config(cfg, params)
     want = integrator.step_averaged_ssprk3(state, step_cfg, params)
     tracer = tracing.Tracer()
     with tracing.patched(tracing.layer_patches(tracer)):

@@ -26,7 +26,7 @@ def flat(grid):
 
 def nonlinear_state(state, params):
     # N(U) of a State, through the band kernel
-    return State(state.grid, apply_nonlinear(state.q, state.grid, params), t=state.t)
+    return State(state.grid, apply_nonlinear(state.q, params), t=state.t)
 
 
 def test_linear_matches_per_mode_matrix(grid8, rng):
@@ -84,7 +84,7 @@ def test_dispersion_and_max_frequency(grid64):
 
     kmax = 2.0 * np.pi * 32 / 4.0e7
     corner = math.sqrt(F0**2 + G0 * H0 * 2.0 * kmax**2)
-    got = max_frequency(grid64, params)
+    got = max_frequency(params)
     assert got == pytest.approx(corner, rel=1e-14)
     # frozen value used when sizing Chebyshev expansions in the docs and demos
     assert got == pytest.approx(1.720899454284647e-3, rel=1e-12)
@@ -96,7 +96,7 @@ def test_linear_is_skew_adjoint_in_energy_product(grid32, rng):
     b = band_limited_state(grid32, rng)
     lhs = energy_inner(apply_linear(a, params), b, params)
     rhs = energy_inner(a, apply_linear(b, params), params)
-    bound = max_frequency(grid32, params) * energy_norm(a, params) * energy_norm(b, params)
+    bound = max_frequency(params) * energy_norm(a, params) * energy_norm(b, params)
     assert abs(lhs + rhs) <= 1e-12 * bound
 
 
@@ -236,9 +236,13 @@ def test_spectra_outside_the_band_are_rejected(rng):
 
 
 def test_nonlinear_checks_topography_shape(grid8, grid32, rng):
+    # the kernel reads its grid from params, on which b is built, so the
+    # topography always fits; an 8 x 8 state against 32 x 32 physics fails
+    # the band stack check
     state = band_limited_state(grid8, rng)
-    wrong = flat(grid32)  # a (32, kb) band topography against an 8 x 8 state
-    with pytest.raises(ValueError, match="topography"):
+    wrong = flat(grid32)
+    assert wrong.b.shape == (32, band(grid32).kb)
+    with pytest.raises(ValueError, match="band stack"):
         nonlinear_state(state, wrong)
 
 
@@ -303,7 +307,7 @@ def test_nonlinear_ky0_column_is_exactly_hermitian(rng):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
         params = PhysicsParams(grid, F0, G0, H0, b_phys)
-        out = apply_nonlinear(state.q, grid, params)
+        out = apply_nonlinear(state.q, params)
         assert out.shape == (3, grid.nx, band(grid).kb)
         col = out[:, :, 0]
         assert np.array_equal(col[:, (-np.arange(grid.nx)) % grid.nx], np.conj(col))
@@ -316,4 +320,4 @@ def test_nonlinear_rejects_other_stack_shapes(grid8, rng):
     q = state.q
     for bad in (np.stack((state.u, state.v, state.eta)), q[:2], q[None], state):
         with pytest.raises(ValueError, match="band stack"):
-            apply_nonlinear(bad, grid8, params)
+            apply_nonlinear(bad, params)

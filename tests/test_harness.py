@@ -60,8 +60,8 @@ def test_chebyshev_run_reports_lambda_and_degree(tmp_path, small_cfg, capsys):
     assert harness.main(["run", "--config", str(cfg), "--output",
                          str(tmp_path / "out")]) == 0
     run_cfg = parse_config(cfg.read_text())
-    grid, _cfg, params, _state = harness.build_problem(run_cfg)
-    spec = harness.step_config(run_cfg, grid, params).propagator_spec
+    _grid, _cfg, params, _state = harness.build_problem(run_cfg)
+    spec = harness.step_config(run_cfg, params).propagator_spec
     assert spec.kind == "chebyshev" and spec.tol == 1e-8
     assert (f", M = 2, Chebyshev Lambda = {spec.Lambda:.6g}, max degree "
             f"{spec.n_poly} ->") in capsys.readouterr().out
@@ -161,8 +161,9 @@ def test_reference_on_another_domain_is_rejected(tmp_path, small_cfg, capsys):
     assert harness.main(["run", "--config", str(cfg),
                          "--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "reference grid (nx, ny, Lx, Ly) = (16, 16, 40000000.0, 40000000.0)" in err
-    assert "run grid (16, 16, 30000000.0, 40000000.0)" in err
+    assert ("reference grid SpectralGrid(nx=16, ny=16, Lx=40000000.0, Ly=40000000.0)"
+            in err)
+    assert "run grid SpectralGrid(nx=16, ny=16, Lx=30000000.0, Ly=40000000.0)" in err
 
 
 def test_run_transforms_each_recorded_state_once(tmp_path, small_cfg, monkeypatch):

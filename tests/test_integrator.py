@@ -66,7 +66,7 @@ def test_zero_window_step_is_ssprk3_on_transformed_variable(problem32):
 
     def G(tau, w):
         moved = exact_exp(tau, w, params)
-        tend = State(grid, apply_nonlinear(moved.q, grid, params))
+        tend = State(grid, apply_nonlinear(moved.q, params))
         return exact_exp(-tau, tend, params)
 
     v0 = state
@@ -89,7 +89,7 @@ def test_make_step_config_resolution(grid64):
 
     cheb = make_step_config(grid64, params, dt=3600.0, T=7200.0,
                             propagator="chebyshev", tol=1e-10)
-    lam = max_frequency(grid64, params) * 7200.0  # max(dt, T)
+    lam = max_frequency(params) * 7200.0  # max(dt, T)
     assert cheb.propagator_spec.Lambda == pytest.approx(lam, rel=1e-15)
     assert cheb.propagator_spec.n_poly == choose_npoly(lam, 1e-10)
 
@@ -143,7 +143,7 @@ def test_failed_run_leaves_no_node_running(problem32, monkeypatch):
     lock = threading.Lock()
     calls, running = [0], [0]
 
-    def nonlinear(q, g, p):
+    def nonlinear(q, p):
         with lock:
             calls[0] += 1
             first = calls[0] == 1
@@ -152,7 +152,7 @@ def test_failed_run_leaves_no_node_running(problem32, monkeypatch):
             if first:
                 raise ValueError("node failure")
             time.sleep(0.2)
-            return apply_nonlinear(q, g, p)
+            return apply_nonlinear(q, p)
         finally:
             with lock:
                 running[0] -= 1
@@ -171,7 +171,7 @@ def test_nonfinite_state_aborts_with_stage_index(problem32):
     grid, params, state = problem32
     cfg = make_step_config(grid, params, dt=600.0)
 
-    def explode(q, g, p):
+    def explode(q, p):
         return np.inf * q
 
     with pytest.raises(RuntimeError, match="stage 1"):
@@ -202,6 +202,50 @@ def test_out_of_band_input_leaves_step_unchanged(rng):
             got = step_averaged_ssprk3(kept, cfg, params)
             assert np.array_equal(got.q, want.q)
             assert got.t == want.t == state.t + 3600.0
+
+
+def grid_12x8(Lx=1.5e6):
+    return make_grid(12, 8, Lx, 1.0e6)
+
+
+# (make a fresh object from fixed values, whether == compares values):
+# grids compare by (nx, ny, Lx, Ly), the types holding arrays by identity
+VALUE_TYPES = {
+    "SpectralGrid": (grid_12x8, True),
+    "PhysicsParams": (lambda: flat(grid_12x8()), False),
+    "State": (lambda: State(grid_12x8(), np.zeros((3, 12, 3))), False),
+    "Quadrature": (lambda: kernel_weights(3600.0, 4), False),
+    "StepConfig": (lambda: make_step_config(grid_12x8(), flat(grid_12x8()),
+                                            dt=3600.0, T=3600.0, M=4), False),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_equality_and_hash_do_not_raise(name):
+    make, by_value = VALUE_TYPES[name]
+    a, b = make(), make()
+    assert a == a and hash(a) == hash(a)
+    assert (a == b) is by_value and (a != b) is not by_value
+    assert len({a, b}) == (1 if by_value else 2)
+    if by_value:
+        assert hash(a) == hash(b)
+        assert a != grid_12x8(Lx=2.0e6)
+
+
+def test_mixed_grids_are_rejected(rng):
+    # two 12 x 8 grids that differ only in Lx: the band stacks have one
+    # shape, so only a grid comparison can tell them apart
+    grid, wide = grid_12x8(), grid_12x8(Lx=2.0e6)
+    state, params = band_limited_state(grid, rng), flat(wide)
+    cfg = make_step_config(wide, params, dt=3600.0, T=3600.0, M=2)
+    with pytest.raises(ValueError, match="state grid .*Lx=1500000.0.* does not "
+                                         "match the physics' grid .*Lx=2000000.0"):
+        step_averaged_ssprk3(state, cfg, params)
+    with pytest.raises(ValueError, match="grid .*Lx=1500000.0.* does not match "
+                                         "the physics' grid .*Lx=2000000.0"):
+        make_step_config(grid, params, dt=3600.0)
+    # the same values on a grid of its own are the same grid
+    step_averaged_ssprk3(state, cfg, flat(grid_12x8()))
 
 
 def test_run_rejects_state_outside_the_band(rng):

@@ -7,7 +7,8 @@ import pytest
 
 from phaseswe import propagator
 from phaseswe.config import default_config
-from phaseswe.dynamics import State, energy_norm, flat_bottom, max_frequency
+from phaseswe.dynamics import (State, couplings, dispersion_omega, energy_norm,
+                               flat_bottom, max_frequency)
 from phaseswe.grid import band_width, make_grid
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import (band_limited_state, bessel_cheb_coeffs, dense_exp,
@@ -95,7 +96,7 @@ def test_choose_npoly_degree_bound_and_monotonicity():
 
 def test_cheb_respects_requested_tolerance(grid32, rng):
     params = flat(grid32)
-    lam = max_frequency(grid32, params) * 3600.0
+    lam = max_frequency(params) * 3600.0
     state = band_limited_state(grid32, rng)
     norm = energy_norm(state, params)
     want = exact_exp(3600.0, state, params)
@@ -105,7 +106,7 @@ def test_cheb_respects_requested_tolerance(grid32, rng):
 
 def test_cheb_rejects_time_outside_window(grid32, rng):
     params = flat(grid32)
-    lam_max = max_frequency(grid32, params)
+    lam_max = max_frequency(params)
     spec = PropagatorSpec.chebyshev(lam_max * 100.0)
     state = band_limited_state(grid32, rng)
     with pytest.raises(ValueError, match="exceeds Lambda"):
@@ -129,7 +130,7 @@ def test_propagate_dispatches_on_kind(grid32, rng):
     state = band_limited_state(grid32, rng)
     exact = propagate(600.0, state, params, PropagatorSpec.exact())
     assert np.array_equal(exact.u, exact_exp(600.0, state, params).u)
-    lam = max_frequency(grid32, params) * 600.0
+    lam = max_frequency(params) * 600.0
     spec = PropagatorSpec.chebyshev(lam)
     cheb = propagate(600.0, state, params, spec)
     assert np.array_equal(cheb.eta, cheb_exp(600.0, state, params, spec).eta)
@@ -154,7 +155,7 @@ def test_propagator_spec_validation():
 
 def test_cheb_preserves_hermitian_symmetry(grid32, rng):
     params = flat(grid32)
-    lam = max_frequency(grid32, params) * 3600.0
+    lam = max_frequency(params) * 3600.0
     spec = PropagatorSpec.chebyshev(lam)
     state = band_limited_state(grid32, rng)
     out = cheb_exp(3600.0, state, params, spec)
@@ -185,7 +186,7 @@ def test_cheb_matches_dense_exponential_on_anisotropic_grid(rng):
     # nx != ny and Lx != Ly: swapped kx and ky couplings would show here
     params = flat(GRID_12x8)
     state = band_limited_state(GRID_12x8, rng)
-    spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0, tol=1e-12)
+    spec = PropagatorSpec.chebyshev(max_frequency(params) * 3600.0, tol=1e-12)
     # each |t| runs its own degree, so the shorter shifts are checked too
     for t in (3600.0, -1800.0, 900.0, 1800.0, 2700.0):
         assert_matches_dense(cheb_exp(t, state, params, spec), state, params, t, 1e-10)
@@ -213,7 +214,7 @@ def shift_cases(rng):
     for grid in SHIFT_GRIDS:
         params = flat(grid)
         state = band_limited_state(grid, rng)
-        lam = max_frequency(grid, params) * 3600.0
+        lam = max_frequency(params) * 3600.0
         yield (grid, params, state, state.q, lam,
                (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)))
 
@@ -228,10 +229,10 @@ def test_band_shift_is_bitwise_propagate(rng):
         before = band.copy()
         # every Chebyshev degree and the Lambda guard are sized from the
         # whole grid's omega, though the tables hold band columns only
-        key = propagator._table_key(grid, params)
-        assert propagator._couplings(key).max_omega == max_frequency(grid, params)
+        whole = np.max(dispersion_omega(grid.wavenumber_mesh(), params))
+        assert couplings(params).max_omega == max_frequency(params) == whole
         for spec in specs:
-            on_band = shift(band, grid, params, spec, SHIFT_TIMES)
+            on_band = shift(band, params, spec, SHIFT_TIMES)
             assert on_band.shape == (len(SHIFT_TIMES),) + band.shape
             for s, row in zip(SHIFT_TIMES, on_band):
                 moved = propagate(s, state, params, spec)
@@ -243,9 +244,9 @@ def test_band_shift_is_bitwise_propagate(rng):
         wide = np.zeros((3, grid.nx, kb + 1), dtype=complex)
         for bad in (whole, wide, band[:2]):
             with pytest.raises(ValueError, match=rf"\(3, {grid.nx}, {kb}\)"):
-                shift(bad, grid, params, PropagatorSpec.exact(), (900.0,))
+                shift(bad, params, PropagatorSpec.exact(), (900.0,))
         with pytest.raises(ValueError, match="exceeds Lambda"):
-            shift(band, grid, params, PropagatorSpec.chebyshev(lam), (900.0, 7200.0))
+            shift(band, params, PropagatorSpec.chebyshev(lam), (900.0, 7200.0))
 
 
 def test_state_exponentials_read_only_the_band(rng):
@@ -262,7 +263,7 @@ def test_state_exponentials_read_only_the_band(rng):
         with pytest.raises(ValueError, match="outside the 2/3 band"):
             State(grid, noisy[..., : band_width(grid.ny)], t=state.t)
         kept = State(grid, take_band(grid, noisy), t=state.t)
-        spec = PropagatorSpec.chebyshev(max_frequency(grid, params) * 3600.0)
+        spec = PropagatorSpec.chebyshev(max_frequency(params) * 3600.0)
         for fn in (lambda x: propagate(-1800.0, x, params, PropagatorSpec.exact()),
                    lambda x: propagate(900.0, x, params, spec),
                    lambda x: exact_exp(3600.0, x, params),
@@ -280,21 +281,21 @@ def test_multi_time_shift_rows_are_single_time_shifts(rng):
     # recurrence whose rows stop at their own degrees and fold in the sign
     # of t; each must be bitwise the shift of its time alone
     for grid, params, state, q, lam, specs in shift_cases(rng):
-        omega = max_frequency(grid, params)
+        omega = max_frequency(params)
         degrees = {choose_npoly(abs(s) * omega) for s in SHIFT_TIMES}
         assert len(degrees) == 3
         before = q.copy()
         for spec in specs:
-            rows = shift(q, grid, params, spec, SHIFT_TIMES)
+            rows = shift(q, params, spec, SHIFT_TIMES)
             for s, row in zip(SHIFT_TIMES, rows):
-                assert np.array_equal(row, shift(q, grid, params, spec, (s,))[0])
+                assert np.array_equal(row, shift(q, params, spec, (s,))[0])
             assert np.array_equal(q, before)
             buf = np.empty_like(rows)
-            assert shift(q, grid, params, spec, SHIFT_TIMES, out=buf) is buf
+            assert shift(q, params, spec, SHIFT_TIMES, out=buf) is buf
             assert np.array_equal(buf, rows)
-            assert shift(q, grid, params, spec, ()).shape == (0,) + q.shape
+            assert shift(q, params, spec, ()).shape == (0,) + q.shape
             with pytest.raises(ValueError, match="out"):
-                shift(q, grid, params, spec, SHIFT_TIMES[:2], out=buf)
+                shift(q, params, spec, SHIFT_TIMES[:2], out=buf)
 
 
 def test_cheb_zero_shift_is_a_copy(rng):
@@ -302,12 +303,12 @@ def test_cheb_zero_shift_is_a_copy(rng):
     params = flat(GRID_12x8)
     state = band_limited_state(GRID_12x8, rng)
     q = state.q
-    spec = PropagatorSpec.chebyshev(max_frequency(GRID_12x8, params) * 3600.0)
-    out = shift(q, GRID_12x8, params, spec, (0.0, 900.0, 0.0))
+    spec = PropagatorSpec.chebyshev(max_frequency(params) * 3600.0)
+    out = shift(q, params, spec, (0.0, 900.0, 0.0))
     for row in out[::2]:
         assert np.array_equal(row, q)
         assert not np.shares_memory(row, q)
-    assert np.array_equal(out[1], shift(q, GRID_12x8, params, spec, (900.0,))[0])
+    assert np.array_equal(out[1], shift(q, params, spec, (900.0,))[0])
 
 
 def step_times(config):
@@ -332,9 +333,9 @@ def test_step_fills_coefficient_table_with_its_distinct_times(rng):
     # one band entry per |t|, which evaluates the trigonometry
     info = table.cache_info()
     assert info.currsize == info.misses == len(times)
-    key = propagator._table_key(GRID_12x8, params)
+    cp = couplings(params)
     for t in times:
-        table(key, t)
+        table(cp, t)
     assert table.cache_info().misses == len(times)  # exactly those entries
     step_averaged_ssprk3(out, config, params)
     assert table.cache_info().misses == len(times)
@@ -354,8 +355,7 @@ def test_cheb_step_sizes_each_distinct_time(rng):
     out = step_averaged_ssprk3(state, config, params)
     info = table.cache_info()
     assert info.currsize == info.misses == len(times)
-    key = propagator._table_key(GRID_12x8, params)
-    omega = propagator._couplings(key).max_omega
+    omega = couplings(params).max_omega
     for t in times:
         assert len(table(t * omega, 1e-10)) - 1 == choose_npoly(t * omega, 1e-10)
     assert table.cache_info().misses == len(times)  # exactly those entries

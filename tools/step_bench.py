@@ -11,23 +11,26 @@ into a temporary directory; the change is this checkout's working tree.
 Two measurements are made, each alternating base and change so that a drift
 of the machine hits both sides alike:
 
-- In-process steps.  A fresh interpreter per side and round builds the
-  configured jet and mountain case at 32^2, 64^2 and 128^2 with dt = 1 h and
-  times single-threaded steps at T = 0, 1 h and 8 h (exact route, auto M)
-  and at T = 1 h on the Chebyshev route, after two warm-up steps: 6 rounds
-  per side of 12 timed steps per case.  Each step records its wall time and
-  its minor page faults (`ru_minflt`).  Next to the medians of all steps
-  pooled, each round's median and minimum are kept per side and case.
-  Round r of the base and of the change form a pair, and the change wins it
-  when its round minimum is lower: on a shared machine a round's minimum
-  follows the load less than its median does.
+- Interleaved steps.  One persistent worker process per side builds the
+  configured jet and mountain case at 32^2, 64^2 and 128^2 with dt = 1 h,
+  once per case, through the calls perfbench pins (harness.build_problem's
+  4-tuple and integrator.make_step_config(grid, params, ...)), so both
+  revisions run the same code around the step: single-threaded steps at
+  T = 0, 1 h and 8 h (exact route, auto M) and at T = 1 h on the Chebyshev
+  route, after two warm-up steps, every timed step from the state they
+  left.  The workers then take turns one timed step at a time, for STEP_PAIRS step pairs per case, the side that steps
+  first flipping from pair to pair, while the other waits.  Each step
+  records its wall time and its minor page faults (`ru_minflt`).  The two
+  steps of a pair run back to back, under nearly the same load, so the
+  change wins the pair when its step is faster; a load swing that lasts
+  many steps hits both sides alike.
 - perfbench pairs.  `perfbench/run.py --workload W --seconds 36 --trace 0`
   of each tree, the side that runs first alternating from pair to pair.
 
 The output holds the machine line that perfbench prints, each side's median
 and quartiles per metric, the change/base ratio of the medians, and how many
-pairs (perfbench runs, or alternated step rounds) the change won (lower is
-better for every metric).
+pairs (perfbench runs, or step pairs) the change won (lower is better for
+every metric).
 """
 
 from __future__ import annotations
@@ -53,44 +56,49 @@ CASES = {  # name: (T in seconds, propagator)
     "cheb1h": (3600.0, "chebyshev"),
 }
 WARMUP_STEPS = 2
-ROUNDS = 6             # alternating in-process rounds per side
-STEPS_PER_ROUND = 12   # timed steps per case and round
+STEP_PAIRS = 60        # alternated timed steps per side and case
 PERFBENCH_SECONDS = 36
 
 
-def measure_steps(src: str) -> dict:
-    """Per grid and case: the M, the Chebyshev degree, and the wall time (ms)
-    and minor page faults of each timed step, from the phaseswe under src."""
+def serve_steps(src: str) -> None:
+    """Worker: build every case from the phaseswe under src, print one JSON
+    line of each case's M and Chebyshev degree, then for each case name read
+    from stdin time one step of it and print its wall time (ms) and minor
+    page faults as one JSON line, until stdin closes.  Every timed step of a
+    case starts from the state after its warm-up steps: a step's cost does
+    not depend on the values, and a long unaveraged run at dt = 1 h does
+    not stay finite."""
     sys.path.insert(0, src)
     from dataclasses import replace
 
     from phaseswe.config import default_config
-    from phaseswe.harness import build_problem, step_config
-    from phaseswe.integrator import step_averaged_ssprk3
+    from phaseswe.harness import build_problem
+    from phaseswe.integrator import make_step_config, step_averaged_ssprk3
 
-    out = {}
+    cases, meta = {}, {}
     for n in GRIDS:
         for case, (T, propagator) in CASES.items():
             cfg = replace(default_config(), nx=n, ny=n, dt=3600.0, T=T, M=None,
                           propagator=propagator)
             grid, _cfg, params, state = build_problem(cfg)
-            step_cfg = step_config(cfg, grid, params)
-            spec = step_cfg.propagator_spec
+            step_cfg = make_step_config(grid, params, dt=cfg.dt, T=cfg.T, M=cfg.M,
+                                        propagator=cfg.propagator, tol=cfg.tol)
             for _ in range(WARMUP_STEPS):
                 state = step_averaged_ssprk3(state, step_cfg, params)
-            ms, faults = [], []
-            for _ in range(STEPS_PER_ROUND):
-                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                t0 = time.perf_counter()
-                state = step_averaged_ssprk3(state, step_cfg, params)
-                ms.append(1e3 * (time.perf_counter() - t0))
-                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-            out[f"{n}/{case}"] = {
-                "M": step_cfg.quadrature.M,
-                "degree": spec.n_poly if spec.kind == "chebyshev" else 0,
-                "ms": ms, "faults": faults,
-            }
-    return out
+            key = f"{n}/{case}"
+            cases[key] = (state, step_cfg, params)
+            spec = step_cfg.propagator_spec
+            meta[key] = {"M": step_cfg.quadrature.M,
+                         "degree": spec.n_poly if spec.kind == "chebyshev" else 0}
+    print(json.dumps(meta), flush=True)
+    for line in sys.stdin:
+        args = cases[line.strip()]
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        step_averaged_ssprk3(*args)
+        ms = 1e3 * (time.perf_counter() - t0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        print(json.dumps({"ms": ms, "faults": faults}), flush=True)
 
 
 def summary(values: list[float]) -> dict:
@@ -120,38 +128,44 @@ def run_python(tree: str, args: list[str], env: dict) -> str:
     return done.stdout
 
 
-def step_rounds(trees: dict, env: dict) -> dict:
-    raw = {side: [] for side in trees}
-    for r in range(ROUNDS):
-        order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-        for side in order:
-            out = run_python(ROOT, [os.path.abspath(__file__), "--worker",
-                                    os.path.join(trees[side], "src")], env)
-            raw[side].append(json.loads(out.splitlines()[-1]))
-    result = {}
-    for key in raw["base"][0]:
-        sides = {side: [run[key] for run in raw[side]] for side in trees}
-        result[key] = {
-            "M": {side: runs[0]["M"] for side, runs in sides.items()},
-            "degree": {side: runs[0]["degree"] for side, runs in sides.items()},
-            "step_ms": pooled_rounds(sides, "ms"),
-            "faults_per_step": pooled_rounds(sides, "faults"),
-        }
-    return result
+def _reply(proc: subprocess.Popen, side: str) -> dict:
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"the {side} step worker exited (code {proc.wait()})")
+    return json.loads(line)
 
 
-def pooled_rounds(sides: dict, field: str) -> dict:
-    """compare() of every step of every round, pooled per side, with each
-    round's median and minimum per side and the rounds the change won on
-    their minima, round r of each side forming a pair."""
-    medians, minima = ({s: [fn(run[field]) for run in sides[s]]
-                        for s in ("base", "change")}
-                       for fn in (statistics.median, min))
-    out = compare(*([x for run in sides[s] for x in run[field]] for s in ("base", "change")),
-                  list(zip(minima["base"], minima["change"])))
-    out["round_medians"] = medians
-    out["round_minima"] = minima
-    return out
+def step_pairs(trees: dict, env: dict) -> dict:
+    """Per case: both sides' M and degree, and compare() of their step times
+    and page faults over STEP_PAIRS interleaved step pairs."""
+    procs = {side: subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--worker",
+         os.path.join(tree, "src")], cwd=ROOT, env=env, text=True,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE) for side, tree in trees.items()}
+    try:
+        meta = {side: _reply(proc, side) for side, proc in procs.items()}
+        result = {}
+        for key in meta["base"]:
+            steps = {side: [] for side in procs}
+            for i in range(STEP_PAIRS):
+                for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                    procs[side].stdin.write(key + "\n")
+                    procs[side].stdin.flush()
+                    steps[side].append(_reply(procs[side], side))
+            # per field, the base's and the change's values, pair i at index i
+            sides = {field: [[s[field] for s in steps[side]] for side in ("base", "change")]
+                     for field in ("ms", "faults")}
+            result[key] = {
+                "M": {side: meta[side][key]["M"] for side in procs},
+                "degree": {side: meta[side][key]["degree"] for side in procs},
+                "step_ms": compare(*sides["ms"], list(zip(*sides["ms"]))),
+                "faults_per_step": compare(*sides["faults"], list(zip(*sides["faults"]))),
+            }
+        return result
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
 
 
 def perfbench_pairs(trees: dict, workload: str, pairs: int, seed: int,
@@ -216,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.worker:
-        print(json.dumps(measure_steps(args.worker)))
+        serve_steps(args.worker)
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -240,7 +254,7 @@ def main(argv=None) -> int:
     machine: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": extract(args.base, tmp), "change": ROOT}
-        steps = step_rounds(trees, env)
+        steps = step_pairs(trees, env)
         bench = {name: perfbench_pairs(trees, name, count, args.seed, env, machine)
                  for name, count in pairs.items()}
     if not machine:
@@ -251,8 +265,8 @@ def main(argv=None) -> int:
         "base": git("rev-parse", args.base),
         "change": git("rev-parse", "HEAD") + (" + working tree" if dirty else ""),
         "machine": machine,
-        "steps": {"rounds": ROUNDS, "steps_per_round": STEPS_PER_ROUND,
-                  "warmup_steps": WARMUP_STEPS, "dt_s": 3600.0, "cases": steps},
+        "steps": {"pairs": STEP_PAIRS, "warmup_steps": WARMUP_STEPS, "dt_s": 3600.0,
+                  "cases": steps},
         "perfbench": bench,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
