@@ -10,11 +10,13 @@ from dataclasses import replace
 import numpy as np
 
 from phaseswe import (State, apply_linear, apply_nonlinear, balanced_jet,
-                      default_config, energy_norm, make_grid, make_step_config,
+                      default_config, energy_norm, make_step_config,
                       physics_params, run, to_physical)
 
-grid = make_grid(64, 64, 4.0e7, 4.0e7)
+# the case is its RunConfig, grid included: case.grid is
+# SpectralGrid(64, 64, 4.0e7, 4.0e7)
 case = default_config()
+grid = case.grid
 
 print("domain: %g x %g km, %d x %d points" % (grid.Lx / 1e3, grid.Ly / 1e3,
                                               grid.nx, grid.ny))
@@ -24,8 +26,8 @@ print("jets: +-%g m/s, width %g km, centred at y = Ly/4 and 3Ly/4"
 
 # the jet pair is built in discrete geostrophic balance, so with a flat
 # bottom both the linear and the nonlinear tendency vanish to round-off
-flat = physics_params(replace(case, b0=0.0), grid)
-jet = balanced_jet(case, grid)
+flat = physics_params(replace(case, b0=0.0))
+jet = balanced_jet(case)
 scale = case.f * energy_norm(jet, flat)
 print("\nflat-bottom steadiness (energy norms, relative to f * |U|):")
 print("  |L U| / scale = %.3e" % (energy_norm(apply_linear(jet, flat), flat) / scale))
@@ -43,7 +45,7 @@ print("  max |u| = %.3f m/s, eta range [%.2f, %.2f] m"
 # the physics keeps its 2/3 band b for the dynamics and that band's
 # physical field b_phys for the diagnostics, so expect small Gibbs ripples
 # around the base
-rough = physics_params(case, grid)
+rough = physics_params(case)
 b_phys = rough.b_phys
 volume = grid.cell_area * b_phys.sum()
 cone = np.pi * case.r0**2 * case.b0 / 3.0

@@ -14,13 +14,13 @@ import numpy as np
 
 from phaseswe import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_npoly,
                       default_config, dispersion_omega, energy_norm, exact_exp,
-                      make_grid, max_frequency, physics_params)
+                      max_frequency, physics_params)
 from phaseswe.grid import to_spectral
 from phaseswe.dynamics import State
 
-grid = make_grid(64, 64, 4.0e7, 4.0e7)
-case = replace(default_config(), b0=0.0)   # flat bottom
-params = physics_params(case, grid)
+case = replace(default_config(), b0=0.0)   # flat bottom, 64 x 64 points
+grid = case.grid
+params = physics_params(case)
 
 lam_max = max_frequency(params)
 print("dispersion on the default grid:")

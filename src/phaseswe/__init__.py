@@ -6,14 +6,13 @@ integration (exact per-mode and matrix-free Chebyshev propagators), and a
 transformed SSPRK3 stepper.
 """
 
-from .grid import SpectralGrid, make_grid, to_spectral, to_physical
+from .grid import SpectralGrid, to_spectral, to_physical
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
                        dispersion_omega, max_frequency, energy_inner,
                        energy_norm, flat_bottom)
 from .propagator import (PropagatorSpec, exact_exp, cheb_coeffs, choose_npoly,
                          cheb_exp, propagate)
-from .averaging import (Quadrature, kernel_weights, default_node_count,
-                        averaged_tendency)
+from .averaging import Quadrature, default_node_count, averaged_tendency
 from .integrator import (StepConfig, make_step_config, step_averaged_ssprk3,
                          Trajectory, run)
 from .diagnostics import (l2_error_normalized, linf_error_eta, energy_mass,
@@ -24,13 +23,13 @@ from .testcase import mountain, balanced_jet, physics_params
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpectralGrid", "make_grid", "to_spectral", "to_physical",
+    "SpectralGrid", "to_spectral", "to_physical",
     "PhysicsParams", "State", "apply_linear", "apply_nonlinear",
     "dispersion_omega", "max_frequency", "energy_inner", "energy_norm",
     "flat_bottom",
     "PropagatorSpec", "exact_exp", "cheb_coeffs", "choose_npoly", "cheb_exp",
     "propagate",
-    "Quadrature", "kernel_weights", "default_node_count", "averaged_tendency",
+    "Quadrature", "default_node_count", "averaged_tendency",
     "StepConfig", "make_step_config", "step_averaged_ssprk3", "Trajectory", "run",
     "l2_error_normalized", "linf_error_eta", "energy_mass", "ErrorReport",
     "make_error_report",

@@ -8,6 +8,7 @@ with weights w_k proportional to the one kernel, the compactly supported bump
 rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 2019), normalised to sum exactly to one.  The bump vanishes with all
 derivatives at the window edges, so the endpoint nodes carry zero weight.
+Quadrature(T, M) builds both from (T, M), so they hold by construction.
 
 e^{Lt} acts mode by mode and N, like any nonlinear(q, params), maps a
 (3, nx, kb) band stack to a band stack on params.grid, so the core,
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PhysicsParams, State, apply_nonlinear
+from .dynamics import PhysicsParams, State, apply_nonlinear, require_same_grid
 from .grid import scratch
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
@@ -41,7 +42,6 @@ from .propagator import propagate  # noqa: F401
 
 __all__ = [
     "Quadrature",
-    "kernel_weights",
     "default_node_count",
     "averaged_tendency",
     "band_averaged_tendency",
@@ -50,53 +50,41 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Quadrature:
-    """Symmetric averaging nodes s and weights w over the window [-T, T];
-    == is identity."""
+    """Bump-kernel nodes s_k = k T / M and weights w over the window [-T, T],
+    2M + 1 of each, built read-only from (T, M); == is identity.  T = 0
+    requires M = 0 and yields the single node s = 0 with weight 1 (the
+    averaged tendency then reduces to the plain nonlinearity); so does T > 0
+    with M = 0."""
 
     T: float
     M: int
-    s: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
+    s: np.ndarray = field(init=False, repr=False)
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = 2 * self.M + 1
-        if self.s.shape != (n,) or self.w.shape != (n,):
-            raise ValueError(f"need {n} nodes and weights for M = {self.M}")
-        if abs(float(self.w.sum()) - 1.0) > 1e-14:
-            raise ValueError("quadrature weights must sum to 1")
-        if not np.allclose(self.s, -self.s[::-1], rtol=0.0, atol=1e-12 * (self.T + 1.0)):
-            raise ValueError("quadrature nodes must be symmetric about 0")
-        if not np.allclose(self.w, self.w[::-1], rtol=0.0, atol=1e-14):
-            raise ValueError("quadrature weights must be symmetric")
-
-
-def kernel_weights(T: float, M: int) -> Quadrature:
-    """Build the bump-kernel quadrature for window half-width T with 2M + 1 nodes.
-
-    T = 0 requires M = 0 and yields the single node s = 0 with weight 1
-    (the averaged tendency then reduces to the plain nonlinearity).  T > 0
-    with M = 0 is the same degenerate single-node average.
-    """
-    if T < 0:
-        raise ValueError(f"window T must be nonnegative, got {T}")
-    if M < 0:
-        raise ValueError(f"node count M must be nonnegative, got {M}")
-    if T == 0.0 and M != 0:
-        raise ValueError("T = 0 admits only M = 0")
-    if M == 0:
-        return Quadrature(T=float(T), M=0, s=np.zeros(1), w=np.ones(1))
-    k = np.arange(-M, M + 1)
-    s = k * (T / M)
-    x = s / T
-    rho = np.zeros_like(x)
-    inside = np.abs(x) < 1.0  # the bump vanishes on and beyond the window edges
-    rho[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    w = rho / float(rho.sum())
-    # renormalise the round-off so the sum is exactly 1.0
-    w = w / float(w.sum())
-    for arr in (s, w):
-        arr.setflags(write=False)
-    return Quadrature(T=float(T), M=int(M), s=s, w=w)
+        T, M = self.T, self.M
+        if T < 0:
+            raise ValueError(f"window T must be nonnegative, got {T}")
+        if M < 0:
+            raise ValueError(f"node count M must be nonnegative, got {M}")
+        if T == 0.0 and M != 0:
+            raise ValueError("T = 0 admits only M = 0")
+        if M == 0:
+            s, w = np.zeros(1), np.ones(1)
+        else:
+            k = np.arange(-M, M + 1)
+            s = k * (T / M)
+            x = s / T
+            rho = np.zeros_like(x)
+            inside = np.abs(x) < 1.0  # the bump vanishes on and beyond the window edges
+            rho[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+            w = rho / float(rho.sum())
+            # renormalise the round-off so the sum is exactly 1.0
+            w = w / float(w.sum())
+        for arr in (s, w):
+            arr.setflags(write=False)
+        for name, value in zip(("T", "M", "s", "w"), (float(T), int(M), s, w)):
+            object.__setattr__(self, name, value)
 
 
 def default_node_count(T: float, lambda_max: float) -> int:
@@ -111,6 +99,7 @@ def averaged_tendency(state: State, quadrature: Quadrature, params: PhysicsParam
                       executor: Executor | None = None,
                       nonlinear=apply_nonlinear) -> State:
     """band_averaged_tendency of the state's band stack, as a State."""
+    require_same_grid(state, params)
     return State(state.grid, band_averaged_tendency(
         state.q, quadrature, params, propagator_spec, executor, nonlinear), t=state.t)
 

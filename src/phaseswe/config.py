@@ -7,12 +7,16 @@ echoed to `config.resolved` in the output directory in a form that parses
 back to the identical RunConfig.  RunConfig is the one home of a run's
 settings, the experiment's case included, and validates itself: the fine
 reference and each sweep window are derived from it by reference_config and
-window_config."""
+window_config.  RunConfig.grid is SpectralGrid(nx, ny, Lx, Ly), whose rules
+on those four fields are the config's, raised as ConfigError."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+
+from .grid import SpectralGrid
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
            "format_config", "default_config", "reference_config", "window_config",
@@ -77,12 +81,11 @@ class RunConfig:
                               ("xc", 0.5 * self.Lx), ("yc", 0.25 * self.Ly)):
             if getattr(self, name) < 0:
                 object.__setattr__(self, name, derived)
-        for name in ("nx", "ny"):
-            n = getattr(self, name)
-            if n < 8 or n % 2 != 0:
-                bad(f"{name} must be even and >= 8, got {n}")
-        for name in ("Lx", "Ly", "g", "H", "u0", "jet_width", "r0", "dt", "tol",
-                     "ref_dt"):
+        try:
+            self.grid  # SpectralGrid checks nx, ny, Lx and Ly, in that order
+        except ValueError as exc:
+            bad(str(exc))
+        for name in ("g", "H", "u0", "jet_width", "r0", "dt", "tol", "ref_dt"):
             if not getattr(self, name) > 0:
                 bad(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 <= self.b0 < self.H:
@@ -107,6 +110,11 @@ class RunConfig:
             bad(f"snapshot_every must be nonnegative, got {self.snapshot_every}")
         if self.workers < 1:
             bad(f"workers must be at least 1, got {self.workers}")
+
+    @cached_property
+    def grid(self) -> SpectralGrid:
+        """The run's grid, SpectralGrid(nx, ny, Lx, Ly), built once per config."""
+        return SpectralGrid(self.nx, self.ny, self.Lx, self.Ly)
 
 
 _DEFAULTS = {fld.name: fld.default for fld in fields(RunConfig)}

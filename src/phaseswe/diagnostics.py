@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhysicsParams, State
+from .dynamics import PhysicsParams, State, require_same_grid
 from .grid import to_physical
 
 __all__ = [
@@ -58,6 +58,7 @@ def _linf_error(teta: np.ndarray, reta: np.ndarray) -> float:
 
 def energy_mass(state: State, params: PhysicsParams) -> tuple[float, float]:
     """Total energy and mass of a spectral state; see energy_mass_fields."""
+    require_same_grid(state, params)
     return energy_mass_fields(params, *to_physical(state.grid, state.q))
 
 

@@ -14,17 +14,17 @@ kernel, _add_linear, applies them: apply_linear here and both exponential
 routes of the propagator module.
 
 PhysicsParams is the physical system, (grid, f, g, H, b), and every band
-kernel reads its grid from there.  A State holds U as q, its compact
-(3, nx, kb) band stack (grid module), kb = ceil(ny/3), and PhysicsParams
-holds b as its (nx, kb) band.  N is a band kernel: apply_nonlinear(q,
-params) maps the band stack of U to that of N(U), zero outside the 2/3 band
-and the band of an exactly Hermitian field.  Its seven inverse and four
-forward transforms are one to_physical and one to_spectral call
-(numpy.fft), and every intermediate lives in the calling thread's
-grid.scratch arrays, written through out=: the (7, nx, kb) gradient stack,
-the (7, nx, ny) physical stack, one physical product and the (4, nx, kb)
-forward result, plus the transforms' own scratch.  The band stack it
-returns is the only array a call allocates.
+kernel reads its grid from there; every State entry point rejects a state on
+another grid (require_same_grid).  A State holds U as q, its compact (3, nx,
+kb) band stack (grid module), kb = ceil(ny/3), and PhysicsParams holds b as
+its (nx, kb) band.  N is a band kernel: apply_nonlinear(q, params) maps the
+band stack of U to that of N(U), zero outside the 2/3 band and the band of an
+exactly Hermitian field.  Its seven inverse and four forward transforms are
+one to_physical and one to_spectral call (numpy.fft), and every intermediate
+lives in the calling thread's grid.scratch arrays, written through out=: the
+(7, nx, kb) gradient stack, the (7, nx, ny) physical stack, one physical
+product and the (4, nx, kb) forward result, plus the transforms' own scratch.
+The band stack it returns is the only array a call allocates.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "State",
     "apply_linear",
     "apply_nonlinear",
+    "require_same_grid",
     "dispersion_omega",
     "max_frequency",
     "energy_inner",
@@ -85,6 +86,13 @@ class PhysicsParams:
 def flat_bottom(grid: SpectralGrid, f: float, g: float, H: float) -> PhysicsParams:
     """PhysicsParams with b identically zero."""
     return PhysicsParams(grid, f, g, H, np.zeros((grid.nx, grid.ny)))
+
+
+def require_same_grid(state: State, params: PhysicsParams) -> None:
+    """ValueError, naming both grids, unless the state lives on params.grid."""
+    if state.grid != params.grid:
+        raise ValueError(f"state grid {state.grid} does not match the physics' "
+                         f"grid {params.grid}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +216,7 @@ def _add_linear(cp: _Couplings, q: np.ndarray, out: np.ndarray,
 
 def apply_linear(state: State, params: PhysicsParams) -> State:
     """Tendency L U: rotation, pressure gradient, divergence.  Per-mode diagonal."""
+    require_same_grid(state, params)
     out = np.zeros_like(state.q)
     _add_linear(couplings(params), state.q, out, np.empty_like(out[:2]))
     return replace(state, q=out)

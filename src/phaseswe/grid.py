@@ -1,10 +1,11 @@
 """Doubly periodic spectral grid: wavenumbers, the 2/3 band, its transforms.
 
-Index i runs over x and index j over y; spectral entry (i, j) carries the
-wavevector (kx[i], ky[j]) of the unnormalised ``fft2`` layout, in the usual
-signed wrap-around ordering.  The forward transform is unnormalised and the
-1/(nx*ny) factor lives in the inverse, so a constant field 1.0 has nx*ny in
-its (0, 0) slot.
+SpectralGrid(nx, ny, Lx, Ly) checks its arguments and builds its wavenumbers
+from them.  Index i runs over x and index j over y; spectral entry (i, j)
+carries the wavevector (kx[i], ky[j]) of the unnormalised ``fft2`` layout, in
+the usual signed wrap-around ordering.  The forward transform is
+unnormalised and the 1/(nx*ny) factor lives in the inverse, so a constant
+field 1.0 has nx*ny in its (0, 0) slot.
 
 Spectra have one layout: the compact 2/3 band.  The solver keeps the modes
 |wrap| < n/3 per direction (Orszag's 2/3 rule), and every such mode of a
@@ -34,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "SpectralGrid",
-    "make_grid",
     "Band",
     "band_width",
     "band",
@@ -47,18 +47,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform doubly periodic grid with precomputed wavenumbers.
-
-    Build through :func:`make_grid`, which validates the arguments.  Grids
-    compare and hash by (nx, ny, Lx, Ly), which fix kx and ky.
-    """
+    """Uniform doubly periodic nx x ny grid on Lx x Ly metres (nx, ny even and
+    >= 8, Lx, Ly > 0; ValueError otherwise) with read-only wavenumbers kx, ky
+    built from those four, by which grids compare and hash."""
 
     nx: int
     ny: int
     Lx: float
     Ly: float
-    kx: np.ndarray = field(repr=False, compare=False)
-    ky: np.ndarray = field(repr=False, compare=False)
+    kx: np.ndarray = field(init=False, repr=False, compare=False)
+    ky: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if n < 8 or n % 2 != 0:
+                raise ValueError(f"{name} must be even and >= 8, got {n}")
+            object.__setattr__(self, name, int(n))
+        for name, n, k in (("Lx", self.nx, "kx"), ("Ly", self.ny, "ky")):
+            length = getattr(self, name)
+            if not length > 0:
+                raise ValueError(f"{name} must be positive, got {length}")
+            wavenumbers = 2.0 * np.pi * _wrap_indices(n) / length
+            wavenumbers.setflags(write=False)
+            object.__setattr__(self, name, float(length))
+            object.__setattr__(self, k, wavenumbers)
 
     @property
     def dx(self) -> float:
@@ -90,30 +103,6 @@ class SpectralGrid:
 def _wrap_indices(n: int) -> np.ndarray:
     # signed FFT index order: 0, 1, ..., n/2 - 1, -n/2, ..., -1
     return np.fft.fftfreq(n, d=1.0 / n).astype(int)
-
-
-def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> SpectralGrid:
-    """Construct a :class:`SpectralGrid`.
-
-    Parameters
-    ----------
-    nx, ny : int
-        Number of grid points per direction; even and at least 8.
-    Lx, Ly : float
-        Domain lengths in metres; strictly positive.
-    """
-    for name, n in (("nx", nx), ("ny", ny)):
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"{name} must be even and >= 8, got {n}")
-    for name, length in (("Lx", Lx), ("Ly", Ly)):
-        if not length > 0:
-            raise ValueError(f"{name} must be positive, got {length}")
-
-    kx = 2.0 * np.pi * _wrap_indices(nx) / Lx
-    ky = 2.0 * np.pi * _wrap_indices(ny) / Ly
-    for arr in (kx, ky):
-        arr.setflags(write=False)
-    return SpectralGrid(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly), kx=kx, ky=ky)
 
 
 class Band(NamedTuple):

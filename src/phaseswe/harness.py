@@ -17,7 +17,6 @@ from .config import (ConfigError, RunConfig, default_config, format_config,
                      load_config, reference_config, window_config)
 from .diagnostics import make_error_report
 from .dynamics import PhysicsParams, State
-from .grid import make_grid
 from .integrator import StepConfig, Trajectory, make_step_config, run
 from .io import (read_snapshot_state, write_diagnostics, write_error_report,
                  write_snapshot)
@@ -30,10 +29,9 @@ __all__ = ["build_problem", "step_config", "cmd_run", "cmd_reference", "cmd_swee
 
 def build_problem(cfg: RunConfig):
     """Grid, config, physics, and initial state for the configured jet +
-    mountain case.  The first two slots, params.grid and cfg itself, are
-    kept only because perfbench/run.py unpacks four values."""
-    grid = make_grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    return grid, cfg, physics_params(cfg, grid), balanced_jet(cfg, grid)
+    mountain case, on cfg.grid.  The first two slots, cfg.grid and cfg
+    itself, are kept only because perfbench/run.py unpacks four values."""
+    return cfg.grid, cfg, physics_params(cfg), balanced_jet(cfg)
 
 
 def step_config(cfg: RunConfig, params: PhysicsParams) -> StepConfig:

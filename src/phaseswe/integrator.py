@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import (Quadrature, band_averaged_tendency, default_node_count,
-                        kernel_weights)
+from .averaging import Quadrature, band_averaged_tendency, default_node_count
 # averaged_tendency stays a module attribute: perfbench/tracing.py patches it here
 from .averaging import averaged_tendency  # noqa: F401
 from .config import is_multiple
 # energy_mass stays a module attribute: perfbench/tracing.py patches it here
 from .diagnostics import energy_mass, energy_mass_fields  # noqa: F401
-from .dynamics import PhysicsParams, State, apply_nonlinear, max_frequency
+from .dynamics import (PhysicsParams, State, apply_nonlinear, max_frequency,
+                       require_same_grid)
 from .grid import SpectralGrid, to_physical
 from .propagator import PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
@@ -81,7 +81,7 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
         raise ValueError(f"grid {grid} does not match the physics' grid {params.grid}")
     if M is None:
         M = default_node_count(T, max_frequency(params))
-    quad = kernel_weights(T, M)
+    quad = Quadrature(T, M)
     if propagator == "exact":
         spec = PropagatorSpec.exact()
     elif propagator == "chebyshev":
@@ -102,9 +102,7 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
                          executor=None, nonlinear=apply_nonlinear) -> State:
     """Advance one step of the transformed SSPRK3 scheme on the state's band
     stack, which must live on params.grid."""
-    if state.grid != params.grid:
-        raise ValueError(f"state grid {state.grid} does not match the physics' "
-                         f"grid {params.grid}")
+    require_same_grid(state, params)
     dt, quad, spec = config.dt, config.quadrature, config.propagator_spec
 
     def E(s: float, q: np.ndarray) -> np.ndarray:

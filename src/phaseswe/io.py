@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagnostics import ErrorReport
 from .dynamics import State
-from .grid import make_grid, to_physical, to_spectral
+from .grid import SpectralGrid, to_physical, to_spectral
 
 __all__ = [
     "snapshot_prefix",
@@ -111,8 +111,8 @@ def read_snapshot_state(outdir: str, step: int | None = None) -> State:
             if other[key] != meta[key]:
                 raise ValueError(f"snapshot {step}: {name} has {key} = {other[key]}, "
                                  f"eta has {meta[key]}")
-    grid = make_grid(int(meta["nx"]), int(meta["ny"]),
-                     float(meta["Lx"]), float(meta["Ly"]))
+    grid = SpectralGrid(int(meta["nx"]), int(meta["ny"]),
+                        float(meta["Lx"]), float(meta["Ly"]))
     return State(grid, to_spectral(grid, np.stack(arrays)),
                  t=float(meta["time_seconds"]))
 

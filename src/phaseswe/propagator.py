@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import (PhysicsParams, State, _add_linear, _Couplings, _frozen,
-                       couplings)
+                       couplings, require_same_grid)
 # apply_linear stays a module attribute: perfbench/tracing.py patches it here
 from .dynamics import apply_linear  # noqa: F401
 from .grid import band_width, scratch
@@ -193,6 +193,7 @@ def propagate(t: float, state: State, params: PhysicsParams,
               spec: PropagatorSpec) -> State:
     """Apply e^{Lt} by the route selected in spec to the state's band stack;
     the time stamp advances by t."""
+    require_same_grid(state, params)
     q = shift(state.q, params, spec, (t,))[0]
     return State(state.grid, q, t=state.t + t)
 

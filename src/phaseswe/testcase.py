@@ -6,10 +6,10 @@ balance i ky eta_hat = -(f/g) u_hat mode by mode, so both L U and N(U)
 vanish to round-off.  Adding the mountain breaks the balance and drives the
 nonlinear evolution used in convergence and averaging-window studies.
 
-Each function here reads the case from a RunConfig: f, g and H, the jets (u0,
-jet_width) and the mountain (b0, r0, xc, yc).  default_config() is the
-paper's case: opposing 20 m/s jets and a 2000 m mountain centred on the
-eastward jet, with f-plane midlatitude constants.
+Each function here reads the case from a RunConfig: cfg.grid, f, g and H,
+the jets (u0, jet_width) and the mountain (b0, r0, xc, yc).  default_config()
+is the paper's case: opposing 20 m/s jets and a 2000 m mountain centred on
+the eastward jet, with f-plane midlatitude constants.
 """
 
 from __future__ import annotations
@@ -18,20 +18,19 @@ import numpy as np
 
 from .config import RunConfig
 from .dynamics import PhysicsParams, State
-from .grid import SpectralGrid, band, to_spectral
+from .grid import band, to_spectral
 
 __all__ = ["mountain", "balanced_jet", "physics_params"]
 
 
-def mountain(cfg: RunConfig, grid: SpectralGrid) -> np.ndarray:
+def mountain(cfg: RunConfig) -> np.ndarray:
     """Physical cone topography b0 (1 - min(r, r0)/r0), shape (nx, ny).
 
     r is the periodic distance to the centre.  PhysicsParams keeps the cone's
     2/3 band, whose truncation leaves small Gibbs ripples; the undershoot is
     visible in its b_phys, not hidden.
     """
-    if not cfg.r0 < min(grid.Lx, grid.Ly) / 2.0:
-        raise ValueError(f"mountain radius {cfg.r0} must be below half the domain")
+    grid = cfg.grid
     x = grid.x[:, None]
     y = grid.y[None, :]
     dx = np.abs(x - cfg.xc)
@@ -42,13 +41,14 @@ def mountain(cfg: RunConfig, grid: SpectralGrid) -> np.ndarray:
     return cfg.b0 * (1.0 - np.minimum(r, cfg.r0) / cfg.r0)
 
 
-def balanced_jet(cfg: RunConfig, grid: SpectralGrid) -> State:
+def balanced_jet(cfg: RunConfig) -> State:
     """Opposing Gaussian jets in discrete geostrophic balance, mean eta zero.
 
     u(y) = u0 [exp(-((y - Ly/4)/w)^2) - exp(-((y - 3Ly/4)/w)^2)], v = 0.
     The balance is enforced on the velocity's 2/3 band, so it holds exactly
     for every retained mode.
     """
+    grid = cfg.grid
     y = grid.y
     w = cfg.jet_width
     profile = cfg.u0 * (np.exp(-(((y - 0.25 * grid.Ly) / w) ** 2))
@@ -66,7 +66,7 @@ def balanced_jet(cfg: RunConfig, grid: SpectralGrid) -> State:
     return State(grid, q, t=0.0)
 
 
-def physics_params(cfg: RunConfig, grid: SpectralGrid) -> PhysicsParams:
+def physics_params(cfg: RunConfig) -> PhysicsParams:
     """PhysicsParams for the case: the cone topography, a flat bottom
     (bitwise zeros, as flat_bottom's) when b0 = 0."""
-    return PhysicsParams(grid, cfg.f, cfg.g, cfg.H, mountain(cfg, grid))
+    return PhysicsParams(cfg.grid, cfg.f, cfg.g, cfg.H, mountain(cfg))

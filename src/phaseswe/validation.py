@@ -19,12 +19,11 @@ from .config import RunConfig, default_config, reference_config, window_config
 from .diagnostics import l2_error_normalized
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
                        energy_inner, energy_norm, max_frequency)
-from .grid import from_band, make_grid, mirror_ky0, to_physical, to_spectral
+from .grid import SpectralGrid, from_band, mirror_ky0, to_physical, to_spectral
 from .integrator import make_step_config, run, step_averaged_ssprk3
 from .oracles import (band_limited_state, bessel_cheb_coeffs, linear_tendency,
                       nonlinear_tendency, take_band, truncated_convolution)
 from .propagator import PropagatorSpec, cheb_coeffs, cheb_exp, exact_exp
-from .testcase import balanced_jet, physics_params
 
 __all__ = [
     "CheckResult",
@@ -52,11 +51,12 @@ class CheckResult:
 
 
 def _case_problem(n: int, flat: bool):
-    """Grid, config and physics of the default case on an n x n grid, with
-    the mountain taken away (b0 = 0) when flat."""
-    cfg = replace(default_config(), b0=0.0) if flat else default_config()
-    grid = make_grid(n, n, cfg.Lx, cfg.Ly)
-    return grid, cfg, physics_params(cfg, grid)
+    """harness.build_problem's grid, config, physics and jet for the default
+    case on an n x n grid, with the mountain taken away (b0 = 0) when flat."""
+    from .harness import build_problem  # harness imports this module
+
+    cfg = replace(default_config(), nx=n, ny=n)
+    return build_problem(replace(cfg, b0=0.0) if flat else cfg)
 
 
 def _max_rel(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> float:
@@ -68,7 +68,7 @@ def _max_rel(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> f
 def check_roundtrip(rng) -> CheckResult:
     """Forward then inverse transform of band-limited fields, and Parseval
     (energy_inner) against the physical-space Riemann sum."""
-    grid, _cfg, params = _case_problem(64, flat=True)
+    grid, _cfg, params, _jet = _case_problem(64, flat=True)
     f, g2 = rng.standard_normal((2, 64, 64))
     a = State(grid, to_spectral(grid, np.stack((f, g2, f - g2))))
     b = State(grid, to_spectral(grid, np.stack((g2, f, f + g2))))
@@ -96,7 +96,7 @@ def check_small_grid_oracles(rng) -> CheckResult:
     """Product, tendencies and Chebyshev coefficients against the oracles."""
     product = nonlinear = linear = 0.0
     for nx, ny, Lx, Ly, (f, g, H), b_amp in _SMALL_CASES:
-        grid = make_grid(nx, ny, Lx, Ly)
+        grid = SpectralGrid(nx, ny, Lx, Ly)
         params = PhysicsParams(grid, f, g, H, b_amp * rng.standard_normal((nx, ny)))
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
 
@@ -131,7 +131,7 @@ def check_exact_exp_group(rng) -> CheckResult:
     for n, (t1, t2), t_inv, t_iso in ((32, (2715.5, 2715.5), 5431.0, 5431.0),
                                       (32, (1800.0, 2700.0), 1800.0, 12345.0),
                                       (64, (1800.0, 4500.0), 1800.0, 86400.0)):
-        grid, _cfg, flat = _case_problem(n, flat=True)
+        grid, _cfg, flat, _jet = _case_problem(n, flat=True)
         state = band_limited_state(grid, rng)
         norm = energy_norm(state, flat)
 
@@ -154,7 +154,7 @@ def check_exact_exp_group(rng) -> CheckResult:
 def check_cheb_vs_exact(rng) -> CheckResult:
     """Chebyshev route against the exact route, forward 1 h and back 30 min,
     on ten states."""
-    grid, _cfg, flat = _case_problem(64, flat=True)
+    grid, _cfg, flat, _jet = _case_problem(64, flat=True)
     spec = PropagatorSpec.chebyshev(max_frequency(flat) * 3600.0, tol=1e-12)
     worst = 0.0
     for _ in range(10):
@@ -169,8 +169,7 @@ def check_cheb_vs_exact(rng) -> CheckResult:
 
 def check_steady_jet() -> CheckResult:
     """The flat-bottom balanced jet stays put: 10 and 100 one-hour steps."""
-    grid, cfg, flat = _case_problem(64, flat=True)
-    jet = balanced_jet(cfg, grid)
+    grid, _cfg, flat, jet = _case_problem(64, flat=True)
     drift10 = 0.0
     drift100 = {}
     for T in (0.0, 3600.0):
@@ -191,7 +190,7 @@ def check_linear_step(rng) -> CheckResult:
     dt = 3600.0
     worst = {"exact": 0.0, "chebyshev": 0.0}
     for n in (32, 64):
-        grid, _cfg, flat = _case_problem(n, flat=True)
+        grid, _cfg, flat, _jet = _case_problem(n, flat=True)
         state = band_limited_state(grid, rng)
         want = exact_exp(dt, state, flat)
         norm = energy_norm(state, flat)
@@ -209,8 +208,7 @@ def check_linear_step(rng) -> CheckResult:
 def check_convergence() -> CheckResult:
     """Third-order convergence in dt of eta on the mountain case: orders of at
     least 2.5 after 1 h and 2.7 after 6 h."""
-    grid, cfg, params = _case_problem(32, flat=False)
-    jet = balanced_jet(cfg, grid)
+    grid, _cfg, params, jet = _case_problem(32, flat=False)
 
     def at_1h_and_6h(dt):
         traj = run(jet, make_step_config(grid, params, dt=dt), params, 21600.0,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phaseswe.grid import make_grid
+from phaseswe.grid import SpectralGrid
 
 
 @pytest.fixture()
@@ -13,14 +13,14 @@ def rng():
 
 @pytest.fixture(scope="session")
 def grid8():
-    return make_grid(8, 8, 1.0e6, 1.0e6)
+    return SpectralGrid(8, 8, 1.0e6, 1.0e6)
 
 
 @pytest.fixture(scope="session")
 def grid32():
-    return make_grid(32, 32, 4.0e7, 4.0e7)
+    return SpectralGrid(32, 32, 4.0e7, 4.0e7)
 
 
 @pytest.fixture(scope="session")
 def grid64():
-    return make_grid(64, 64, 4.0e7, 4.0e7)
+    return SpectralGrid(64, 64, 4.0e7, 4.0e7)

@@ -18,7 +18,7 @@ import pytest
 
 import phaseswe.harness as harness
 from phaseswe.config import default_config
-from phaseswe.grid import make_grid, to_physical
+from phaseswe.grid import to_physical
 from phaseswe.integrator import make_step_config, step_averaged_ssprk3
 from phaseswe.testcase import balanced_jet, physics_params
 from phaseswe.validation import (WINDOW_HOURS, check_cheb_vs_exact,
@@ -134,10 +134,10 @@ def test_sweep_is_bitwise_deterministic_across_workers(sweep_trees):
 
 
 def test_mean_elevation_is_conserved_per_step():
-    grid = make_grid(64, 64, 4.0e7, 4.0e7)
     case = default_config()
-    rough = physics_params(case, grid)
-    jet = balanced_jet(case, grid)
+    grid = case.grid
+    rough = physics_params(case)
+    jet = balanced_jet(case)
     scale = float(np.sqrt(np.mean(to_physical(grid, jet.q[2]) ** 2)))
     cfg = make_step_config(grid, rough, dt=3600.0, T=3600.0)
     npts = grid.nx * grid.ny

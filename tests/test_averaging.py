@@ -8,11 +8,10 @@ import pytest
 
 from phaseswe import dynamics, propagator
 from phaseswe import grid as grid_module
-from phaseswe.averaging import (Quadrature, averaged_tendency,
-                                default_node_count, kernel_weights)
+from phaseswe.averaging import Quadrature, averaged_tendency, default_node_count
 from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_norm,
                                flat_bottom, max_frequency)
-from phaseswe.grid import band, make_grid
+from phaseswe.grid import SpectralGrid, band
 from phaseswe.oracles import band_limited_state, full_band_mask, take_band
 from phaseswe.propagator import PropagatorSpec, propagate, shift
 
@@ -29,7 +28,7 @@ def nonlinear_state(state, params):
 
 
 def test_weights_sum_to_one_and_are_symmetric():
-    quad = kernel_weights(3600.0, 5)
+    quad = Quadrature(3600.0, 5)
     assert quad.s.shape == (11,)
     assert abs(float(quad.w.sum()) - 1.0) <= 1e-14
     assert np.array_equal(quad.w, quad.w[::-1])
@@ -39,7 +38,7 @@ def test_weights_sum_to_one_and_are_symmetric():
 
 
 def test_bump_kernel_vanishes_at_window_edges():
-    quad = kernel_weights(7200.0, 8)
+    quad = Quadrature(7200.0, 8)
     assert quad.w[0] == 0.0
     assert quad.w[-1] == 0.0
     # interior weights decay towards the edges
@@ -48,30 +47,35 @@ def test_bump_kernel_vanishes_at_window_edges():
 
 
 def test_degenerate_and_invalid_windows():
-    quad = kernel_weights(0.0, 0)
+    quad = Quadrature(0.0, 0)
     assert np.array_equal(quad.s, [0.0])
     assert np.array_equal(quad.w, [1.0])
-    assert kernel_weights(500.0, 0).w[0] == 1.0
+    assert Quadrature(500.0, 0).w[0] == 1.0
     with pytest.raises(ValueError, match="T = 0"):
-        kernel_weights(0.0, 2)
+        Quadrature(0.0, 2)
     with pytest.raises(ValueError, match="T"):
-        kernel_weights(-1.0, 2)
+        Quadrature(-1.0, 2)
     with pytest.raises(ValueError, match="M"):
-        kernel_weights(100.0, -1)
+        Quadrature(100.0, -1)
 
 
-def test_quadrature_validation():
-    with pytest.raises(ValueError, match="nodes and weights"):
-        Quadrature(T=1.0, M=2, s=np.zeros(3), w=np.full(3, 1.0 / 3.0))
-    with pytest.raises(ValueError, match="sum"):
-        Quadrature(T=1.0, M=1, s=np.array([-1.0, 0.0, 1.0]),
-                   w=np.array([0.2, 0.2, 0.2]))
-    with pytest.raises(ValueError, match="symmetric about 0"):
-        Quadrature(T=1.0, M=1, s=np.array([-0.5, 0.0, 1.0]),
-                   w=np.array([0.25, 0.5, 0.25]))
-    with pytest.raises(ValueError, match="weights must be symmetric"):
-        Quadrature(T=1.0, M=1, s=np.array([-1.0, 0.0, 1.0]),
-                   w=np.array([0.5, 0.25, 0.25]))
+@pytest.mark.parametrize("T, M", [(0.0, 0), (1800.0, 1), (3600.0, 4), (28800.0, 16)])
+def test_built_quadrature_is_normalised_and_symmetric(T, M):
+    # the nodes and weights are built from (T, M) alone, never passed in,
+    # and their shape, sum and symmetry hold by construction
+    quad = Quadrature(T, M)
+    assert (quad.T, quad.M) == (T, M)
+    assert quad.s.shape == quad.w.shape == (2 * M + 1,)
+    assert abs(float(quad.w.sum()) - 1.0) <= 1e-14
+    assert np.array_equal(quad.s, -quad.s[::-1])
+    assert np.array_equal(quad.w, quad.w[::-1])
+    assert not (quad.s.flags.writeable or quad.w.flags.writeable)
+    if M > 0:
+        assert quad.w[0] == quad.w[-1] == 0.0
+        assert np.array_equal(quad.s, np.arange(-M, M + 1) * (T / M))
+    for name in ("s", "w"):
+        with pytest.raises(TypeError, match=name):
+            Quadrature(T, M, **{name: np.zeros(2 * M + 1)})
 
 
 def test_default_node_count_resolves_fastest_phase():
@@ -94,14 +98,14 @@ def topography(grid):
 def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
     # the 12 x 8 grid has Lx != Ly and carries topography; both propagator
     # routes shift the nodes on the band
-    grid12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
+    grid12x8 = SpectralGrid(12, 8, 1.5e6, 1.0e6)
     cases = [(grid, params, spec)
              for grid, params in ((grid32, flat(grid32)), (grid12x8, topography(grid12x8)))
              for spec in (PropagatorSpec.exact(),
                           PropagatorSpec.chebyshev(max_frequency(params) * 1800.0))]
     for grid, params, spec in cases:
         state = band_limited_state(grid, rng)
-        quad = kernel_weights(1800.0, 3)
+        quad = Quadrature(1800.0, 3)
         got = averaged_tendency(state, quad, params, spec)
 
         acc = np.zeros_like(state.q)
@@ -126,11 +130,11 @@ def hermitian_mirror(c):
 
 @pytest.mark.parametrize("route", ["exact", "chebyshev"])
 def test_averaged_tendency_is_hermitian_and_band_limited(route, rng):
-    for grid in (make_grid(12, 18, 1.5e6, 2.5e6), make_grid(18, 12, 2.5e6, 1.5e6)):
+    for grid in (SpectralGrid(12, 18, 1.5e6, 2.5e6), SpectralGrid(18, 12, 2.5e6, 1.5e6)):
         params = topography(grid)
         spec = (PropagatorSpec.exact() if route == "exact" else
                 PropagatorSpec.chebyshev(max_frequency(params) * 3600.0))
-        got = averaged_tendency(band_limited_state(grid, rng), kernel_weights(3600.0, 4),
+        got = averaged_tendency(band_limited_state(grid, rng), Quadrature(3600.0, 4),
                                 params, spec)
         for c in (got.u, got.v, got.eta):
             assert np.array_equal(hermitian_mirror(c), np.conj(c))
@@ -142,7 +146,7 @@ def test_out_of_band_input_leaves_averaged_tendency_unchanged(rng):
     # full spectra with nonzero modes outside the 2/3 band cannot be a State
     # as they are; take_band drops those modes, and the averaged tendency of
     # the result is the clean state's, bit for bit
-    grid = make_grid(18, 12, 2.5e6, 1.5e6)
+    grid = SpectralGrid(18, 12, 2.5e6, 1.5e6)
     params = topography(grid)
     state = band_limited_state(grid, rng)
     noise = np.fft.fft2(rng.standard_normal((3, grid.nx, grid.ny)))
@@ -154,7 +158,7 @@ def test_out_of_band_input_leaves_averaged_tendency_unchanged(rng):
     kept = State(grid, take_band(grid, noisy), t=state.t)
     for spec in (PropagatorSpec.exact(),
                  PropagatorSpec.chebyshev(max_frequency(params) * 3600.0)):
-        for quad in (kernel_weights(0.0, 0), kernel_weights(3600.0, 4)):
+        for quad in (Quadrature(0.0, 0), Quadrature(3600.0, 4)):
             want = averaged_tendency(state, quad, params, spec)
             got = averaged_tendency(kept, quad, params, spec)
             assert np.array_equal(got.q, want.q)
@@ -163,7 +167,7 @@ def test_out_of_band_input_leaves_averaged_tendency_unchanged(rng):
 def test_zero_window_reduces_to_plain_nonlinearity(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
-    got = averaged_tendency(state, kernel_weights(0.0, 0), params,
+    got = averaged_tendency(state, Quadrature(0.0, 0), params,
                             PropagatorSpec.exact())
     want = nonlinear_state(state, params)
     assert np.array_equal(got.q, want.q)
@@ -173,7 +177,7 @@ def test_small_window_approaches_plain_nonlinearity(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
     plain = nonlinear_state(state, params)
-    tiny = averaged_tendency(state, kernel_weights(1e-2, 4), params,
+    tiny = averaged_tendency(state, Quadrature(1e-2, 4), params,
                              PropagatorSpec.exact())
     rel = energy_norm(tiny - plain, params) / energy_norm(plain, params)
     assert rel <= 1e-6
@@ -185,7 +189,7 @@ def test_wide_window_differs_from_plain_nonlinearity(grid32, rng):
     plain = nonlinear_state(state, params)
     lam = max_frequency(params)
     T = 4.0 * np.pi / lam  # several periods of the fastest wave
-    wide = averaged_tendency(state, kernel_weights(T, 16), params,
+    wide = averaged_tendency(state, Quadrature(T, 16), params,
                              PropagatorSpec.exact())
     rel = energy_norm(wide - plain, params) / energy_norm(plain, params)
     assert rel > 1e-2
@@ -194,7 +198,7 @@ def test_wide_window_differs_from_plain_nonlinearity(grid32, rng):
 def test_result_is_bitwise_independent_of_worker_count(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
-    quad = kernel_weights(3600.0, 4)
+    quad = Quadrature(3600.0, 4)
     spec = PropagatorSpec.exact()
     serial = averaged_tendency(state, quad, params, spec)
     for workers in (1, 2, 8):
@@ -210,7 +214,7 @@ def test_pool_filling_empty_tables_matches_serial(grid32, rng):
     # threads showed as a mismatch in about half of such pooled calls
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
-    quad = kernel_weights(3600.0, 16)
+    quad = Quadrature(3600.0, 16)
     lam = max_frequency(params) * 3600.0
     for spec in (PropagatorSpec.exact(), PropagatorSpec.chebyshev(lam)):
         serial = averaged_tendency(state, quad, params, spec)
@@ -258,7 +262,7 @@ def test_each_thread_has_its_own_workspace(grid32, rng):
 def test_node_failure_reports_node_index(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
-    quad = kernel_weights(1800.0, 3)
+    quad = Quadrature(1800.0, 3)
 
     def broken(q, p):
         raise ValueError("boom")
@@ -278,10 +282,10 @@ def test_windows_of_any_size_keep_one_pair_of_node_stacks(grid32, rng):
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
     spec = PropagatorSpec.exact()
-    averaged_tendency(state, kernel_weights(3600.0, 8), params, spec)
+    averaged_tendency(state, Quadrature(3600.0, 8), params, spec)
     held = sum(a.nbytes for a in grid_module._scratch.buffers.values())
     for M in (4, 6, 3):
-        averaged_tendency(state, kernel_weights(3600.0, M), params, spec)
+        averaged_tendency(state, Quadrature(3600.0, M), params, spec)
         assert sum(a.nbytes for a in grid_module._scratch.buffers.values()) == held
 
 
@@ -292,12 +296,12 @@ def test_forward_shift_failure_names_the_window(grid32, rng):
     spec = PropagatorSpec.chebyshev(max_frequency(params) * 900.0)
     with pytest.raises(RuntimeError,
                        match=r"forward shifts .*\|s\| up to 1200 s.*exceeds Lambda"):
-        averaged_tendency(state, kernel_weights(1800.0, 3), params, spec)
+        averaged_tendency(state, Quadrature(1800.0, 3), params, spec)
 
 
 def test_bump_kernel_profile_values():
     # nodes at x = s / T = -1, -1/2, 0, 1/2, 1 sample rho(x) = exp(-1/(1 - x^2))
-    w = kernel_weights(3600.0, 2).w
+    w = Quadrature(3600.0, 2).w
     rho = np.array([0.0, np.exp(-1.0 / 0.75), np.exp(-1.0), np.exp(-1.0 / 0.75), 0.0])
     assert w[0] == 0.0 and w[4] == 0.0
     assert w[1] / w[2] == pytest.approx(np.exp(-1.0 / 3.0), rel=1e-15)

@@ -6,6 +6,7 @@ import pytest
 
 from phaseswe.config import (ConfigError, RunConfig, default_config,
                              format_config, load_config, parse_config)
+from phaseswe.grid import SpectralGrid
 
 
 def test_defaults_are_resolved():
@@ -131,6 +132,26 @@ def test_construction_and_replace_are_validated():
         RunConfig(nx=9)
     with pytest.raises(ConfigError, match="workers"):
         dataclasses.replace(default_config(), workers=0)
+
+
+def test_grid_rules_are_the_grids_with_the_old_text():
+    # SpectralGrid's checks of nx, ny, Lx and Ly, raised as ConfigError with
+    # the config's old messages, in the config's old order (nx before ny
+    # before Lx, and Lx before g)
+    for build, text in ((lambda: RunConfig(nx=7), "nx must be even and >= 8, got 7"),
+                        (lambda: RunConfig(ny=4, nx=7), "nx must be even and >= 8, got 7"),
+                        (lambda: RunConfig(ny=4), "ny must be even and >= 8, got 4"),
+                        (lambda: parse_config("Lx = -1\n"), "Lx must be positive, got -1.0"),
+                        (lambda: RunConfig(Ly=0.0, g=-1.0), "Ly must be positive, got 0.0")):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == f"invalid config: {text}"
+    cfg = RunConfig(nx=32, ny=16, Lx=2.0e7, Ly=1.0e7)
+    assert cfg.grid == SpectralGrid(32, 16, 2.0e7, 1.0e7)
+    assert dataclasses.replace(cfg, nx=48).grid.nx == 48
+    # the grid is derived, not a setting: the echo and == ignore it
+    assert "grid" not in format_config(cfg)
+    assert parse_config(format_config(cfg)) == cfg
 
 
 def test_empty_output_dir_is_a_config_error(tmp_path, monkeypatch, capsys):

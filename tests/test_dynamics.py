@@ -11,7 +11,7 @@ from phaseswe.config import default_config
 from phaseswe.dynamics import (PhysicsParams, State, apply_linear,
                                apply_nonlinear, dispersion_omega, energy_inner,
                                energy_norm, flat_bottom, max_frequency)
-from phaseswe.grid import band, from_band, make_grid, mirror_ky0, to_spectral
+from phaseswe.grid import SpectralGrid, band, from_band, mirror_ky0, to_spectral
 from phaseswe.oracles import (band_limited_state, full_band_mask, linear_tendency,
                               nonlinear_tendency, take_band, wrap_indices)
 from phaseswe.propagator import exact_exp
@@ -43,7 +43,7 @@ def test_linear_matches_per_mode_matrix(grid8, rng):
 def test_nonlinear_matches_convolution_oracle(grid8, rng):
     # the 12 x 8 grid is anisotropic and has nx divisible by 3, where a
     # 2/3 band that kept |wrap| = n/3 would alias
-    for grid in (grid8, make_grid(12, 8, 1.5e6, 1.0e6)):
+    for grid in (grid8, SpectralGrid(12, 8, 1.5e6, 1.0e6)):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
         params = PhysicsParams(grid, F0, G0, H0, b_phys)
@@ -61,17 +61,17 @@ def test_nonlinear_mean_eta_tendency_is_exactly_zero(grid32, rng):
     assert out.eta[0, 0] == 0.0
 
 
-def test_balanced_jet_is_discrete_steady_state(grid64):
+def test_balanced_jet_is_discrete_steady_state():
     case = default_config()
-    params = physics_params(replace(case, b0=0.0), grid64)
-    jet = balanced_jet(case, grid64)
+    params = physics_params(replace(case, b0=0.0))
+    jet = balanced_jet(case)
     scale = case.f * energy_norm(jet, params)
     lin = energy_norm(apply_linear(jet, params), params)
     non = energy_norm(nonlinear_state(jet, params), params)
     assert lin <= 1e-12 * scale
     assert non <= 1e-12 * scale
     # the mountain breaks the balance
-    rough = physics_params(case, grid64)
+    rough = physics_params(case)
     assert energy_norm(nonlinear_state(jet, rough), rough) > 1e-6 * scale
 
 
@@ -118,7 +118,7 @@ def test_energy_inner_matches_physical_quadrature(grid32, rng):
     # the physical-space Riemann sum of the full spectra's ifft2; the 12 x 8
     # grid has Lx != Ly and f != 0, so a transposed weight or a swapped axis
     # would show
-    grid12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
+    grid12x8 = SpectralGrid(12, 8, 1.5e6, 1.0e6)
     for grid, params in ((grid32, flat(grid32)),
                          (grid12x8, flat_bottom(grid12x8, 1.3e-4, G0, H0))):
         a = band_limited_state(grid, rng)
@@ -157,7 +157,7 @@ def test_topography_is_the_band_of_its_physical_field(shape, rng):
     # b is the 2/3 band of the raw field: on the full layout, fft2 under the
     # oracles' own mask; b_phys is that band's physical field, and both are
     # read-only (Lx != Ly and nx != ny, so a swapped axis would show)
-    grid = make_grid(*shape, 1.5e6, 2.5e6)
+    grid = SpectralGrid(*shape, 1.5e6, 2.5e6)
     raw = 30.0 * rng.standard_normal(shape)
     params = PhysicsParams(grid, F0, G0, H0, raw)
     want = np.where(full_band_mask(grid), np.fft.fft2(raw), 0.0)
@@ -194,7 +194,7 @@ def test_state_arithmetic(grid8, grid32, rng):
     # a nonzero entry outside the 2/3 band is rejected, on every row of
     # every band column, at every even nx from 8 to 128
     for nx in range(8, 130, 2):
-        grid = make_grid(nx, 8, 1.0e6, 1.0e6)
+        grid = SpectralGrid(nx, 8, 1.0e6, 1.0e6)
         mask = full_band_mask(grid)[:, : band(grid).kb]
         State(grid, np.where(mask, 1.0 + 1.0j, 0.0)[None].repeat(3, axis=0))
         for i, j in zip(*np.nonzero(~mask)):
@@ -207,7 +207,7 @@ def test_state_arithmetic(grid8, grid32, rng):
 def test_state_q_is_a_read_only_view(grid32, rng):
     # a write into q would break the band invariant that State checks once;
     # q is a view of the caller's array, which keeps its own write flag
-    for grid in (grid32, make_grid(12, 8, 1.5e6, 1.0e6)):
+    for grid in (grid32, SpectralGrid(12, 8, 1.5e6, 1.0e6)):
         q = band_limited_state(grid, rng).q.copy()
         state = State(grid, q)
         assert np.shares_memory(state.q, q) and q.flags.writeable
@@ -223,7 +223,7 @@ def test_spectra_outside_the_band_are_rejected(rng):
     # a band-limited state plus nonzero modes outside the 2/3 band cannot be
     # a State, neither as full spectra nor as their band columns, so no
     # operator sees such modes; its take_band is the clean state's q
-    for grid in (make_grid(12, 8, 1.5e6, 1.0e6), make_grid(18, 12, 2.5e6, 1.5e6)):
+    for grid in (SpectralGrid(12, 8, 1.5e6, 1.0e6), SpectralGrid(18, 12, 2.5e6, 1.5e6)):
         state = band_limited_state(grid, rng)
         noise = np.fft.fft2(rng.standard_normal((3, grid.nx, grid.ny)))
         noise[:, full_band_mask(grid)] = 0.0
@@ -265,7 +265,7 @@ def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
         return wrapper
 
     # PhysicsParams transforms its topography once, before the count starts
-    rough = physics_params(default_config(), grid32)
+    rough = physics_params(replace(default_config(), nx=32, ny=32))
     for name in calls:
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
     state = band_limited_state(grid32, rng)
@@ -286,7 +286,7 @@ def test_nonlinear_batches_its_transforms(grid32, rng, monkeypatch):
 def test_band_kernel_matches_convolution_oracle_on_anisotropic_grids(rng):
     # n divisible by 3 on both axes, nx != ny and Lx != Ly: the band's last
     # column kb - 1 = n/3 - 1, and a swapped axis, would show here
-    for grid in (make_grid(12, 18, 1.5e6, 2.5e6), make_grid(18, 12, 2.5e6, 1.5e6)):
+    for grid in (SpectralGrid(12, 18, 1.5e6, 2.5e6), SpectralGrid(18, 12, 2.5e6, 1.5e6)):
         assert band(grid).kb == grid.ny // 3
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
@@ -303,7 +303,7 @@ def test_nonlinear_ky0_column_is_exactly_hermitian(rng):
     # the x transform of column ky = 0 is conjugate-symmetric only to
     # round-off; the kernel mirrors it, so the result is the band of an
     # exactly real field and from_band loses nothing
-    for grid in (make_grid(32, 32, 4.0e7, 4.0e7), make_grid(18, 12, 2.5e6, 1.5e6)):
+    for grid in (SpectralGrid(32, 32, 4.0e7, 4.0e7), SpectralGrid(18, 12, 2.5e6, 1.5e6)):
         state = band_limited_state(grid, rng, vel_scale=2.0, eta_scale=20.0)
         b_phys = 30.0 * rng.standard_normal((grid.nx, grid.ny))
         params = PhysicsParams(grid, F0, G0, H0, b_phys)

@@ -6,28 +6,59 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from phaseswe import dynamics
 from phaseswe.dynamics import State, energy_inner, flat_bottom
-from phaseswe.grid import (band, from_band, make_grid, mirror_ky0, scratch,
+from phaseswe.grid import (SpectralGrid, band, from_band, mirror_ky0, scratch,
                            to_physical, to_spectral)
 from phaseswe.oracles import (band_limited_state, full_band_mask, take_band,
                               truncated_convolution, wrap_indices)
 
 
-def test_make_grid_validates_arguments():
+def test_spectral_grid_validates_its_arguments():
     with pytest.raises(ValueError, match="nx"):
-        make_grid(7, 8, 1.0, 1.0)
+        SpectralGrid(7, 8, 1.0, 1.0)
     with pytest.raises(ValueError, match="nx"):
-        make_grid(4, 8, 1.0, 1.0)
+        SpectralGrid(4, 8, 1.0, 1.0)
     with pytest.raises(ValueError, match="ny"):
-        make_grid(8, 10**2 + 1, 1.0, 1.0)
+        SpectralGrid(8, 10**2 + 1, 1.0, 1.0)
     with pytest.raises(ValueError, match="Lx"):
-        make_grid(8, 8, 0.0, 1.0)
+        SpectralGrid(8, 8, 0.0, 1.0)
     with pytest.raises(ValueError, match="Ly"):
-        make_grid(8, 8, 1.0, -2.0)
+        SpectralGrid(8, 8, 1.0, -2.0)
+    # the wavenumbers are built from the four arguments, never passed in
+    for name in ("kx", "ky"):
+        with pytest.raises(TypeError, match=name):
+            SpectralGrid(8, 8, 1.0, 1.0, **{name: np.zeros(8)})
+    # stored as int and float, so the repr (and the snapshot sidecars'
+    # Lx = ... lines) read the same whatever number types were passed
+    g = SpectralGrid(np.int64(8), 8, 1, np.float64(2.0))
+    assert type(g.nx) is int and type(g.Lx) is float and type(g.Ly) is float
+    assert repr(g) == "SpectralGrid(nx=8, ny=8, Lx=1.0, Ly=2.0)"
+    assert not (g.kx.flags.writeable or g.ky.flags.writeable)
+
+
+def test_equal_grids_built_apart_share_exact_tables():
+    # the band and couplings tables are cached per grid value; two grids
+    # built apart from the same four values must find tables that are right
+    # for each, whichever of them filled the cache
+    band.cache_clear()
+    dynamics._couplings.cache_clear()
+    a, b = SpectralGrid(12, 8, 1.5e6, 1.0e6), SpectralGrid(12, 8, 1.5e6, 1.0e6)
+    assert a == b and a is not b and hash(a) == hash(b)
+    tables = band(a)
+    assert band(b) is tables
+    for grid in (a, b):
+        kx2, ky2 = np.broadcast_arrays(grid.kx[:, None], grid.ky[None, : tables.kb])
+        assert np.array_equal(tables.ikx, 1j * kx2)
+        assert np.array_equal(tables.iky, 1j * ky2)
+    cp = dynamics.couplings(flat_bottom(a, 1.0e-4, 9.8, 5960.0))
+    assert dynamics.couplings(flat_bottom(b, 1.0e-4, 9.8, 5960.0)) is cp
+    assert np.array_equal(cp.gx, -9.8 * band(b).ikx)
+    assert np.array_equal(cp.hy, -5960.0 * band(b).iky)
 
 
 def test_wavenumbers_follow_fft_ordering():
-    g = make_grid(8, 8, 4.0e7, 2.0e7)
+    g = SpectralGrid(8, 8, 4.0e7, 2.0e7)
     base_x = 2.0 * np.pi / 4.0e7
     base_y = 2.0 * np.pi / 2.0e7
     assert g.kx[0] == 0.0
@@ -43,7 +74,7 @@ def test_wavenumbers_follow_fft_ordering():
 def test_dealias_mask_keeps_two_thirds_band(rng):
     # the oracles' full-grid mask from the wrap indices, and the modes that
     # to_spectral keeps of a random field: its band columns 0 .. kb - 1
-    g = make_grid(8, 8, 1.0, 1.0)
+    g = SpectralGrid(8, 8, 1.0, 1.0)
     wx = wrap_indices(8)
     expected = (3 * np.abs(wx)[:, None] < 8) & (3 * np.abs(wx)[None, :] < 8)
     assert np.array_equal(full_band_mask(g), expected)
@@ -56,7 +87,7 @@ def test_dealias_mask_keeps_two_thirds_band(rng):
     assert not mask[3, 0]
     assert not expected[0, 4]
 
-    g12 = make_grid(12, 12, 1.0, 1.0)
+    g12 = SpectralGrid(12, 12, 1.0, 1.0)
     # |wrap| <= 3: 4 = 12/3 would alias
     kept = to_spectral(g12, rng.standard_normal((12, 12))) != 0
     assert int(full_band_mask(g12).sum()) == 49 and int(kept.sum()) == 28
@@ -89,7 +120,7 @@ def test_to_spectral_is_exactly_hermitian(shape, rng):
     # spectrum from_band rebuilds from it is exactly Hermitian; it is fft2
     # of the field masked by the oracles' 2/3 mask, which the band's mask
     # restricts to the band columns (Lx != Ly, and nx != ny but for 32 x 32)
-    g = make_grid(*shape, 1.5e6, 2.5e6)
+    g = SpectralGrid(*shape, 1.5e6, 2.5e6)
     phys = rng.standard_normal((2, g.nx, g.ny))
     c = from_band(g, to_spectral(g, phys))
     mx, my = (-np.arange(g.nx)) % g.nx, (-np.arange(g.ny)) % g.ny
@@ -106,7 +137,7 @@ def test_band_transforms_are_bitwise_scipy_fft(shape, rng):
     # numpy.fft with out= against the scipy.fft calls the band transforms
     # replaced: a library change that broke the equality would otherwise
     # show only as drift in the sweep
-    g = make_grid(*shape, 1.5e6, 2.5e6)
+    g = SpectralGrid(*shape, 1.5e6, 2.5e6)
     kb = band(g).kb
     c = rng.standard_normal((7, g.nx, kb)) + 1j * rng.standard_normal((7, g.nx, kb))
     out = np.empty((7, g.nx, g.ny))
@@ -158,7 +189,7 @@ def test_integrate_product_matches_riemann_sum(grid32, rng):
     # the domain integral of a product of band-limited fields, read off their
     # band spectra by energy_inner's Parseval weights (eta alone, g = 1),
     # against the physical-space Riemann sum; 12 x 8 has Lx != Ly
-    for grid in (grid32, make_grid(12, 8, 1.5e6, 1.0e6)):
+    for grid in (grid32, SpectralGrid(12, 8, 1.5e6, 1.0e6)):
         params = flat_bottom(grid, 0.0, 1.0, 1.0)
         a, b = (to_physical(grid, to_spectral(grid, f))
                 for f in rng.standard_normal((2, grid.nx, grid.ny)))
@@ -183,7 +214,7 @@ def test_dealias_is_idempotent_projection(grid32, rng):
 
 def test_physical_product_equals_truncated_convolution(grid8, rng):
     # 12 x 8 with Lx != Ly: nx divisible by 3 is where |wrap| = n/3 aliases
-    for grid in (grid8, make_grid(12, 8, 1.5e6, 1.0e6)):
+    for grid in (grid8, SpectralGrid(12, 8, 1.5e6, 1.0e6)):
         sa = band_limited_state(grid, rng)
         sb = band_limited_state(grid, rng)
         prod = to_physical(grid, sa.q[0]) * to_physical(grid, sb.q[0])
@@ -194,7 +225,7 @@ def test_physical_product_equals_truncated_convolution(grid8, rng):
 
 
 # non-square with Lx != Ly, so a transposed axis cannot pass unseen
-GRID_12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
+GRID_12x8 = SpectralGrid(12, 8, 1.5e6, 1.0e6)
 
 
 def test_stacked_transforms_equal_per_slice_calls(rng):
@@ -225,7 +256,7 @@ def test_inverse_equals_real_part_of_full_inverse(rng):
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12), (32, 32)])
 def test_band_columns_hold_the_two_thirds_band(shape, rng):
-    g = make_grid(*shape, 1.5e6, 2.5e6)
+    g = SpectralGrid(*shape, 1.5e6, 2.5e6)
     b = band(g)
     assert b.kb == -(-g.ny // 3)
     # every band mode is in the columns or the mirror of one that is, and
@@ -239,7 +270,7 @@ def test_band_columns_hold_the_two_thirds_band(shape, rng):
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 18), (18, 12)])
 def test_band_round_trip_and_transforms(shape, rng):
-    g = make_grid(*shape, 1.5e6, 2.5e6)
+    g = SpectralGrid(*shape, 1.5e6, 2.5e6)
     compact = np.stack([band_limited_state(g, rng).q[0] for _ in range(3)])
     assert compact.shape == (3, g.nx, band(g).kb)
     # the rebuild is exactly Hermitian and cuts back to the band stack

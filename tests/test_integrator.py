@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from phaseswe import integrator
-from phaseswe.averaging import averaged_tendency, kernel_weights
+from phaseswe.averaging import Quadrature, averaged_tendency
 from phaseswe.config import default_config
-from phaseswe.dynamics import (State, apply_nonlinear, energy_norm, flat_bottom,
-                               max_frequency)
-from phaseswe.grid import band, make_grid
+from phaseswe.diagnostics import energy_mass
+from phaseswe.dynamics import (State, apply_linear, apply_nonlinear, energy_norm,
+                               flat_bottom, max_frequency)
+from phaseswe.grid import SpectralGrid, band
 from phaseswe.integrator import (StepConfig, make_step_config, run,
                                  step_averaged_ssprk3)
 from phaseswe.oracles import band_limited_state, full_band_mask, take_band
-from phaseswe.propagator import PropagatorSpec, choose_npoly, exact_exp
+from phaseswe.propagator import (PropagatorSpec, cheb_exp, choose_npoly, exact_exp,
+                                 propagate)
 from phaseswe.testcase import balanced_jet, physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
@@ -28,15 +30,15 @@ def flat(grid):
 
 @pytest.fixture(scope="module")
 def problem32(grid32):
-    case = default_config()
-    params = physics_params(case, grid32)
-    return grid32, params, balanced_jet(case, grid32)
+    case = replace(default_config(), nx=32, ny=32)
+    assert case.grid == grid32
+    return grid32, physics_params(case), balanced_jet(case)
 
 
 def test_step_reproduces_stage_formula(problem32):
     grid, params, state = problem32
     dt = 600.0
-    quad = kernel_weights(1200.0, 2)
+    quad = Quadrature(1200.0, 2)
     spec = PropagatorSpec.exact()
     config = StepConfig(dt=dt, quadrature=quad, propagator_spec=spec)
     got = step_averaged_ssprk3(state, config, params)
@@ -60,7 +62,7 @@ def test_zero_window_step_is_ssprk3_on_transformed_variable(problem32):
     # whose tendency is G(tau, V) = e^{-L tau} N(e^{L tau} V), then map back
     grid, params, state = problem32
     dt = 900.0
-    config = StepConfig(dt=dt, quadrature=kernel_weights(0.0, 0),
+    config = StepConfig(dt=dt, quadrature=Quadrature(0.0, 0),
                         propagator_spec=PropagatorSpec.exact())
     got = step_averaged_ssprk3(state, config, params)
 
@@ -96,7 +98,7 @@ def test_make_step_config_resolution(grid64):
     with pytest.raises(ValueError, match="propagator"):
         make_step_config(grid64, params, dt=3600.0, propagator="magic")
     with pytest.raises(ValueError, match="dt"):
-        StepConfig(dt=0.0, quadrature=kernel_weights(0.0, 0),
+        StepConfig(dt=0.0, quadrature=Quadrature(0.0, 0),
                    propagator_spec=PropagatorSpec.exact())
 
 
@@ -181,8 +183,9 @@ def test_nonfinite_state_aborts_with_stage_index(problem32):
 def noisy_problem(rng):
     # a band-limited state and its full spectra plus nonzero modes outside
     # the 2/3 band, over a mountain on an 18 x 12 grid with Lx != Ly
-    grid = make_grid(18, 12, 2.5e6, 1.5e6)
-    params = physics_params(replace(default_config(), r0=3.0e5, xc=4.0e5, yc=6.0e5), grid)
+    case = replace(default_config(), nx=18, ny=12, Lx=2.5e6, Ly=1.5e6, r0=3.0e5,
+                   xc=4.0e5, yc=6.0e5, jet_width=1.5e6 / 16)
+    grid, params = case.grid, physics_params(case)
     state = band_limited_state(grid, rng)
     noise = np.fft.fft2(rng.standard_normal((3, grid.nx, grid.ny)))
     noise[:, full_band_mask(grid)] = 0.0
@@ -205,7 +208,7 @@ def test_out_of_band_input_leaves_step_unchanged(rng):
 
 
 def grid_12x8(Lx=1.5e6):
-    return make_grid(12, 8, Lx, 1.0e6)
+    return SpectralGrid(12, 8, Lx, 1.0e6)
 
 
 # (make a fresh object from fixed values, whether == compares values):
@@ -214,7 +217,7 @@ VALUE_TYPES = {
     "SpectralGrid": (grid_12x8, True),
     "PhysicsParams": (lambda: flat(grid_12x8()), False),
     "State": (lambda: State(grid_12x8(), np.zeros((3, 12, 3))), False),
-    "Quadrature": (lambda: kernel_weights(3600.0, 4), False),
+    "Quadrature": (lambda: Quadrature(3600.0, 4), False),
     "StepConfig": (lambda: make_step_config(grid_12x8(), flat(grid_12x8()),
                                             dt=3600.0, T=3600.0, M=4), False),
 }
@@ -246,6 +249,35 @@ def test_mixed_grids_are_rejected(rng):
         make_step_config(grid, params, dt=3600.0)
     # the same values on a grid of its own are the same grid
     step_averaged_ssprk3(state, cfg, flat(grid_12x8()))
+
+
+# every State entry point, called with a state and physics on two 12 x 8
+# grids that differ only in Lx; propagate carries exact_exp and cheb_exp
+STATE_ENTRY_POINTS = {
+    "step_averaged_ssprk3": lambda state, params: step_averaged_ssprk3(
+        state, make_step_config(params.grid, params, dt=3600.0, T=3600.0, M=2), params),
+    "propagate": lambda state, params: propagate(900.0, state, params,
+                                                 PropagatorSpec.exact()),
+    "exact_exp": lambda state, params: exact_exp(900.0, state, params),
+    "cheb_exp": lambda state, params: cheb_exp(
+        900.0, state, params, PropagatorSpec.chebyshev(max_frequency(params) * 900.0)),
+    "averaged_tendency": lambda state, params: averaged_tendency(
+        state, Quadrature(3600.0, 2), params, PropagatorSpec.exact()),
+    "apply_linear": apply_linear,
+    "energy_mass": energy_mass,
+}
+
+
+@pytest.mark.parametrize("name", STATE_ENTRY_POINTS)
+def test_every_state_entry_point_rejects_another_grid(name, rng):
+    call = STATE_ENTRY_POINTS[name]
+    grid, wide = grid_12x8(), grid_12x8(Lx=2.0e6)
+    state = band_limited_state(grid, rng)
+    with pytest.raises(ValueError, match="state grid .*Lx=1500000.0.* does not "
+                                         "match the physics' grid .*Lx=2000000.0"):
+        call(state, flat(wide))
+    # the same values on a grid built apart are the same grid
+    call(state, flat(grid_12x8()))
 
 
 def test_run_rejects_state_outside_the_band(rng):

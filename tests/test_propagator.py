@@ -9,7 +9,7 @@ from phaseswe import propagator
 from phaseswe.config import default_config
 from phaseswe.dynamics import (State, couplings, dispersion_omega, energy_norm,
                                flat_bottom, max_frequency)
-from phaseswe.grid import band_width, make_grid
+from phaseswe.grid import SpectralGrid, band_width
 from phaseswe.integrator import make_step_config, run, step_averaged_ssprk3
 from phaseswe.oracles import (band_limited_state, bessel_cheb_coeffs, dense_exp,
                               full_band_mask, take_band)
@@ -18,7 +18,7 @@ from phaseswe.propagator import (PropagatorSpec, cheb_coeffs, cheb_exp, choose_n
 from phaseswe.testcase import physics_params
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
-GRID_12x8 = make_grid(12, 8, 1.5e6, 1.0e6)
+GRID_12x8 = SpectralGrid(12, 8, 1.5e6, 1.0e6)
 
 
 def flat(grid):
@@ -169,9 +169,10 @@ def test_averaged_steps_keep_hermitian_symmetry(route, rng):
     # symmetry would go unseen there; the mountain, f != 0 and T > 0 bring
     # every operator of a step in: the route's exponential, the nonlinear
     # tendency and the averaging nodes
-    grid = GRID_12x8
-    case = replace(default_config(), r0=3.0e5, xc=4.0e5, yc=6.0e5)
-    params = physics_params(case, grid)
+    case = replace(default_config(), nx=12, ny=8, Lx=1.5e6, Ly=1.0e6, r0=3.0e5,
+                   xc=4.0e5, yc=6.0e5, jet_width=1.0e6 / 16)
+    grid, params = case.grid, physics_params(case)
+    assert grid == GRID_12x8
     assert params.f != 0.0
     config = make_step_config(grid, params, dt=3600.0, T=3600.0, propagator=route)
     traj = run(band_limited_state(grid, rng), config, params, t_end=3 * 3600.0,
@@ -196,7 +197,7 @@ def test_exp_tables_are_keyed_on_grid_and_physics_values(rng):
     # grids that differ only in Lx, and params that differ only in H, share
     # shapes; a table keyed on shape or on object identity would reuse the
     # first entry for the second
-    wide = make_grid(12, 8, 3.0e6, 1.0e6)
+    wide = SpectralGrid(12, 8, 3.0e6, 1.0e6)
     state = band_limited_state(GRID_12x8, rng)
     cases = [(GRID_12x8, H0), (wide, H0), (GRID_12x8, 2.0 * H0)]
     for grid, depth in cases:
@@ -206,7 +207,7 @@ def test_exp_tables_are_keyed_on_grid_and_physics_values(rng):
             assert_matches_dense(exact_exp(t, s, params), s, params, t, 1e-12)
 
 
-SHIFT_GRIDS = (GRID_12x8, make_grid(18, 12, 2.5e6, 1.5e6))  # 18 x 12: kb = 4, wy = 0 .. 3
+SHIFT_GRIDS = (GRID_12x8, SpectralGrid(18, 12, 2.5e6, 1.5e6))  # 18 x 12: kb = 4, wy = 0 .. 3
 
 
 def shift_cases(rng):

@@ -7,7 +7,8 @@ import pytest
 
 from phaseswe.config import ConfigError, RunConfig, default_config
 from phaseswe.dynamics import PhysicsParams, flat_bottom
-from phaseswe.grid import from_band, make_grid, to_physical, to_spectral
+from phaseswe.grid import SpectralGrid, from_band, to_physical, to_spectral
+from phaseswe.harness import build_problem
 from phaseswe.testcase import balanced_jet, mountain, physics_params
 
 
@@ -36,7 +37,7 @@ def test_case_validation():
 def test_mountain_volume_peak_and_position(grid64):
     # the physics keeps the cone's 2/3 band; its ripples are checked here
     case = default_config()
-    b_phys = physics_params(case, grid64).b_phys
+    b_phys = physics_params(case).b_phys
 
     volume = grid64.cell_area * float(b_phys.sum())
     cone = np.pi * case.r0**2 * case.b0 / 3.0
@@ -54,21 +55,29 @@ def test_mountain_volume_peak_and_position(grid64):
 def test_mountain_b_phys_is_the_irfft2_of_its_band(grid64):
     # the physical topography was once the irfft2 of the full spectrum's
     # ky >= 0 half; to_physical of the band gives the same bits
-    params = physics_params(default_config(), grid64)
+    params = physics_params(default_config())
     half = from_band(grid64, params.b)[:, : 64 // 2 + 1]
     assert np.array_equal(params.b_phys, np.fft.irfft2(half, s=(64, 64)))
 
 
-def test_mountain_radius_must_fit_the_domain():
-    # the default r0 (Ly / 9 of a 4e7 m domain) does not fit a 1e6 m grid
-    grid = make_grid(16, 16, 1.0e6, 1.0e6)
-    with pytest.raises(ValueError, match="radius"):
-        mountain(default_config(), grid)
+def test_the_case_is_built_on_its_config_grid():
+    # one grid per config, built from its nx, ny, Lx and Ly on first use;
+    # build_problem, the physics and the jet all hold that one object
+    cfg = default_config()
+    assert cfg.grid is cfg.grid
+    assert cfg.grid == SpectralGrid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
+    grid, same_cfg, params, jet = build_problem(cfg)
+    assert grid is cfg.grid and same_cfg is cfg
+    assert params.grid is cfg.grid and jet.grid is cfg.grid
+    small = replace(cfg, nx=32, ny=16)
+    assert (small.grid.nx, small.grid.ny) == (32, 16)
+    assert physics_params(small).b.shape == (32, 6)
+    assert balanced_jet(small).q.shape == (3, 32, 6)
 
 
 def test_balanced_jet_structure(grid64):
     case = default_config()
-    jet = balanced_jet(case, grid64)
+    jet = balanced_jet(case)
     umax = float(np.max(np.abs(jet.u)))
 
     assert np.all(jet.v == 0.0)
@@ -89,11 +98,11 @@ def test_balanced_jet_structure(grid64):
 
 def test_physics_params_wiring(grid64):
     case = default_config()
-    rough = physics_params(case, grid64)
+    rough = physics_params(case)
     assert isinstance(rough, PhysicsParams)
-    assert np.array_equal(rough.b, to_spectral(grid64, mountain(case, grid64)))
+    assert np.array_equal(rough.b, to_spectral(grid64, mountain(case)))
     assert np.array_equal(rough.b_phys, to_physical(grid64, rough.b))
-    smooth = physics_params(replace(case, b0=0.0), grid64)
+    smooth = physics_params(replace(case, b0=0.0))
     flat = flat_bottom(grid64, case.f, case.g, case.H)
     assert smooth.b.dtype == flat.b.dtype and smooth.b.tobytes() == flat.b.tobytes()
     assert np.all(smooth.b == 0.0)

@@ -11,19 +11,25 @@ into a temporary directory; the change is this checkout's working tree.
 Two measurements are made, each alternating base and change so that a drift
 of the machine hits both sides alike:
 
-- Interleaved steps.  One persistent worker process per side builds the
-  configured jet and mountain case at 32^2, 64^2 and 128^2 with dt = 1 h,
-  once per case, through the calls perfbench pins (harness.build_problem's
-  4-tuple and integrator.make_step_config(grid, params, ...)), so both
-  revisions run the same code around the step: single-threaded steps at
+- Interleaved steps.  A pair of persistent worker processes, one per side,
+  builds the configured jet and mountain case at 32^2, 64^2 and 128^2 with
+  dt = 1 h, once per case, through the calls perfbench pins
+  (harness.build_problem's 4-tuple and integrator.make_step_config(grid,
+  params, ...)), so both revisions run the same code around the step:
+  single-threaded steps at
   T = 0, 1 h and 8 h (exact route, auto M) and at T = 1 h on the Chebyshev
   route, after two warm-up steps, every timed step from the state they
-  left.  The workers then take turns one timed step at a time, for STEP_PAIRS step pairs per case, the side that steps
-  first flipping from pair to pair, while the other waits.  Each step
-  records its wall time and its minor page faults (`ru_minflt`).  The two
-  steps of a pair run back to back, under nearly the same load, so the
-  change wins the pair when its step is faster; a load swing that lasts
-  many steps hits both sides alike.
+  left.  The workers then take turns one timed step at a time, for
+  STEP_PAIRS step pairs per case, the side that steps first flipping from
+  pair to pair, while the other waits.  Each step records its wall time and
+  its minor page faults (`ru_minflt`).  The two steps of a pair run back to
+  back, under nearly the same load, so the change wins the pair when its
+  step is faster; a load swing that lasts many steps hits both sides alike.
+  One process can run a few percent faster than another of the same code
+  for the whole of its life, so the comparison is made in WORKER_PAIRS
+  fresh worker pairs: their step pairs and wins are pooled, and each
+  worker pair's own median ratio is kept, so a lone fast or slow process
+  shows as one outlying ratio.
 - perfbench pairs.  `perfbench/run.py --workload W --seconds 36 --trace 0`
   of each tree, the side that runs first alternating from pair to pair.
 
@@ -56,7 +62,8 @@ CASES = {  # name: (T in seconds, propagator)
     "cheb1h": (3600.0, "chebyshev"),
 }
 WARMUP_STEPS = 2
-STEP_PAIRS = 60        # alternated timed steps per side and case
+STEP_PAIRS = 60        # alternated timed steps per side and case, per worker pair
+WORKER_PAIRS = 3       # fresh base/change worker pairs per step comparison
 PERFBENCH_SECONDS = 36
 
 
@@ -135,37 +142,57 @@ def _reply(proc: subprocess.Popen, side: str) -> dict:
     return json.loads(line)
 
 
-def step_pairs(trees: dict, env: dict) -> dict:
-    """Per case: both sides' M and degree, and compare() of their step times
-    and page faults over STEP_PAIRS interleaved step pairs."""
+def _one_worker_pair(trees: dict, env: dict) -> tuple[dict, dict]:
+    """Both sides' case metadata, and per case and side the replies of
+    STEP_PAIRS interleaved steps, from one fresh pair of workers."""
     procs = {side: subprocess.Popen(
         [sys.executable, os.path.abspath(__file__), "--worker",
          os.path.join(tree, "src")], cwd=ROOT, env=env, text=True,
         stdin=subprocess.PIPE, stdout=subprocess.PIPE) for side, tree in trees.items()}
     try:
         meta = {side: _reply(proc, side) for side, proc in procs.items()}
-        result = {}
+        steps = {}
         for key in meta["base"]:
-            steps = {side: [] for side in procs}
+            steps[key] = {side: [] for side in procs}
             for i in range(STEP_PAIRS):
                 for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
                     procs[side].stdin.write(key + "\n")
                     procs[side].stdin.flush()
-                    steps[side].append(_reply(procs[side], side))
-            # per field, the base's and the change's values, pair i at index i
-            sides = {field: [[s[field] for s in steps[side]] for side in ("base", "change")]
-                     for field in ("ms", "faults")}
-            result[key] = {
-                "M": {side: meta[side][key]["M"] for side in procs},
-                "degree": {side: meta[side][key]["degree"] for side in procs},
-                "step_ms": compare(*sides["ms"], list(zip(*sides["ms"]))),
-                "faults_per_step": compare(*sides["faults"], list(zip(*sides["faults"]))),
-            }
-        return result
+                    steps[key][side].append(_reply(procs[side], side))
+        return meta, steps
     finally:
         for proc in procs.values():
             proc.stdin.close()
             proc.wait()
+
+
+def step_pairs(trees: dict, env: dict) -> dict:
+    """Per case: both sides' M and degree, compare() of their step times and
+    page faults pooled over WORKER_PAIRS fresh worker pairs of STEP_PAIRS
+    interleaved step pairs each, and each worker pair's own median ratio
+    and wins."""
+    rounds = [_one_worker_pair(trees, env) for _ in range(WORKER_PAIRS)]
+    meta = rounds[0][0]
+    result = {}
+    for key in meta["base"]:
+        # per field, the base's and the change's values, pair i at index i
+        sides = {field: [[s[field] for _meta, steps in rounds for s in steps[key][side]]
+                         for side in ("base", "change")]
+                 for field in ("ms", "faults")}
+        per_worker_pair = []
+        for _meta, steps in rounds:
+            base, change = ([s["ms"] for s in steps[key][side]] for side in ("base", "change"))
+            per_worker_pair.append({
+                "ratio": statistics.median(change) / statistics.median(base),
+                "wins": sum(1 for x, y in zip(base, change) if y < x)})
+        result[key] = {
+            "M": {side: meta[side][key]["M"] for side in meta},
+            "degree": {side: meta[side][key]["degree"] for side in meta},
+            "step_ms": compare(*sides["ms"], list(zip(*sides["ms"]))),
+            "faults_per_step": compare(*sides["faults"], list(zip(*sides["faults"]))),
+            "worker_pairs": per_worker_pair,
+        }
+    return result
 
 
 def perfbench_pairs(trees: dict, workload: str, pairs: int, seed: int,
@@ -265,8 +292,8 @@ def main(argv=None) -> int:
         "base": git("rev-parse", args.base),
         "change": git("rev-parse", "HEAD") + (" + working tree" if dirty else ""),
         "machine": machine,
-        "steps": {"pairs": STEP_PAIRS, "warmup_steps": WARMUP_STEPS, "dt_s": 3600.0,
-                  "cases": steps},
+        "steps": {"pairs": STEP_PAIRS, "worker_pairs": WORKER_PAIRS,
+                  "warmup_steps": WARMUP_STEPS, "dt_s": 3600.0, "cases": steps},
         "perfbench": bench,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
