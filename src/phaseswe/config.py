@@ -7,8 +7,8 @@ echoed to `config.resolved` in the output directory in a form that parses
 back to the identical RunConfig.  RunConfig is the one home of a run's
 settings, the experiment's case included, and validates itself: the fine
 reference and each sweep window are derived from it by reference_config and
-window_config.  RunConfig.grid is SpectralGrid(nx, ny, Lx, Ly), whose rules
-on those four fields are the config's, raised as ConfigError."""
+window_config, and step_config builds its stepper.  Every rule that SpectralGrid,
+the stepper's parts or integrator.check_schedule owns is raised as ConfigError."""
 
 from __future__ import annotations
 
@@ -16,21 +16,19 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
+from .averaging import Quadrature
+from .dynamics import PhysicsParams
 from .grid import SpectralGrid
+from .integrator import StepConfig, check_schedule, make_step_config
+from .propagator import DEFAULT_CHEB_TOL, PropagatorSpec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
            "format_config", "default_config", "reference_config", "window_config",
-           "is_multiple"]
+           "step_config"]
 
 
 class ConfigError(ValueError):
     """Invalid configuration file or values (CLI exit code 2)."""
-
-
-def is_multiple(value: float, dt: float) -> bool:
-    """Whether value is a whole number of steps dt, to 1e-9 relative."""
-    n = value / dt
-    return abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class RunConfig:
     T: float = 3600.0
     M: int | None = None         # None means auto from T and the fastest mode
     propagator: str = "exact"
-    tol: float = 1.0e-10
+    tol: float = DEFAULT_CHEB_TOL
     t_end: float = 1296000.0     # 15 days
     snapshot_every: float = 86400.0
     workers: int = 1
@@ -85,31 +83,20 @@ class RunConfig:
             self.grid  # SpectralGrid checks nx, ny, Lx and Ly, in that order
         except ValueError as exc:
             bad(str(exc))
-        for name in ("g", "H", "u0", "jet_width", "r0", "dt", "tol", "ref_dt"):
+        for name in ("g", "H", "u0", "jet_width", "r0", "ref_dt"):
             if not getattr(self, name) > 0:
                 bad(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 <= self.b0 < self.H:
             bad(f"need 0 <= b0 < H, got b0 = {self.b0}, H = {self.H}")
         if not self.r0 < min(self.Lx, self.Ly) / 2.0:
             bad(f"r0 = {self.r0} must be below half the domain size")
-        if self.T < 0:
-            bad(f"T must be nonnegative, got {self.T}")
-        if self.M is not None and self.M < 0:
-            bad(f"M must be nonnegative or auto, got {self.M}")
-        if self.T == 0.0 and self.M not in (None, 0):
-            bad(f"T = 0 admits only M = 0, got M = {self.M}")
-        if self.propagator not in ("exact", "chebyshev"):
-            bad(f"propagator must be exact or chebyshev, got {self.propagator!r}")
-        if self.t_end < 0:
-            bad(f"t_end must be nonnegative, got {self.t_end}")
-        if not is_multiple(self.t_end, self.dt):
-            bad(f"t_end = {self.t_end} must be a multiple of dt = {self.dt}")
-        if self.snapshot_every != 0.0 and not is_multiple(self.snapshot_every, self.dt):
-            bad(f"snapshot_every = {self.snapshot_every} must be 0 or a multiple of dt")
-        if self.snapshot_every < 0:
-            bad(f"snapshot_every must be nonnegative, got {self.snapshot_every}")
-        if self.workers < 1:
-            bad(f"workers must be at least 1, got {self.workers}")
+        try:
+            # M = auto admits any node count; the schedule's checks divide by dt
+            StepConfig(self.dt, Quadrature(self.T, self.M or 0),
+                       PropagatorSpec(self.propagator, tol=self.tol))
+            check_schedule(self.dt, self.t_end, self.snapshot_every, self.workers)
+        except ValueError as exc:
+            bad(str(exc))
 
     @cached_property
     def grid(self) -> SpectralGrid:
@@ -179,6 +166,12 @@ def window_config(cfg: RunConfig, T: float) -> RunConfig:
     admits just M = 0), and M = auto stays auto."""
     M = cfg.M if cfg.M is None or T > 0 else 0
     return replace(cfg, T=T, M=M)
+
+
+def step_config(cfg: RunConfig, params: PhysicsParams) -> StepConfig:
+    """The configured stepper: dt, window T and M, propagator and tol."""
+    return make_step_config(params.grid, params, dt=cfg.dt, T=cfg.T, M=cfg.M,
+                            propagator=cfg.propagator, tol=cfg.tol)
 
 
 def format_config(cfg: RunConfig) -> str:

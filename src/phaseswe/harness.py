@@ -1,4 +1,4 @@
-"""Command line harness: run, reference, sweep, validate.
+"""Command line harness: run, reference, sweep, validate; no module imports it.
 
 Exit codes: 0 success, 1 run or validation failure, 2 invalid configuration.
 Every output file is bitwise reproducible from the configuration and seed
@@ -14,16 +14,17 @@ import time
 from dataclasses import replace
 
 from .config import (ConfigError, RunConfig, default_config, format_config,
-                     load_config, reference_config, window_config)
+                     load_config, reference_config, step_config, window_config)
 from .diagnostics import make_error_report
 from .dynamics import PhysicsParams, State
-from .integrator import StepConfig, Trajectory, make_step_config, run
+from .grid import SpectralGrid
+from .integrator import StepConfig, Trajectory, run
 from .io import (read_snapshot_state, write_diagnostics, write_error_report,
                  write_snapshot)
 from .testcase import balanced_jet, physics_params
 from .validation import run_validation
 
-__all__ = ["build_problem", "step_config", "cmd_run", "cmd_reference", "cmd_sweep",
+__all__ = ["build_problem", "cmd_run", "cmd_reference", "cmd_sweep",
            "cmd_validate", "main"]
 
 
@@ -32,12 +33,6 @@ def build_problem(cfg: RunConfig):
     mountain case, on cfg.grid.  The first two slots, cfg.grid and cfg
     itself, are kept only because perfbench/run.py unpacks four values."""
     return cfg.grid, cfg, physics_params(cfg), balanced_jet(cfg)
-
-
-def step_config(cfg: RunConfig, params: PhysicsParams) -> StepConfig:
-    """The configured stepper: dt, window T and M, propagator and tol."""
-    return make_step_config(params.grid, params, dt=cfg.dt, T=cfg.T, M=cfg.M,
-                            propagator=cfg.propagator, tol=cfg.tol)
 
 
 def _write_run_outputs(outdir: str, cfg: RunConfig, traj: Trajectory) -> None:
@@ -51,13 +46,17 @@ def _write_run_outputs(outdir: str, cfg: RunConfig, traj: Trajectory) -> None:
 
 
 def _load_reference(path: str, final: State) -> State:
+    return _read_reference(path, final.grid, final.t)
+
+
+def _read_reference(path: str, grid: SpectralGrid, t_end: float) -> State:
+    """The reference snapshot at path, checked against the run's grid and end."""
     ref = read_snapshot_state(path)
-    if ref.grid != final.grid:
-        raise ValueError(f"reference grid {ref.grid} does not match run grid "
-                         f"{final.grid}")
-    if abs(ref.t - final.t) > 1e-6 * max(1.0, abs(final.t)):
+    if ref.grid != grid:
+        raise ValueError(f"reference grid {ref.grid} does not match run grid {grid}")
+    if abs(ref.t - t_end) > 1e-6 * max(1.0, abs(t_end)):
         raise ValueError(f"reference time {ref.t} does not match run final "
-                         f"time {final.t}")
+                         f"time {t_end}")
     return ref
 
 
@@ -72,7 +71,9 @@ def _execute(cfg: RunConfig) -> tuple[Trajectory, PhysicsParams, StepConfig]:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Phase-averaged run; writes snapshots, diagnostics, and (against a
-    reference, if configured) an error report."""
+    reference, if configured, read before the first step) an error report."""
+    ref = (_read_reference(cfg.reference_path, cfg.grid, cfg.t_end)
+           if cfg.reference_path else None)
     traj, params, step_cfg = _execute(cfg)
     final = traj.states[-1]
     # the resolved M and, on the Chebyshev route, Lambda and the largest degree
@@ -82,8 +83,7 @@ def cmd_run(cfg: RunConfig) -> int:
         resolved += f", Chebyshev Lambda = {spec.Lambda:.6g}, max degree {spec.n_poly}"
     print(f"run: {traj.steps[-1]} steps to t = {final.t:g} s, "
           f"{len(traj.states)} snapshots, {resolved} -> {cfg.output_dir}")
-    if cfg.reference_path:
-        ref = _load_reference(cfg.reference_path, final)
+    if ref is not None:
         report = make_error_report(final, ref, params, traj.states[0])
         write_error_report(os.path.join(cfg.output_dir, "error_report.txt"), report)
         print(f"errors vs reference: l2_eta = {report.l2_eta:.6g}, "
@@ -118,10 +118,10 @@ def cmd_sweep(cfg: RunConfig, t_list: list[float]) -> int:
         if subdir in subdirs[:i]:
             raise ConfigError(f"windows T = {t_list[subdirs.index(subdir)]!r} and "
                               f"T = {t_list[i]!r} would both write {subdir}")
+    ref = _read_reference(cfg.reference_path, cfg.grid, cfg.t_end)
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = []
     failures = 0
-    ref = None
     for T, window, subdir in zip(t_list, windows, subdirs):
         run_cfg = replace(window, output_dir=subdir)
         started = time.perf_counter()
@@ -129,10 +129,7 @@ def cmd_sweep(cfg: RunConfig, t_list: list[float]) -> int:
         try:
             traj, params, step_cfg = _execute(run_cfg)
             resolved_M = step_cfg.quadrature.M
-            final = traj.states[-1]
-            if ref is None:
-                ref = _load_reference(cfg.reference_path, final)
-            report = make_error_report(final, ref, params, traj.states[0])
+            report = make_error_report(traj.states[-1], ref, params, traj.states[0])
             write_error_report(os.path.join(subdir, "error_report.txt"), report)
             elapsed = time.perf_counter() - started
             rows.append((T, resolved_M, report.l2_eta, report.l2_u, elapsed))

@@ -18,7 +18,7 @@ A State is its compact (3, nx, kb) band stack q (dynamics.State); N, like
 any nonlinear(q, params), maps band stacks to band stacks and e^{Lt} acts
 mode by mode, so a step runs on state.q from start to end and wraps the
 result in a State.  Every kernel reads the grid from params, and a step
-rejects a state on another grid.
+rejects a state on another grid.  run's schedule rules are check_schedule's.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ import numpy as np
 from .averaging import Quadrature, band_averaged_tendency, default_node_count
 # averaged_tendency stays a module attribute: perfbench/tracing.py patches it here
 from .averaging import averaged_tendency  # noqa: F401
-from .config import is_multiple
 # energy_mass stays a module attribute: perfbench/tracing.py patches it here
 from .diagnostics import energy_mass, energy_mass_fields  # noqa: F401
 from .dynamics import (PhysicsParams, State, apply_nonlinear, max_frequency,
                        require_same_grid)
 from .grid import SpectralGrid, to_physical
-from .propagator import PropagatorSpec, shift
+from .propagator import DEFAULT_CHEB_TOL, PropagatorSpec, shift
 # propagate stays a module attribute: perfbench/tracing.py patches it here
 from .propagator import propagate  # noqa: F401
 
@@ -47,6 +46,8 @@ __all__ = [
     "make_step_config",
     "step_averaged_ssprk3",
     "Trajectory",
+    "is_multiple",
+    "check_schedule",
     "run",
 ]
 
@@ -66,8 +67,8 @@ class StepConfig:
 
 
 def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
-                     T: float = 0.0, M: int | None = None,
-                     propagator: str = "exact", tol: float = 1e-10) -> StepConfig:
+                     T: float = 0.0, M: int | None = None, propagator: str = "exact",
+                     tol: float = DEFAULT_CHEB_TOL) -> StepConfig:
     """Resolve a stepper configuration for the physics params.
 
     grid must be params.grid; it is kept only because perfbench/run.py
@@ -82,13 +83,10 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
     if M is None:
         M = default_node_count(T, max_frequency(params))
     quad = Quadrature(T, M)
-    if propagator == "exact":
-        spec = PropagatorSpec.exact()
-    elif propagator == "chebyshev":
-        lam = max_frequency(params) * max(dt, T)
-        spec = PropagatorSpec.chebyshev(lam, tol=tol)
+    if propagator == "chebyshev":
+        spec = PropagatorSpec.chebyshev(max_frequency(params) * max(dt, T), tol=tol)
     else:
-        raise ValueError(f"unknown propagator {propagator!r}")
+        spec = PropagatorSpec(propagator)  # rejects an unknown route
     return StepConfig(dt=float(dt), quadrature=quad, propagator_spec=spec)
 
 
@@ -150,25 +148,33 @@ class Trajectory:
         self.max_speed.append(float(speed.max()))
 
 
-def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
-        snapshot_every: float = 0.0, workers: int = 1) -> Trajectory:
-    """Step from the initial state to t_end, recording snapshots and diagnostics.
+def is_multiple(value: float, dt: float) -> bool:
+    """Whether value is a whole number of steps dt, to 1e-9 relative."""
+    n = value / dt
+    return abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))
 
-    t_end must be a nonnegative multiple of dt; snapshot_every must be a
-    positive multiple of dt, or 0 to record only the initial and final states,
-    which are always recorded.
-    """
+
+def check_schedule(dt: float, t_end: float, snapshot_every: float, workers: int) -> None:
+    """run's schedule rules, each a ValueError that names its setting."""
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    if not is_multiple(t_end, dt):
+        raise ValueError(f"t_end = {t_end} must be a multiple of dt = {dt}")
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be nonnegative, got {snapshot_every}")
+    if not is_multiple(snapshot_every, dt) or 0 < snapshot_every < dt / 2:
+        raise ValueError(f"snapshot_every = {snapshot_every} must be 0 or a multiple of dt")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    for what, value in (("t_end", t_end), ("snapshot_every", snapshot_every)):
-        if not is_multiple(value, config.dt):
-            raise ValueError(f"{what} = {value} is not a multiple of dt = {config.dt}")
+
+
+def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
+        snapshot_every: float = 0.0, workers: int = 1) -> Trajectory:
+    """Step from the initial state to t_end, recording diagnostics and the states
+    at the start, at the end and every snapshot_every seconds (0: none between)."""
+    check_schedule(config.dt, t_end, snapshot_every, workers)
     n_steps = round(t_end / config.dt)
     stride = round(snapshot_every / config.dt)
-    if snapshot_every != 0.0 and stride <= 0:
-        raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
 
     traj = Trajectory()
     traj.record(0, initial, params)

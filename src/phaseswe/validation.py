@@ -5,7 +5,7 @@ Each check compares the production code against an independent route from
 returns a :class:`CheckResult`.  The acceptance tests assert on the same
 results, so ``phaseswe validate`` and the test suite run one set of cases at
 one set of tolerances.  fast finishes in well under a minute; full adds the
-15-day averaging-window experiment on the configured case.
+15-day averaging-window experiment on the case testcase and config build.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig, default_config, reference_config, window_config
+from .config import (RunConfig, default_config, reference_config, step_config,
+                     window_config)
 from .diagnostics import l2_error_normalized
 from .dynamics import (PhysicsParams, State, apply_linear, apply_nonlinear,
                        energy_inner, energy_norm, max_frequency)
@@ -24,6 +25,7 @@ from .integrator import make_step_config, run, step_averaged_ssprk3
 from .oracles import (band_limited_state, bessel_cheb_coeffs, linear_tendency,
                       nonlinear_tendency, take_band, truncated_convolution)
 from .propagator import PropagatorSpec, cheb_coeffs, cheb_exp, exact_exp
+from .testcase import balanced_jet, physics_params
 
 __all__ = [
     "CheckResult",
@@ -51,12 +53,11 @@ class CheckResult:
 
 
 def _case_problem(n: int, flat: bool):
-    """harness.build_problem's grid, config, physics and jet for the default
-    case on an n x n grid, with the mountain taken away (b0 = 0) when flat."""
-    from .harness import build_problem  # harness imports this module
-
+    """The grid, config, physics and jet of the default case on an n x n
+    grid, with the mountain taken away (b0 = 0) when flat."""
     cfg = replace(default_config(), nx=n, ny=n)
-    return build_problem(replace(cfg, b0=0.0) if flat else cfg)
+    cfg = replace(cfg, b0=0.0) if flat else cfg
+    return cfg.grid, cfg, physics_params(cfg), balanced_jet(cfg)
 
 
 def _max_rel(got: np.ndarray, want: np.ndarray, scale: float | None = None) -> float:
@@ -245,9 +246,7 @@ def check_interior_optimum(T_list, errs_eta, errs_u) -> CheckResult:
 def check_window_sweep(cfg: RunConfig) -> CheckResult:
     """The window experiment on the configured case against its fine
     reference, each run set up as `phaseswe reference` and `sweep` set it up."""
-    from .harness import build_problem, step_config  # harness imports this module
-
-    _grid, _cfg, params, jet = build_problem(cfg)
+    params, jet = physics_params(cfg), balanced_jet(cfg)
     ref = run(jet, step_config(reference_config(cfg), params), params,
               cfg.t_end).states[-1]
     T_list = [h * 3600.0 for h in WINDOW_HOURS]

@@ -102,6 +102,34 @@ def test_averaging_window_has_interior_optimum(sweep_trees):
     report(result.name, result.ok, result.detail)
 
 
+# the acceptance sweep's (T, M, l2_eta, l2_u) rows, recorded from the default
+# 15-day reference and six-window sweep; every worker count writes them
+SWEEP_ROWS = [
+    (0.0, 0, 0.10633242279336103, 0.1769076186268206),
+    (1800.0, 4, 0.0076477955986256315, 0.028518240327162755),
+    (3600.0, 4, 0.006249165225777885, 0.019639757060748903),
+    (7200.0, 4, 0.027126869388087598, 0.08887450463466835),
+    (14400.0, 8, 0.04753546568190932, 0.15019254961280762),
+    (28800.0, 16, 0.05263241299043766, 0.16194257380320834),
+]
+
+
+def test_sweep_errors_match_the_recorded_values(sweep_trees):
+    # the science gate: the windows, their node counts and their errors stay
+    # where they were, to 1e-10 relative, for 1 and for 8 workers
+    worst = 0.0
+    for name in ("sweep_w1", "sweep_w8"):
+        with open(sweep_trees / name / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["T_seconds"]), int(r["M"])) for r in rows] == \
+            [(T, M) for T, M, _eta, _u in SWEEP_ROWS], name
+        for row, (_T, _M, eta, u) in zip(rows, SWEEP_ROWS):
+            worst = max(worst, abs(float(row["l2_eta"]) - eta) / eta,
+                        abs(float(row["l2_u"]) - u) / u)
+    report("sweep errors equal the recorded values", worst <= 1e-10,
+           f"largest relative difference {worst:.2e} over 2 x {len(SWEEP_ROWS)} rows")
+
+
 def test_sweep_is_bitwise_deterministic_across_workers(sweep_trees):
     a_root = sweep_trees / "sweep_w1"
     b_root = sweep_trees / "sweep_w8"

@@ -34,8 +34,8 @@ def test_traced_step_records_nonlinear_spans():
     # the tracer hands its wrapped apply_nonlinear to the step through
     # nonlinear=, so a change to that contract breaks traced runs
     from phaseswe import integrator
-    from phaseswe.config import RunConfig
-    from phaseswe.harness import build_problem, step_config
+    from phaseswe.config import RunConfig, step_config
+    from phaseswe.harness import build_problem
 
     tracing = load_tracing()
     cfg = RunConfig(nx=16, ny=16, dt=600.0, T=600.0, M=2)

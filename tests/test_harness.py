@@ -15,7 +15,7 @@ import phaseswe.harness as harness
 import phaseswe.integrator as integrator
 import phaseswe.io as pio
 import phaseswe.validation as validation
-from phaseswe.config import parse_config
+from phaseswe.config import parse_config, step_config
 from phaseswe.grid import to_physical
 from phaseswe.io import list_snapshot_steps, read_snapshot_state
 from phaseswe.validation import CheckResult
@@ -61,7 +61,7 @@ def test_chebyshev_run_reports_lambda_and_degree(tmp_path, small_cfg, capsys):
                          str(tmp_path / "out")]) == 0
     run_cfg = parse_config(cfg.read_text())
     _grid, _cfg, params, _state = harness.build_problem(run_cfg)
-    spec = harness.step_config(run_cfg, params).propagator_spec
+    spec = step_config(run_cfg, params).propagator_spec
     assert spec.kind == "chebyshev" and spec.tol == 1e-8
     assert (f", M = 2, Chebyshev Lambda = {spec.Lambda:.6g}, max degree "
             f"{spec.n_poly} ->") in capsys.readouterr().out
@@ -191,6 +191,40 @@ def test_run_failure_exits_1(tmp_path, small_cfg, capsys):
                        "--output", str(tmp_path / "out")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("made", [False, True])
+def test_reference_is_checked_before_the_first_step(tmp_path, small_cfg, capsys,
+                                                    monkeypatch, command, made):
+    # a missing reference, or one at another time (it ends at 1800 s, the
+    # run at 1200 s), fails before any step runs or any output is written
+    ref = tmp_path / "ref"
+    if made:
+        assert harness.main(["reference", "--config", str(small_cfg),
+                             "--output", str(ref)]) == 0
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(SMALL_CFG.replace("t_end = 1800", "t_end = 1200")
+                   + f"reference_path = {ref}\n")
+    steps = []
+    real_run = harness.run
+
+    def spy(*args, **kwargs):
+        steps.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", spy)
+    out = tmp_path / "out"
+    tlist = ["--tlist", "0,600,1200"] if command == "sweep" else []
+    capsys.readouterr()
+    assert harness.main([command, "--config", str(cfg), "--output", str(out),
+                         *tlist]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if made:
+        assert "reference time 1800.0 does not match run final time 1200.0" in err
+    assert steps == []
+    assert not out.exists()
 
 
 def test_sweep_writes_csv_and_subdirs(tmp_path, small_cfg, capsys):
