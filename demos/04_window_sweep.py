@@ -10,7 +10,8 @@ velocity.
 This demo exercises the command line interface end to end: `reference` builds
 the fine unaveraged solution, then `sweep` runs one coarse averaged run per
 half-window in the list and writes sweep.csv.  Ten model days; takes a minute
-or two with eight workers.
+or two.  At 64 x 64 the averaging nodes run serially however many workers
+are allowed: node threads pay only from 96 x 96 points.
 """
 
 import csv

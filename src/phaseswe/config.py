@@ -8,7 +8,10 @@ back to the identical RunConfig.  RunConfig is the one home of a run's
 settings, the experiment's case included, and validates itself: the fine
 reference and each sweep window are derived from it by reference_config and
 window_config, and step_config builds its stepper.  Every rule that SpectralGrid,
-the stepper's parts or integrator.check_schedule owns is raised as ConfigError."""
+the stepper's parts or integrator.check_schedule owns is raised as ConfigError.
+workers is the most threads a step's averaging nodes may run on;
+integrator.node_threads picks the count from it, the cores and the grid,
+so no output depends on it."""
 
 from __future__ import annotations
 

@@ -81,8 +81,10 @@ def cmd_run(cfg: RunConfig) -> int:
     resolved = f"M = {step_cfg.quadrature.M}"
     if spec.kind == "chebyshev":
         resolved += f", Chebyshev Lambda = {spec.Lambda:.6g}, max degree {spec.n_poly}"
+    # the node threads depend on the machine's cores: stdout only, no file
     print(f"run: {traj.steps[-1]} steps to t = {final.t:g} s, "
-          f"{len(traj.states)} snapshots, {resolved} -> {cfg.output_dir}")
+          f"{len(traj.states)} snapshots, node threads {traj.node_threads} of "
+          f"{cfg.workers}, {resolved} -> {cfg.output_dir}")
     if ref is not None:
         report = make_error_report(final, ref, params, traj.states[0])
         write_error_report(os.path.join(cfg.output_dir, "error_report.txt"), report)
@@ -172,7 +174,9 @@ def main(argv: list[str] | None = None) -> int:
                        ("validate", "oracle self-checks")):
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--config", help="path to key = value config file")
-        sp.add_argument("--workers", type=int, help="worker threads")
+        sp.add_argument("--workers", type=int,
+                        help="most threads for a step's averaging nodes; fewer "
+                             "on fewer cores or live nodes, none below 96x96")
         sp.add_argument("--output", help="output directory")
         if name == "sweep":
             sp.add_argument("--tlist", required=True,

@@ -19,10 +19,17 @@ any nonlinear(q, params), maps band stacks to band stacks and e^{Lt} acts
 mode by mode, so a step runs on state.q from start to end and wraps the
 result in a State.  Every kernel reads the grid from params, and a step
 rejects a state on another grid.  run's schedule rules are check_schedule's.
+
+run's workers is an upper bound on the threads that run a step's averaging
+nodes, not a count: node_threads caps it by the cores this process may run
+on and by the window's live nodes, and runs the nodes serially on the
+calling thread below MIN_THREADED_POINTS grid points, where threads cost
+more than they save.  Every output is bitwise the same for any count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -48,8 +55,18 @@ __all__ = [
     "Trajectory",
     "is_multiple",
     "check_schedule",
+    "MIN_THREADED_POINTS",
+    "available_cores",
+    "node_threads",
     "run",
 ]
+
+# Node threads pay only from this many grid points.  Below it, the GIL
+# handoffs of a step's many small elementwise ufuncs cost more than the
+# overlapped FFTs save: in BENCH_pr24_node_threads.json (2 cores) a step with
+# 2 node threads takes 1.2-1.5x the serial time at 32^2-64^2, about 0.9x
+# at 96^2 and 0.7x at 128^2.
+MIN_THREADED_POINTS = 96 * 96
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +142,8 @@ def step_averaged_ssprk3(state: State, config: StepConfig, params: PhysicsParams
 @dataclass
 class Trajectory:
     """Snapshots plus per-snapshot diagnostics from a run; fields holds each
-    snapshot's physical (u, v, eta) stack, transformed once when recorded."""
+    snapshot's physical (u, v, eta) stack, transformed once when recorded.
+    node_threads depends on the machine and is written to no output file."""
 
     times: list[float] = field(default_factory=list)
     steps: list[int] = field(default_factory=list)
@@ -134,6 +152,7 @@ class Trajectory:
     energy: list[float] = field(default_factory=list)
     mass: list[float] = field(default_factory=list)
     max_speed: list[float] = field(default_factory=list)
+    node_threads: int = 1  # threads that ran each step's averaging nodes
 
     def record(self, step: int, state: State, params: PhysicsParams) -> None:
         phys = to_physical(state.grid, state.q)
@@ -168,22 +187,44 @@ def check_schedule(dt: float, t_end: float, snapshot_every: float, workers: int)
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
+def available_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def node_threads(grid: SpectralGrid, quadrature: Quadrature, workers: int,
+                 cores: int | None = None) -> int:
+    """Threads that run a step's averaging nodes: min(workers, cores, the
+    window's live nodes), and 1 on a grid below MIN_THREADED_POINTS points.
+    cores defaults to available_cores()."""
+    if grid.nx * grid.ny < MIN_THREADED_POINTS:
+        return 1
+    if cores is None:
+        cores = available_cores()
+    return max(1, min(workers, cores, int(np.count_nonzero(quadrature.w))))
+
+
 def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
         snapshot_every: float = 0.0, workers: int = 1) -> Trajectory:
     """Step from the initial state to t_end, recording diagnostics and the states
-    at the start, at the end and every snapshot_every seconds (0: none between)."""
+    at the start, at the end and every snapshot_every seconds (0: none between).
+    Each step's averaging nodes run on node_threads(params.grid, quadrature,
+    workers) threads, recorded as the trajectory's node_threads."""
     check_schedule(config.dt, t_end, snapshot_every, workers)
     n_steps = round(t_end / config.dt)
     stride = round(snapshot_every / config.dt)
+    threads = node_threads(params.grid, config.quadrature, workers)
 
-    traj = Trajectory()
+    traj = Trajectory(node_threads=threads)
     traj.record(0, initial, params)
     if n_steps == 0:
         return traj
 
     # leaving the pool waits for its threads, so no node of a failed step
     # still runs, or writes into this thread's scratch, once run returns
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
           else nullcontext()) as executor:
         state = initial
         for i in range(1, n_steps + 1):

@@ -54,6 +54,22 @@ def test_run_writes_outputs(tmp_path, small_cfg, capsys):
     assert ", M = 2 ->" in line and "Chebyshev" not in line
 
 
+@pytest.mark.parametrize("n, workers, want", [(16, 4, "1 of 4"), (96, 8, "2 of 8")])
+def test_run_names_its_node_threads_on_stdout_only(tmp_path, small_cfg, capsys,
+                                                    monkeypatch, n, workers, want):
+    # the count depends on the machine's cores, so it reaches no output file
+    monkeypatch.setattr(integrator, "available_cores", lambda: 2)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(SMALL_CFG.replace("nx = 16\nny = 16", f"nx = {n}\nny = {n}")
+                   .replace("t_end = 1800", "t_end = 600"))
+    out = tmp_path / "out"
+    assert harness.main(["run", "--config", str(cfg), "--output", str(out),
+                         "--workers", str(workers)]) == 0
+    assert f"node threads {want}, M = 2 ->" in capsys.readouterr().out
+    for path in out.iterdir():
+        assert b"node threads" not in path.read_bytes(), path.name
+
+
 def test_chebyshev_run_reports_lambda_and_degree(tmp_path, small_cfg, capsys):
     cfg = tmp_path / "cheb.cfg"
     cfg.write_text(SMALL_CFG + "propagator = chebyshev\ntol = 1e-8\n")

@@ -127,20 +127,43 @@ def test_run_validates_arguments(problem32):
     assert only_initial.steps == [0]
 
 
-def test_run_with_workers_matches_serial(problem32):
-    grid, params, state = problem32
+@pytest.fixture(scope="module")
+def problem96():
+    # the smallest grid on which run's nodes go to threads
+    case = replace(default_config(), nx=96, ny=96)
+    assert case.grid.nx * case.grid.ny == integrator.MIN_THREADED_POINTS
+    return case.grid, physics_params(case), balanced_jet(case)
+
+
+@pytest.mark.parametrize("n, T, M, workers, cores, want", [
+    (64, 3600.0, 4, 8, 2, 1),        # below the threshold: serial
+    (128, 0.0, 0, 8, 16, 1),         # one live node
+    (128, 3600.0, 4, 1, 16, 1),      # one worker
+    (96, 28800.0, 16, 8, 2, 2),      # capped by the cores
+    (128, 3600.0, 4, 8, 16, 7),      # capped by the live nodes (2M + 1 - 2)
+])
+def test_node_threads_rule(n, T, M, workers, cores, want):
+    grid = SpectralGrid(n, n, 4.0e7, 4.0e7)
+    assert integrator.node_threads(grid, Quadrature(T, M), workers, cores) == want
+
+
+def test_run_with_workers_matches_serial(problem96, monkeypatch):
+    grid, params, state = problem96
+    monkeypatch.setattr(integrator, "available_cores", lambda: 4)
     cfg = make_step_config(grid, params, dt=1800.0, T=1800.0, M=2)
     serial = run(state, cfg, params, t_end=3600.0)
     threaded = run(state, cfg, params, t_end=3600.0, workers=4)
+    assert (serial.node_threads, threaded.node_threads) == (1, 3)
     assert np.array_equal(serial.states[-1].u, threaded.states[-1].u)
     assert np.array_equal(serial.states[-1].eta, threaded.states[-1].eta)
     assert serial.energy == threaded.energy
 
 
-def test_failed_run_leaves_no_node_running(problem32, monkeypatch):
+def test_failed_run_leaves_no_node_running(problem96, monkeypatch):
     # one node fails at once while the others sleep; run must wait for them,
     # or a sleeper would write into scratch that the caller's next run reuses
-    grid, params, state = problem32
+    grid, params, state = problem96
+    monkeypatch.setattr(integrator, "available_cores", lambda: 2)
     cfg = make_step_config(grid, params, dt=1800.0, T=1800.0, M=2)
     lock = threading.Lock()
     calls, running = [0], [0]
@@ -166,6 +189,19 @@ def test_failed_run_leaves_no_node_running(problem32, monkeypatch):
     with pytest.raises(RuntimeError, match="node failure"):
         run(state, cfg, params, t_end=1800.0, workers=2)
     assert calls[0] >= 2 and running[0] == 0
+
+
+def test_run_at_96_is_bitwise_equal_for_1_and_8_workers(problem96):
+    # the acceptance sweep's 64^2 never reaches a node thread; this run does,
+    # on as many threads as the machine's cores allow
+    grid, params, state = problem96
+    cfg = make_step_config(grid, params, dt=3600.0, T=28800.0)
+    serial = run(state, cfg, params, t_end=7200.0, workers=1)
+    threaded = run(state, cfg, params, t_end=7200.0, workers=8)
+    assert serial.node_threads == 1
+    assert np.array_equal(serial.states[-1].q, threaded.states[-1].q)
+    assert serial.energy == threaded.energy
+    assert serial.mass == threaded.mass
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

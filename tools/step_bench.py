@@ -37,11 +37,28 @@ The output holds the machine line that perfbench prints, each side's median
 and quartiles per metric, the change/base ratio of the medians, and how many
 pairs (perfbench runs, or step pairs) the change won (lower is better for
 every metric).
+
+With --node-threads there is no base: the tool times this checkout's steps
+against the number of node threads instead, the evidence for
+integrator.MIN_THREADED_POINTS:
+
+    python3 tools/step_bench.py --node-threads --out BENCH_example.json
+
+In each of WORKER_PAIRS fresh processes, the case is built at 32^2, 48^2,
+64^2, 96^2 and 128^2 with dt = 1 h, T = 1 h and 8 h (exact route, auto M).
+Single steps are then taken with 1, 2 and 8 node threads in turn, the
+first width rotating from round to round, THREAD_ROUNDS rounds per case:
+one thread is the serial node loop, and 2 or 8 pass step_averaged_ssprk3 a
+ThreadPoolExecutor of that width that lives as long as the process.  Per
+case and width the output holds the median and quartiles of the step time,
+the ratio of its median to the serial median, the rounds it beat the
+serial step of the same round, and each process's own median ratio.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import os
 import platform
@@ -65,6 +82,10 @@ WARMUP_STEPS = 2
 STEP_PAIRS = 60        # alternated timed steps per side and case, per worker pair
 WORKER_PAIRS = 3       # fresh base/change worker pairs per step comparison
 PERFBENCH_SECONDS = 36
+THREAD_GRIDS = (32, 48, 64, 96, 128)
+THREAD_CASES = {"T1h": 3600.0, "T8h": 28800.0}  # name: T in seconds
+THREAD_WIDTHS = (1, 2, 8)  # node threads; 1 is the serial node loop
+THREAD_ROUNDS = 16         # timed steps per width and case, per process
 
 
 def serve_steps(src: str) -> None:
@@ -106,6 +127,71 @@ def serve_steps(src: str) -> None:
         ms = 1e3 * (time.perf_counter() - t0)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
         print(json.dumps({"ms": ms, "faults": faults}), flush=True)
+
+
+def serve_widths(src: str) -> None:
+    """Worker: time THREAD_ROUNDS rounds of single steps of every thread case
+    from the phaseswe under src, one step per width a round, and print one
+    JSON line: numpy's version and, per case, M and each width's step
+    times (ms)."""
+    sys.path.insert(0, src)
+    from dataclasses import replace
+
+    import numpy as np
+
+    from phaseswe.config import default_config, step_config
+    from phaseswe.integrator import step_averaged_ssprk3
+    from phaseswe.testcase import balanced_jet, physics_params
+
+    pools = {w: concurrent.futures.ThreadPoolExecutor(max_workers=w)
+             for w in THREAD_WIDTHS if w > 1}
+    out = {}
+    try:
+        for n in THREAD_GRIDS:
+            for case, T in THREAD_CASES.items():
+                cfg = replace(default_config(), nx=n, ny=n, dt=3600.0, T=T, M=None)
+                params, state = physics_params(cfg), balanced_jet(cfg)
+                step_cfg = step_config(cfg, params)
+                for _ in range(WARMUP_STEPS):
+                    state = step_averaged_ssprk3(state, step_cfg, params)
+                    for pool in pools.values():
+                        step_averaged_ssprk3(state, step_cfg, params, pool)
+                ms = {w: [] for w in THREAD_WIDTHS}
+                for i in range(THREAD_ROUNDS):
+                    k = i % len(THREAD_WIDTHS)
+                    for w in THREAD_WIDTHS[k:] + THREAD_WIDTHS[:k]:
+                        t0 = time.perf_counter()
+                        step_averaged_ssprk3(state, step_cfg, params, pools.get(w))
+                        ms[w].append(1e3 * (time.perf_counter() - t0))
+                out[f"{n}/{case}"] = {"M": step_cfg.quadrature.M, "ms": ms}
+    finally:
+        for pool in pools.values():
+            pool.shutdown()
+    print(json.dumps({"numpy": np.__version__, "cases": out}), flush=True)
+
+
+def node_thread_widths(env: dict) -> tuple[str, dict]:
+    """numpy's version and, per thread case, M and per width the step times
+    pooled over WORKER_PAIRS fresh processes, their ratio to the serial
+    step, the rounds won against it, and each process's own median ratio."""
+    replies = [json.loads(run_python(ROOT, [os.path.abspath(__file__), "--width-worker",
+                                            os.path.join(ROOT, "src")], env))
+               for _ in range(WORKER_PAIRS)]
+    procs = [reply["cases"] for reply in replies]
+    result = {}
+    for key in procs[0]:
+        serial = [t for p in procs for t in p[key]["ms"]["1"]]
+        widths = {}
+        for w in THREAD_WIDTHS[1:]:
+            times = [t for p in procs for t in p[key]["ms"][str(w)]]
+            widths[str(w)] = {
+                **compare(serial, times, list(zip(serial, times))),
+                "per_process_ratio": [statistics.median(p[key]["ms"][str(w)])
+                                      / statistics.median(p[key]["ms"]["1"])
+                                      for p in procs]}
+        result[key] = {"M": procs[0][key]["M"], "serial": summary(serial),
+                       "threads": widths}
+    return replies[0]["numpy"], result
 
 
 def summary(values: list[float]) -> dict:
@@ -253,11 +339,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", default="",
                         help="perfbench pairs per workload, e.g. chebyshev=10,sweep=6")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--node-threads", action="store_true",
+                        help="time this checkout's steps with 1, 2 and 8 node "
+                             "threads instead of comparing against --base")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--width-worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.worker:
         serve_steps(args.worker)
+        return 0
+    if args.width_worker:
+        serve_widths(args.width_worker)
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -278,6 +371,23 @@ def main(argv=None) -> int:
     # one numpy thread, as perfbench runs
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    if args.node_threads:
+        if args.pairs:
+            parser.error("--pairs compares against --base; --node-threads has no base")
+        numpy_version, cases = node_thread_widths(env)
+        report = {
+            "tree": git("rev-parse", "HEAD") + (
+                " + working tree" if git("status", "--porcelain", "--", "src") else ""),
+            "machine": {"cpu": platform.processor(), "nproc": os.cpu_count(),
+                        "cores_available": len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+                        "python": platform.python_version(), "numpy": numpy_version},
+            "steps": {"rounds": THREAD_ROUNDS, "processes": WORKER_PAIRS,
+                      "warmup_steps": WARMUP_STEPS, "dt_s": 3600.0,
+                      "widths": list(THREAD_WIDTHS), "cases": cases},
+        }
+        write_json(args.out, report)
+        return 0
     machine: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": extract(args.base, tmp), "change": ROOT}
@@ -296,10 +406,14 @@ def main(argv=None) -> int:
                   "warmup_steps": WARMUP_STEPS, "dt_s": 3600.0, "cases": steps},
         "perfbench": bench,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    write_json(args.out, report)
+    return 0
+
+
+def write_json(path: str, report: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    return 0
 
 
 if __name__ == "__main__":
