@@ -63,9 +63,10 @@ __all__ = [
 
 # Node threads pay only from this many grid points.  Below it, the GIL
 # handoffs of a step's many small elementwise ufuncs cost more than the
-# overlapped FFTs save: in BENCH_pr24_node_threads.json (2 cores) a step with
-# 2 node threads takes 1.2-1.5x the serial time at 32^2-64^2, about 0.9x
-# at 96^2 and 0.7x at 128^2.
+# overlapped FFTs save: in BENCH_pr24_node_threads.json (2 cores, dt = 1 h,
+# T = 1 h and 8 h) a step on 2 node threads takes 1.39-1.60x the serial
+# time at 32^2 and 48^2 and 1.12x at 64^2, but 0.83-0.88x at 96^2 and
+# 0.70x at 128^2; on 8 threads it is slower than on 2 at every size.
 MIN_THREADED_POINTS = 96 * 96
 
 
@@ -203,7 +204,7 @@ def node_threads(grid: SpectralGrid, quadrature: Quadrature, workers: int,
         return 1
     if cores is None:
         cores = available_cores()
-    return max(1, min(workers, cores, int(np.count_nonzero(quadrature.w))))
+    return min(workers, cores, int(np.count_nonzero(quadrature.w)))
 
 
 def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,
