@@ -22,16 +22,15 @@ params = physics_params(case)
 lam_max = max_frequency(params)
 
 # quadrature for a one-hour half-window; the bump kernel vanishes smoothly
-# at the window edges so the endpoint nodes carry zero weight
+# at the window edges, so the window keeps only the 2M - 1 nodes inside
 T = 3600.0
 M = default_node_count(T, lam_max)
 quad = Quadrature(T, M)
 print("window T = %g s, fastest phase T * lam_max = %.2f rad, M = %d"
       % (T, T * lam_max, M))
 print("  %6s %10s %10s" % ("k", "s_k (s)", "w_k"))
-for k in range(-M, M + 1):
-    i = k + M
-    print("  %6d %10.1f %10.6f" % (k, quad.s[i], quad.w[i]))
+for i, (s, w) in enumerate(zip(quad.s, quad.w)):
+    print("  %6d %10.1f %10.6f" % (i - len(quad.s) // 2, s, w))
 print("  weight sum = %.17g" % quad.w.sum())
 
 # how far the averaged tendency moves from the plain one as T grows

@@ -2,13 +2,13 @@
 
 The averaged tendency is the weighted quadrature
 
-    <N>_T (U) = sum_{k=-M..M} w_k e^{-L s_k} N(e^{L s_k} U),   s_k = k T / M
+    <N>_T (U) = sum_{|k|<M} w_k e^{-L s_k} N(e^{L s_k} U),   s_k = k T / M
 
 with weights w_k proportional to the one kernel, the compactly supported bump
 rho(x) = exp(-1/(1 - x^2)) at x = s_k / T (Peddle, Haut & Wingate, SISC
 2019), normalised to sum exactly to one.  The bump vanishes with all
-derivatives at the window edges, so the endpoint nodes carry zero weight.
-Quadrature(T, M) builds both from (T, M), so they hold by construction.
+derivatives at the window edges, so Quadrature(T, M) keeps only the 2M - 1
+nodes inside them; it builds both from (T, M), so they hold by construction.
 
 e^{Lt} acts mode by mode and N, like any nonlinear(q, params), maps a
 (3, nx, kb) band stack to a band stack on params.grid, so the core,
@@ -50,11 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Quadrature:
-    """Bump-kernel nodes s_k = k T / M and weights w over the window [-T, T],
-    2M + 1 of each, built read-only from (T, M); == is identity.  T = 0
-    requires M = 0 and yields the single node s = 0 with weight 1 (the
-    averaged tendency then reduces to the plain nonlinearity); so does T > 0
-    with M = 0."""
+    """The 2M - 1 bump-kernel nodes s_k = k T / M, |k| < M, that carry
+    weight, and their weights w, built read-only from (T, M); == is
+    identity.  T = 0 requires M = 0 and yields the single node s = 0 with
+    weight 1 (the averaged tendency then reduces to the plain
+    nonlinearity); so do T > 0 with M = 0 and M = 1."""
 
     T: float
     M: int
@@ -81,6 +81,8 @@ class Quadrature:
             w = rho / float(rho.sum())
             # renormalise the round-off so the sum is exactly 1.0
             w = w / float(w.sum())
+            # the edges weigh 0; dropped after both sums, which group by position
+            s, w = s[w != 0.0], w[w != 0.0]
         for arr in (s, w):
             arr.setflags(write=False)
         for name, value in zip(("T", "M", "s", "w"), (float(T), int(M), s, w)):
@@ -111,47 +113,44 @@ def band_averaged_tendency(q: np.ndarray, quadrature: Quadrature,
     """The averaged tendency's band stack, for the state whose compact
     (3, nx, kb) band stack on params.grid is q.
 
-    Zero-weight nodes (the bump kernel's endpoints) are skipped.  With an
-    executor the node terms run concurrently; the reduction runs in ascending
-    node order either way, so the result is bitwise independent of the worker
-    count.  nonlinear may be swapped out (a zero tendency, say, for the purely
-    linear part of a scheme); like apply_nonlinear, it maps a band stack, the
-    node's shifted q, and params to a band stack.
+    With an executor the node terms run concurrently; the reduction runs in
+    ascending node order either way, so the result is bitwise independent of
+    the worker count.  nonlinear may be swapped out (a zero tendency, say,
+    for the purely linear part of a scheme); like apply_nonlinear, it maps a
+    band stack, the node's shifted q, and params to a band stack.
     """
-    live = [i for i in range(len(quadrature.s)) if quadrature.w[i] != 0.0]
+    s_nodes, n = quadrature.s, len(quadrature.s)
     # every forward shift in one call on the calling thread, into its
     # scratch: one L U and L^2 U, or one Chebyshev recurrence; the node
     # s = 0 needs no shift, and a window of that node alone none at all
-    moving = [i for i in live if quadrature.s[i] != 0.0]
+    moving = [i for i in range(n) if s_nodes[i] != 0.0]
     stack = scratch("band_averaged_tendency.forward", (len(moving),) + q.shape)
     try:
         forward = dict(zip(moving, shift(q, params, propagator_spec,
-                                         quadrature.s[moving], out=stack)))
+                                         s_nodes[moving], out=stack)))
     except Exception as exc:
-        s_max = float(np.max(np.abs(quadrature.s[moving])))
+        s_max = float(np.max(np.abs(s_nodes[moving])))
         raise RuntimeError(f"forward shifts of the averaging nodes "
                            f"(|s| up to {s_max:.6g} s) failed: {exc}") from exc
 
     # each moving node's backward shift lands in its own row of one more
     # scratch stack, so no node result is allocated and freed per call
-    terms = scratch("band_averaged_tendency.terms", (len(live),) + q.shape)
+    terms = scratch("band_averaged_tendency.terms", (n,) + q.shape)
 
-    def term(j: int) -> np.ndarray:
-        i = live[j]
-        s = float(quadrature.s[i])
+    def term(i: int) -> np.ndarray:
+        s = float(s_nodes[i])
         try:
             tend = nonlinear(forward.get(i, q), params)
             return tend if s == 0.0 else shift(tend, params, propagator_spec, (-s,),
-                                               out=terms[j : j + 1])[0]
+                                               out=terms[i : i + 1])[0]
         except Exception as exc:
-            k = i - quadrature.M
-            raise RuntimeError(
-                f"averaging node k = {k} (s = {s:.6g} s) failed: {exc}") from exc
+            raise RuntimeError(f"averaging node k = {i - n // 2} (s = {s:.6g} s) "
+                               f"failed: {exc}") from exc
 
-    results = list((map if executor is None else executor.map)(term, range(len(live))))
+    results = list((map if executor is None else executor.map)(term, range(n)))
 
-    acc = quadrature.w[live[0]] * results[0]
+    acc = quadrature.w[0] * results[0]
     tmp = scratch("band_averaged_tendency.term", q.shape)
-    for i, res in zip(live[1:], results[1:]):
-        acc += np.multiply(quadrature.w[i], res, out=tmp)
+    for w, res in zip(quadrature.w[1:], results[1:]):
+        acc += np.multiply(w, res, out=tmp)
     return acc

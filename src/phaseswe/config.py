@@ -10,8 +10,8 @@ reference and each sweep window are derived from it by reference_config and
 window_config, and step_config builds its stepper.  Every rule that SpectralGrid,
 the stepper's parts or integrator.check_schedule owns is raised as ConfigError.
 workers is the most threads a step's averaging nodes may run on;
-integrator.node_threads picks the count from it, the cores and the grid,
-so no output depends on it."""
+integrator.node_threads picks the count from it, the cores, the grid and
+the window's nodes, so no output depends on it."""
 
 from __future__ import annotations
 

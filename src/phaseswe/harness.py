@@ -175,8 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--config", help="path to key = value config file")
         sp.add_argument("--workers", type=int,
-                        help="most threads for a step's averaging nodes; fewer "
-                             "on fewer cores or live nodes, none below 96x96")
+                        help="most threads for a step's averaging nodes, capped by "
+                             "the cores and the window's nodes; none below 96x96")
         sp.add_argument("--output", help="output directory")
         if name == "sweep":
             sp.add_argument("--tlist", required=True,

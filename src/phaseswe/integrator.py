@@ -22,7 +22,7 @@ rejects a state on another grid.  run's schedule rules are check_schedule's.
 
 run's workers is an upper bound on the threads that run a step's averaging
 nodes, not a count: node_threads caps it by the cores this process may run
-on and by the window's live nodes, and runs the nodes serially on the
+on and by the window's nodes, and runs the nodes serially on the
 calling thread below MIN_THREADED_POINTS grid points, where threads cost
 more than they save.  Every output is bitwise the same for any count.
 """
@@ -93,7 +93,7 @@ def make_step_config(grid: SpectralGrid, params: PhysicsParams, dt: float,
     passes it.  M = None picks the default node count from the fastest mode.
     For the Chebyshev route, Lambda covers the largest exponential argument
     a step requests, max(dt, T): the stages shift by dt and +-dt/2, and
-    every live node by |s_k| < T.  Each exponential is sized to its own
+    every node by |s_k| < T.  Each exponential is sized to its own
     argument from tol; the spec's n_poly is the degree at Lambda.
     """
     if grid != params.grid:
@@ -198,13 +198,13 @@ def available_cores() -> int:
 def node_threads(grid: SpectralGrid, quadrature: Quadrature, workers: int,
                  cores: int | None = None) -> int:
     """Threads that run a step's averaging nodes: min(workers, cores, the
-    window's live nodes), and 1 on a grid below MIN_THREADED_POINTS points.
+    window's nodes), and 1 on a grid below MIN_THREADED_POINTS points.
     cores defaults to available_cores()."""
     if grid.nx * grid.ny < MIN_THREADED_POINTS:
         return 1
     if cores is None:
         cores = available_cores()
-    return min(workers, cores, int(np.count_nonzero(quadrature.w)))
+    return min(workers, cores, len(quadrature.w))
 
 
 def run(initial: State, config: StepConfig, params: PhysicsParams, t_end: float,

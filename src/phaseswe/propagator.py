@@ -112,7 +112,7 @@ class PropagatorSpec:
         return choose_npoly(self.Lambda, self.tol)
 
 
-# A step asks for at most M + 2 distinct |t| (the live node shifts, dt and
+# A step asks for at most M + 2 distinct |t| (the node shifts, dt and
 # dt/2), each an entry of two real (nx, kb) arrays, so a step's whole set
 # stays cached for M up to 126.
 _COEFF_TABLES = 128

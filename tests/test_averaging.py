@@ -8,11 +8,13 @@ import pytest
 
 from phaseswe import dynamics, propagator
 from phaseswe import grid as grid_module
-from phaseswe.averaging import Quadrature, averaged_tendency, default_node_count
+from phaseswe.averaging import (Quadrature, averaged_tendency, band_averaged_tendency,
+                                default_node_count)
 from phaseswe.dynamics import (PhysicsParams, State, apply_nonlinear, energy_norm,
                                flat_bottom, max_frequency)
-from phaseswe.grid import SpectralGrid, band
-from phaseswe.oracles import band_limited_state, full_band_mask, take_band
+from phaseswe.grid import SpectralGrid, band, from_band
+from phaseswe.oracles import (band_limited_state, full_band_mask, linear_mode_matrix,
+                              take_band)
 from phaseswe.propagator import PropagatorSpec, propagate, shift
 
 F0, G0, H0 = 1.0e-4, 9.8, 5960.0
@@ -29,21 +31,25 @@ def nonlinear_state(state, params):
 
 def test_weights_sum_to_one_and_are_symmetric():
     quad = Quadrature(3600.0, 5)
-    assert quad.s.shape == (11,)
+    assert quad.s.shape == (9,)
     assert abs(float(quad.w.sum()) - 1.0) <= 1e-14
     assert np.array_equal(quad.w, quad.w[::-1])
     assert np.array_equal(quad.s, -quad.s[::-1])
-    assert quad.s[5] == 0.0
-    assert np.all(quad.w[1:-1] > 0.0)
+    assert quad.s[4] == 0.0
+    assert np.all(quad.w > 0.0)
 
 
 def test_bump_kernel_vanishes_at_window_edges():
-    quad = Quadrature(7200.0, 8)
-    assert quad.w[0] == 0.0
-    assert quad.w[-1] == 0.0
+    # the bump is zero at s = +-T, so the window keeps only the nodes
+    # strictly inside it, and the nodes next to the edges weigh least
+    T = 7200.0
+    quad = Quadrature(T, 8)
+    assert np.all(np.abs(quad.s) < T)
+    assert quad.s[0] == -7.0 * T / 8.0 and quad.s[-1] == 7.0 * T / 8.0
+    assert quad.w[0] == quad.w[-1] == min(quad.w)
     # interior weights decay towards the edges
-    assert quad.w[8] == max(quad.w)
-    assert quad.w[1] < quad.w[4] < quad.w[8]
+    assert quad.w[7] == max(quad.w)
+    assert quad.w[0] < quad.w[3] < quad.w[7]
 
 
 def test_degenerate_and_invalid_windows():
@@ -65,17 +71,44 @@ def test_built_quadrature_is_normalised_and_symmetric(T, M):
     # and their shape, sum and symmetry hold by construction
     quad = Quadrature(T, M)
     assert (quad.T, quad.M) == (T, M)
-    assert quad.s.shape == quad.w.shape == (2 * M + 1,)
+    assert quad.s.shape == quad.w.shape == (max(2 * M - 1, 1),)
     assert abs(float(quad.w.sum()) - 1.0) <= 1e-14
     assert np.array_equal(quad.s, -quad.s[::-1])
     assert np.array_equal(quad.w, quad.w[::-1])
     assert not (quad.s.flags.writeable or quad.w.flags.writeable)
+    assert np.all(quad.w > 0.0)
     if M > 0:
-        assert quad.w[0] == quad.w[-1] == 0.0
-        assert np.array_equal(quad.s, np.arange(-M, M + 1) * (T / M))
+        assert np.array_equal(quad.s, np.arange(1 - M, M) * (T / M))
     for name in ("s", "w"):
         with pytest.raises(TypeError, match=name):
-            Quadrature(T, M, **{name: np.zeros(2 * M + 1)})
+            Quadrature(T, M, **{name: np.zeros(len(quad.s))})
+
+
+def full_bump(T, M):
+    """The 2M + 1 nodes s_k = k T / M, |k| <= M, and the bump's weights on
+    them, zero at both edges, normalised twice so that they sum to 1.0."""
+    s = np.arange(-M, M + 1) * (T / M)
+    x = s / T
+    rho = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    rho[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+    w = rho / float(rho.sum())
+    return s, w / float(w.sum())
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 16, 64])
+@pytest.mark.parametrize("T", [1800.0, 3600.0, 28800.0])
+def test_nodes_are_the_nonzero_weight_nodes_of_the_full_bump(T, M):
+    # the weights are normalised over all 2M + 1 nodes, edges included, and
+    # only then are the two zero edge terms dropped: a sum over the interior
+    # alone could round differently
+    s, w = full_bump(T, M)
+    assert w[0] == w[-1] == 0.0 and np.all(w[1:-1] > 0.0)
+    quad = Quadrature(T, M)
+    assert quad.s.tobytes() == s[1:-1].tobytes()
+    assert quad.w.tobytes() == w[1:-1].tobytes()
+    if M == 1:
+        assert np.array_equal(quad.s, [0.0]) and np.array_equal(quad.w, [1.0])
 
 
 def test_default_node_count_resolves_fastest_phase():
@@ -109,11 +142,8 @@ def test_averaged_tendency_matches_explicit_node_loop(grid32, rng):
         got = averaged_tendency(state, quad, params, spec)
 
         acc = np.zeros_like(state.q)
-        for i in range(len(quad.s)):
-            w = quad.w[i]
-            if w == 0.0:
-                continue
-            s = float(quad.s[i])
+        for s, w in zip(quad.s, quad.w):
+            s = float(s)
             if s == 0.0:
                 term = nonlinear_state(state, params)
             else:
@@ -193,6 +223,60 @@ def test_wide_window_differs_from_plain_nonlinearity(grid32, rng):
                              PropagatorSpec.exact())
     rel = energy_norm(wide - plain, params) / energy_norm(plain, params)
     assert rel > 1e-2
+
+
+def eigenbasis(params, wave):
+    """L's eigenvalues and eigenvector columns at the integer wavevector wave."""
+    grid = params.grid
+    return np.linalg.eig(linear_mode_matrix(grid.kx[wave[0] % grid.nx],
+                                            grid.ky[wave[1] % grid.ny],
+                                            params.f, params.g, params.H))
+
+
+@pytest.mark.parametrize("M", [4, 16])
+def test_window_scales_each_interaction_by_its_frequency_response(M):
+    # On a flat bottom N is quadratic.  U holds two inertia-gravity
+    # eigenmodes, at +omega_1 and +omega_2, and their mirrors at -omega, so
+    # N(e^{Ls} U) at K = p + r oscillates as e^{i (omega_p + omega_r) s}, and
+    # e^{-Ls} turns its eigenmode of frequency omega_out at K into
+    # e^{-i dw s}, dw = omega_out - (omega_p + omega_r).  The window then
+    # multiplies that amplitude of N(U) by W(dw) = sum_k w_k e^{i dw s_k}.
+    grid = SpectralGrid(12, 8, 1.5e6, 1.0e6)
+    params = flat(grid)
+    quad = Quadrature(3600.0, M)
+    full, freq = np.zeros((3, grid.nx, grid.ny), dtype=complex), {}
+    for (mx, my), amp in (((1, 1), 300.0), ((2, -1), 200.0 - 100.0j)):
+        lam, vec = eigenbasis(params, (mx, my))
+        j = int(np.argmax(lam.imag))
+        full[:, mx % grid.nx, my % grid.ny] = amp * vec[:, j]
+        full[:, -mx % grid.nx, -my % grid.ny] = np.conj(amp * vec[:, j])
+        freq[mx, my], freq[-mx, -my] = lam[j].imag, -lam[j].imag
+    # sums and differences are distinct: each output K has one frequency
+    pairs = {}
+    for p in freq:
+        for r in freq:
+            pairs.setdefault((p[0] + r[0], p[1] + r[1]), set()).add(freq[p] + freq[r])
+    assert all(len(omegas) == 1 for omegas in pairs.values())
+
+    q = State(grid, take_band(grid, full)).q
+    plain = from_band(grid, apply_nonlinear(q, params))
+    avg = from_band(grid, band_averaged_tendency(q, quad, params, PropagatorSpec.exact()))
+    kept = {K: omegas.pop() for K, omegas in pairs.items()
+            if 3 * abs(K[0]) < grid.nx and 3 * abs(K[1]) < grid.ny}
+    largest = float(np.max(np.abs(plain)))
+    checked = 0
+    for K, omega in kept.items():
+        lam, vec = eigenbasis(params, K)
+        col = (slice(None), K[0] % grid.nx, K[1] % grid.ny)
+        a_plain, a_avg = np.linalg.solve(vec, plain[col]), np.linalg.solve(vec, avg[col])
+        for j in range(3):
+            W = np.sum(quad.w * np.exp(1j * (lam[j].imag - omega) * quad.s))
+            if abs(a_plain[j]) > 1e-6 * largest:
+                assert abs(a_avg[j] / a_plain[j] - W) <= 1e-12
+                checked += 1
+            else:  # an eigenmode absent from N(U) is absent from the average too
+                assert abs(a_avg[j]) <= 1e-12 * largest
+    assert checked == 14
 
 
 def test_result_is_bitwise_independent_of_worker_count(grid32, rng):
@@ -290,7 +374,7 @@ def test_windows_of_any_size_keep_one_pair_of_node_stacks(grid32, rng):
 
 
 def test_forward_shift_failure_names_the_window(grid32, rng):
-    # the live nodes reach |s| = 1200 s, beyond a Lambda sized for 900 s
+    # the nodes reach |s| = 1200 s, beyond a Lambda sized for 900 s
     params = flat(grid32)
     state = band_limited_state(grid32, rng)
     spec = PropagatorSpec.chebyshev(max_frequency(params) * 900.0)
@@ -300,9 +384,11 @@ def test_forward_shift_failure_names_the_window(grid32, rng):
 
 
 def test_bump_kernel_profile_values():
-    # nodes at x = s / T = -1, -1/2, 0, 1/2, 1 sample rho(x) = exp(-1/(1 - x^2))
-    w = Quadrature(3600.0, 2).w
-    rho = np.array([0.0, np.exp(-1.0 / 0.75), np.exp(-1.0), np.exp(-1.0 / 0.75), 0.0])
-    assert w[0] == 0.0 and w[4] == 0.0
-    assert w[1] / w[2] == pytest.approx(np.exp(-1.0 / 3.0), rel=1e-15)
+    # nodes at x = s / T = -1/2, 0, 1/2 sample rho(x) = exp(-1/(1 - x^2));
+    # the edges x = -1 and 1, where rho is 0, hold no node
+    quad = Quadrature(3600.0, 2)
+    w = quad.w
+    rho = np.array([np.exp(-1.0 / 0.75), np.exp(-1.0), np.exp(-1.0 / 0.75)])
+    assert np.array_equal(quad.s / quad.T, [-0.5, 0.0, 0.5])
+    assert w[0] / w[1] == pytest.approx(np.exp(-1.0 / 3.0), rel=1e-15)
     assert np.allclose(w, rho / rho.sum(), rtol=1e-15, atol=0.0)

@@ -47,7 +47,7 @@ def test_traced_step_records_nonlinear_spans():
         got = integrator.step_averaged_ssprk3(state, step_cfg, params)
     calls = tracer.summary().calls
     assert calls["integrator.step"] == 1
-    # three averaged tendencies of three live nodes (the endpoints weigh 0),
+    # three averaged tendencies of three nodes (M = 2 keeps 2M - 1),
     # each one inverse and one forward transform, looked up in dynamics
     # where the tracer wraps them
     assert calls["dynamics.apply_nonlinear"] == 9

@@ -137,10 +137,10 @@ def problem96():
 
 @pytest.mark.parametrize("n, T, M, workers, cores, want", [
     (64, 3600.0, 4, 8, 2, 1),        # below the threshold: serial
-    (128, 0.0, 0, 8, 16, 1),         # one live node
+    (128, 0.0, 0, 8, 16, 1),         # one node
     (128, 3600.0, 4, 1, 16, 1),      # one worker
     (96, 28800.0, 16, 8, 2, 2),      # capped by the cores
-    (128, 3600.0, 4, 8, 16, 7),      # capped by the live nodes (2M + 1 - 2)
+    (128, 3600.0, 4, 8, 16, 7),      # capped by the nodes (2M - 1)
 ])
 def test_node_threads_rule(n, T, M, workers, cores, want):
     grid = SpectralGrid(n, n, 4.0e7, 4.0e7)

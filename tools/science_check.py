@@ -18,7 +18,9 @@ through its own command line with one worker:
 - two steps from the balanced jet of every case in STEP_CASES: the 64^2
   default domain and 12x18 and 18x12 grids with Lx != Ly, at T = 0, 1 h and
   8 h on the exact route and at T = 1 h on the Chebyshev route (dt = 1 h,
-  auto M).  The final band stacks are compared with np.array_equal.
+  auto M), and on the 12x18 grid at T = 1 h with the fixed M = 1 and 2, the
+  windows of fewest nodes.  The final band stacks are compared with
+  np.array_equal.
 
 It prints one line per file and per step, "identical" or the largest
 relative difference, and exits 0 only when every file and step is identical.
@@ -54,14 +56,16 @@ GRIDS = {  # name: (nx, ny, Lx, Ly); the case's other lengths follow the domain
     "12x18": (12, 18, 1.5e6, 2.5e6),
     "18x12": (18, 12, 2.5e6, 1.5e6),
 }
-STEP_CASES = [(grid, T, route) for grid in GRIDS
+STEP_CASES = [(grid, T, route, None) for grid in GRIDS  # (grid, T, route, M)
               for T, route in ((0.0, "exact"), (3600.0, "exact"), (28800.0, "exact"),
                                (3600.0, "chebyshev"))]
+STEP_CASES += [("12x18", 3600.0, "exact", M) for M in (1, 2)]
 STEPS = 2
 
 
-def step_key(grid: str, T: float, route: str) -> str:
-    return f"{grid}/T{T:g}/{route}"
+def step_key(grid: str, T: float, route: str, M: int | None) -> str:
+    """The case's name; M = None, the auto node count, is left out."""
+    return f"{grid}/T{T:g}/{route}" + ("" if M is None else f"/M{M}")
 
 
 def serve_steps(src: str, out: str) -> None:
@@ -76,17 +80,17 @@ def serve_steps(src: str, out: str) -> None:
     from phaseswe.integrator import make_step_config, step_averaged_ssprk3
 
     finals = {}
-    for grid_name, T, route in STEP_CASES:
+    for grid_name, T, route, M in STEP_CASES:
         nx, ny, Lx, Ly = GRIDS[grid_name]
         cfg = replace(default_config(), nx=nx, ny=ny, Lx=Lx, Ly=Ly, jet_width=-1.0,
-                      r0=-1.0, xc=-1.0, yc=-1.0, dt=3600.0, T=T, M=None,
+                      r0=-1.0, xc=-1.0, yc=-1.0, dt=3600.0, T=T, M=M,
                       propagator=route)
         grid, _cfg, params, state = build_problem(cfg)
         step_cfg = make_step_config(grid, params, dt=cfg.dt, T=cfg.T, M=cfg.M,
                                     propagator=cfg.propagator, tol=cfg.tol)
         for _ in range(STEPS):
             state = step_averaged_ssprk3(state, step_cfg, params)
-        finals[step_key(grid_name, T, route)] = state.q
+        finals[step_key(grid_name, T, route, M)] = state.q
     np.savez(out, **finals)
 
 
